@@ -169,15 +169,22 @@ def cmd_certify(config: RunConfig, run_dir) -> None:
     )
     all_certs = []
     fronts = {}
+    failed = 0
     for family in families:
         result = cert.grid_search(family, config.beta_grid, config.lambda_grid,
                                   ctx)
         for beta, lam, message in result.failures:
             print(f"cell failure [{family} beta={beta} lambda={lam}]: {message}",
                   file=sys.stderr)
+        failed += len(result.failures)
         all_certs.extend(result.certificates)
         fronts[family] = cert.pareto_front(
             cert.certificates_to_points(result.certificates))
+    attempted = failed + len(all_certs)
+    if failed:
+        print(f"certify: {failed} of {attempted} cells failed", file=sys.stderr)
+    if not all_certs:
+        raise RuntimeError("no cell was certified")
     star = cert.reference_star(record, train_ds, test_ds)
     fronts["reference"] = [star]
     out_dir = _resolve_out(run_dir)

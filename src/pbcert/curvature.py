@@ -40,7 +40,7 @@ def _label_uniforms(seed: int, X: np.ndarray) -> np.ndarray:
     and duplicated samples draw identical labels, so the accumulated sums
     are order-invariant and exactly additive.
     """
-    seed_bytes = int(seed).to_bytes(8, "little", signed=True)
+    seed_bytes = (int(seed) % 2 ** 64).to_bytes(8, "little")
     out = np.empty(X.shape[0])
     for i in range(X.shape[0]):
         digest = hashlib.blake2b(seed_bytes + X[i].tobytes(),

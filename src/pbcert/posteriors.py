@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from pbcert.blas import single_threaded
 from pbcert.curvature import FISHER_FLOOR, CurvatureEstimate
 from pbcert.gaussians import BlockGaussian, DiagGaussian, GaussianBlock, kl_diag
 from pbcert.nnet import NetSpec, forward, grad as nnet_grad, loss as nnet_loss
@@ -163,7 +164,6 @@ def quadratic_objective_block(hessians, block_covs, neuron_counts,
 class VIResult:
     posterior: DiagGaussian
     surrogate_value: float
-    surrogate_trace: list
 
 
 def _surrogate_kl(sigma, lam, dmu2):
@@ -184,6 +184,11 @@ def vi_optimize_log_sigma(grad_fn, theta_star: np.ndarray, lam: float,
     `average_tail` in (0, 1] returns the iterate average over that trailing
     fraction of steps, damping the single-draw gradient noise.  Returns the
     optimized log-variances.
+
+    The step loop runs on one BLAS thread (see `pbcert.blas`): a mini-batch
+    product saves little wall time on a second core, whose worker then
+    spins through the rest of the step, and the result is then the same on
+    every host.
     """
     d = theta_star.shape[0]
     log_sigma = np.full(d, np.log(lam))
@@ -195,25 +200,27 @@ def vi_optimize_log_sigma(grad_fn, theta_star: np.ndarray, lam: float,
     tail_sum = np.zeros(d)
     tail_count = 0
     noise_rng = rng_for(seed, "vi-noise")
-    for epoch in range(epochs):
-        for step in range(steps_per_epoch):
-            sigma = np.exp(log_sigma)
-            z = noise_rng.standard_normal(d)
-            theta = theta_star + np.sqrt(sigma) * z
-            g_theta = grad_fn(theta, epoch, step)
-            if not np.all(np.isfinite(g_theta)):
-                raise FloatingPointError("VI gradient diverged")
-            g_log_sigma = g_theta * z * 0.5 * np.sqrt(sigma)
-            g_log_sigma += kl_weight * 0.5 * (sigma / lam - 1.0)
-            t += 1
-            m1 = b1 * m1 + (1 - b1) * g_log_sigma
-            m2 = b2 * m2 + (1 - b2) * g_log_sigma ** 2
-            step_size = lr / (1.0 + lr_decay * t)
-            log_sigma -= step_size * (m1 / (1 - b1 ** t)) / (
-                np.sqrt(m2 / (1 - b2 ** t)) + eps)
-            if t > (1.0 - average_tail) * total:
-                tail_sum += log_sigma
-                tail_count += 1
+    with single_threaded():
+        for epoch in range(epochs):
+            for step in range(steps_per_epoch):
+                sigma = np.exp(log_sigma)
+                sqrt_sigma = np.sqrt(sigma)
+                z = noise_rng.standard_normal(d)
+                theta = theta_star + sqrt_sigma * z
+                g_theta = grad_fn(theta, epoch, step)
+                if not np.all(np.isfinite(g_theta)):
+                    raise FloatingPointError("VI gradient diverged")
+                g_log_sigma = g_theta * z * 0.5 * sqrt_sigma
+                g_log_sigma += kl_weight * 0.5 * (sigma / lam - 1.0)
+                t += 1
+                m1 = b1 * m1 + (1 - b1) * g_log_sigma
+                m2 = b2 * m2 + (1 - b2) * g_log_sigma ** 2
+                step_size = lr / (1.0 + lr_decay * t)
+                log_sigma -= step_size * (m1 / (1 - b1 ** t)) / (
+                    np.sqrt(m2 / (1 - b2 ** t)) + eps)
+                if t > (1.0 - average_tail) * total:
+                    tail_sum += log_sigma
+                    tail_count += 1
     if tail_count:
         return tail_sum / tail_count
     return log_sigma
@@ -253,15 +260,13 @@ def vi_optimize_diag(spec: NetSpec, theta_star: np.ndarray,
     log_sigma = vi_optimize_log_sigma(grad_fn, theta_star, lam, kl_weight,
                                       epochs, steps_per_epoch, seed, lr)
     sigma = np.exp(log_sigma)
-    trace = [_surrogate_kl(sigma, lam, dmu2)]
     posterior = DiagGaussian(theta_star, log_sigma)
     # MC estimate of the achieved surrogate with a fixed evaluation draw
     eval_rng = rng_for(seed, "vi-eval")
     theta_eval = theta_star + np.sqrt(sigma) * eval_rng.standard_normal(d)
     value = (nnet_loss(loss_kind, forward(spec, theta_eval, X).outputs, y)
              + kl_weight * (_surrogate_kl(sigma, lam, dmu2) + np.log(1.0 / delta)))
-    return VIResult(posterior=posterior, surrogate_value=float(value),
-                    surrogate_trace=trace)
+    return VIResult(posterior=posterior, surrogate_value=float(value))
 
 
 def skfac_posterior(spec: NetSpec, theta_star: np.ndarray,

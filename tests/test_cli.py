@@ -176,6 +176,19 @@ class TestCliPipeline:
                      "--run", str(tmp_path / "nowhere")])
         assert code == 2
 
+    def test_certify_exit_code_when_every_cell_fails(self, small_config,
+                                                     tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(small_config),
+                     "--out", str(out)]) == 0
+        # a negative lambda grid: every isotropic posterior is rejected
+        code = main(["certify", "--config", str(small_config), "--run", str(out),
+                     "--set", "posterior.lambda_min=-0.3",
+                     "--set", "posterior.lambda_max=-0.031"])
+        assert code == 1
+        assert "certify: 8 of 8 cells failed" in capsys.readouterr().err
+        assert not (out / "certificates.csv").exists()
+
     def test_train_exit_code_on_missing_idx(self, tmp_path):
         config = tmp_path / "idx.ini"
         config.write_text("[data]\nsource = idx\nimages = /no/such/file\n")

@@ -15,13 +15,14 @@ from pbcert.curvature import (
 )
 from pbcert.data import Dataset, synthetic_blobs
 from pbcert.nnet import NetSpec, ParamIndex, forward, loss, softmax
+from pbcert.rng import child_seed
 
 
 def sampled_labels(seed, spec, theta, X):
     """Re-derive the per-sample labels via the content-hashed uniforms."""
     probs = softmax(forward(spec, theta, X).outputs)
     cdf = np.cumsum(probs, axis=1)
-    seed_bytes = int(seed).to_bytes(8, "little", signed=True)
+    seed_bytes = (int(seed) % 2 ** 64).to_bytes(8, "little")
     labels = np.empty(X.shape[0], dtype=int)
     for i in range(X.shape[0]):
         digest = hashlib.blake2b(seed_bytes + X[i].tobytes(),
@@ -37,25 +38,36 @@ def log_density(spec, theta, x, label):
     return float(shifted[label] - np.log(np.exp(shifted).sum()))
 
 
+def fisher_oracle_error(seed, h=1e-5):
+    """Largest relative gap between diag_fisher and the summed squared
+    central-difference log-density gradients at the sampled labels."""
+    spec = NetSpec((2, 3, 2))
+    theta = random_theta(spec, seed=0)
+    X = np.random.default_rng(1).standard_normal((4, 2))
+    est = diag_fisher(spec, theta, X, seed=seed)
+    labels = sampled_labels(seed, spec, theta, X)
+    oracle = np.zeros(spec.n_params)
+    for s in range(X.shape[0]):
+        for i in range(spec.n_params):
+            up, down = theta.copy(), theta.copy()
+            up[i] += h
+            down[i] -= h
+            g = (log_density(spec, up, X[s], labels[s])
+                 - log_density(spec, down, X[s], labels[s])) / (2 * h)
+            oracle[i] += g ** 2
+    scale = np.maximum(oracle, 1e-8)
+    return np.max(np.abs(est.diag_fisher - oracle) / scale)
+
+
 class TestDiagFisher:
     def test_matches_finite_difference_oracle(self):
-        spec = NetSpec((2, 3, 2))
-        theta = random_theta(spec, seed=0)
-        X = np.random.default_rng(1).standard_normal((4, 2))
-        est = diag_fisher(spec, theta, X, seed=21)
-        labels = sampled_labels(21, spec, theta, X)
-        h = 1e-5
-        oracle = np.zeros(spec.n_params)
-        for s in range(X.shape[0]):
-            for i in range(spec.n_params):
-                up, down = theta.copy(), theta.copy()
-                up[i] += h
-                down[i] -= h
-                g = (log_density(spec, up, X[s], labels[s])
-                     - log_density(spec, down, X[s], labels[s])) / (2 * h)
-                oracle[i] += g ** 2
-        scale = np.maximum(oracle, 1e-8)
-        assert np.max(np.abs(est.diag_fisher - oracle) / scale) < 1e-5
+        assert fisher_oracle_error(21) < 1e-5
+
+    def test_seed_at_least_2_63(self):
+        # child_seed returns unsigned 64-bit seeds; about half are >= 2**63
+        seed = child_seed(1, "fisher")
+        assert seed >= 2 ** 63
+        assert fisher_oracle_error(seed) < 1e-5
 
     def test_zero_input_kills_first_layer(self):
         spec = NetSpec((3, 2, 2))
