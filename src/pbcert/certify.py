@@ -27,7 +27,7 @@ from pbcert.gaussians import (
     sample_gaussian,
     union_bound_nats,
 )
-from pbcert.nnet import NetSpec, forward, loss
+from pbcert.nnet import NetSpec, forward, loss, zero_one_errors
 from pbcert.posteriors import (
     FAMILIES,
     closed_form_posterior,
@@ -97,14 +97,14 @@ def mc_empirical_risk(posterior, spec: NetSpec, data, m: int, seed: int):
 
     Per-draw errors are returned for dispersion diagnostics; draws use
     per-index derived seeds so the estimate is scheduling-independent.
+    Draws are evaluated in groups (`nnet.zero_one_errors`), with the same
+    bytes as one `forward` per draw.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    X, y = np.asarray(data.X), np.asarray(data.y)
-    errors = np.empty(m)
-    for j in range(m):
-        theta = sample_gaussian(posterior, child_seed(seed, "mc", j))
-        errors[j] = loss("zero_one", forward(spec, theta, X).outputs, y)
+    draws = (sample_gaussian(posterior, child_seed(seed, "mc", j))
+             for j in range(m))
+    errors = zero_one_errors(spec, draws, data.X, data.y)
     return float(errors.mean()), errors
 
 

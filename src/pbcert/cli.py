@@ -17,12 +17,7 @@ import numpy as np
 
 from pbcert import certify as cert
 from pbcert.config import ConfigError, RunConfig, load_config
-from pbcert.curvature import (
-    CurvatureEstimate,
-    all_block_hessians,
-    diag_fisher,
-    landscape_probe,
-)
+from pbcert.curvature import all_block_hessians, diag_fisher, landscape_probe
 from pbcert.data import collapse_classes, load_cifar_bin, load_idx, synthetic_blobs
 from pbcert.manifest import (
     load_dataset,
@@ -132,19 +127,12 @@ def _load_run(run_dir):
     return record, train_ds, test_ds
 
 
-def _curvature_for(families, record, train_ds, run_dir, seed):
-    """Fisher / block Hessians computed on demand and cached on disk."""
+def _curvature_for(families, record, train_ds, seed):
+    """Fisher / block Hessians, computed on demand for the families in use."""
     fisher = blocks = None
     if {"closed-diag", "closed-joint"} & set(families):
-        cache = Path(run_dir) / "fisher_cache.npy"
-        if cache.exists():
-            fisher = CurvatureEstimate(spec=record.spec, n_used=train_ds.n,
-                                       seed=child_seed(seed, "fisher"),
-                                       diag_fisher=np.load(cache))
-        else:
-            fisher = diag_fisher(record.spec, record.theta_star, train_ds.X,
-                                 child_seed(seed, "fisher"))
-            np.save(cache, fisher.diag_fisher)
+        fisher = diag_fisher(record.spec, record.theta_star, train_ds.X,
+                             child_seed(seed, "fisher"))
     if "skfac-block" in families:
         blocks = all_block_hessians(record.spec, record.theta_star, train_ds.X)
     return fisher, blocks
@@ -154,8 +142,7 @@ def cmd_certify(config: RunConfig, run_dir) -> None:
     record, train_ds, test_ds = _load_run(_resolve_out(run_dir))
     families = config.get("posterior", "families")
     seed = config.get("run", "seed")
-    fisher, blocks = _curvature_for(families, record, train_ds,
-                                    _resolve_out(run_dir), seed)
+    fisher, blocks = _curvature_for(families, record, train_ds, seed)
     ctx = cert.GridContext(
         spec=record.spec, theta_star=record.theta_star, theta0=record.theta0,
         data=train_ds, m=config.get("bound", "m"),

@@ -190,21 +190,31 @@ def chernoff_gap(m: int, delta_prime: float) -> float:
 
 def union_bound_nats(lam: float, b: float, c: float, delta: float) -> float:
     """Penalty replacing ln(1/delta) when the prior scale lambda is tuned
-    over the grid lambda = c * exp(-j / b)."""
+    over the grid lambda = c * exp(-j / b), j = 1, 2, ...
+
+    The grid's union bound spends delta * 6 / (pi^2 j^2) on index j, so j
+    must be at least 1; below that the penalty would fall under ln(1/delta)
+    and turn negative as lambda approaches c.
+    """
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must lie in (0, 1)")
     if b <= 0 or c <= 0:
         raise ValueError("b and c must be positive")
     if not (0.0 < lam < c):
         raise ValueError(f"lambda must lie in (0, c); got lambda={lam}, c={c}")
-    return math.log(math.pi ** 2 * b ** 2 * math.log(c / lam) ** 2 / (6.0 * delta))
+    log_ratio = math.log(c / lam)
+    if b * log_ratio < 1.0:
+        raise ValueError(f"grid index j = b ln(c/lambda) = {b * log_ratio} is "
+                         f"below 1; lambda must be at most c exp(-1/b)")
+    return math.log(math.pi ** 2 * b ** 2 * log_ratio ** 2 / (6.0 * delta))
 
 
 def sample_gaussian(dist, seed: int) -> np.ndarray:
     """Draw one parameter vector from a DiagGaussian or BlockGaussian.
 
     Deterministic given the seed.  Block factors (Cholesky) are computed
-    once per layer at construction and reused across that layer's neurons.
+    once per layer at construction; one (neurons x k) @ chol^T product per
+    layer applies them to every neuron's noise at once.
     """
     if not isinstance(dist, (DiagGaussian, BlockGaussian)):
         raise TypeError(f"unsupported distribution type {type(dist)!r}")
@@ -216,9 +226,9 @@ def sample_gaussian(dist, seed: int) -> np.ndarray:
         out = np.array(dist.mean)
         offset = 0
         for block in dist.blocks:
-            k = block.fan_in
-            for _ in range(block.neuron_count):
-                out[offset:offset + k] += block.chol @ z[offset:offset + k]
-                offset += k
+            size = block.neuron_count * block.fan_in
+            noise = z[offset:offset + size].reshape(block.neuron_count, -1)
+            out[offset:offset + size] += (noise @ block.chol.T).ravel()
+            offset += size
         return out
     raise TypeError(f"unsupported distribution type {type(dist)!r}")

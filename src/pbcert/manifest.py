@@ -109,9 +109,15 @@ def save_train_record(out_dir, record: TrainRecord, extra: dict = None) -> Path:
 
 
 def load_train_record(run_dir) -> TrainRecord:
+    """Read a run written by save_train_record; a parameter file whose sha256
+    differs from the one meta.json recorded raises ManifestError."""
     run_dir = Path(run_dir)
     with open(run_dir / "meta.json") as f:
         meta = json.load(f)
+    for name in ("theta0", "theta_star"):
+        if file_digest(run_dir / f"{name}.bin") != meta.get(f"{name}_sha256"):
+            raise ManifestError(f"{run_dir / f'{name}.bin'}: sha256 differs "
+                                f"from meta.json")
     spec = NetSpec(tuple(meta["widths"]))
     config = TrainerConfig(**meta["trainer"])
     return TrainRecord(

@@ -8,6 +8,7 @@ the initialization, which later serves as a data-independent prior center.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,12 +116,17 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def forward(spec: NetSpec, theta: np.ndarray, X: np.ndarray) -> ForwardPass:
+def _inputs(spec: NetSpec, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != spec.widths[0]:
         raise ShapeMismatchError(
             f"input width {X.shape} incompatible with spec widths {spec.widths}"
         )
+    return X
+
+
+def forward(spec: NetSpec, theta: np.ndarray, X: np.ndarray) -> ForwardPass:
+    X = _inputs(spec, X)
     weights = ParamIndex(spec).to_matrices(theta)
     activations = [X]
     preacts = []
@@ -129,6 +135,61 @@ def forward(spec: NetSpec, theta: np.ndarray, X: np.ndarray) -> ForwardPass:
         preacts.append(S)
         activations.append(relu(S) if i < len(weights) - 1 else S)
     return ForwardPass(activations, preacts)
+
+
+# Draws whose first-layer weights share one product, and rows of X per
+# product.  At the desk shape (h1 = 100) one preactivation block is
+# 2048 x 800 float64 = 13 MB, against 63 MB for a 10k x 784 X.
+_DRAW_GROUP = 8
+_ROW_BLOCK = 2048
+
+
+def zero_one_errors(spec: NetSpec, thetas, X: np.ndarray,
+                    y: np.ndarray) -> np.ndarray:
+    """01-error on (X, y) of each parameter vector the iterable `thetas` yields.
+
+    Equals `loss("zero_one", forward(spec, theta, X).outputs, y)` per theta
+    bit for bit, for a fixed BLAS build, at a fraction of the cost when X is
+    large: the first-layer weights of up to _DRAW_GROUP thetas are stacked
+    into one (G*h1 x d) matrix, so each row block of X passes through BLAS
+    once per group instead of once per theta.  Each theta's later layers run
+    on its column slice of the block.  Every entry of a product is the same
+    length-d dot product in both layouts, and OpenBLAS sums it in an order
+    that does not depend on the row or column count; the tests pin this on
+    the desk shape.  `thetas` is read one group at a time, so a generator of
+    posterior draws is never held in memory whole.
+    """
+    X = _inputs(spec, X)
+    y = np.asarray(y)
+    if np.any(y < 0) or np.any(y >= spec.widths[-1]):
+        raise ValueError(f"labels out of range [0, {spec.widths[-1]})")
+    index = ParamIndex(spec)
+    h1 = spec.widths[1]
+    n = X.shape[0]
+    thetas = iter(thetas)
+    wrong = []
+    # one buffer for every first-layer block keeps the peak at one block
+    buffer = np.empty(min(n, _ROW_BLOCK) * _DRAW_GROUP * h1)
+    while group := [index.to_matrices(theta)
+                    for theta in itertools.islice(thetas, _DRAW_GROUP)]:
+        W1 = np.concatenate([weights[0] for weights in group])
+        group_wrong = [0] * len(group)
+        for start in range(0, n, _ROW_BLOCK):
+            X_block = X[start:start + _ROW_BLOCK]
+            A1 = buffer[:X_block.shape[0] * W1.shape[0]].reshape(
+                X_block.shape[0], W1.shape[0])
+            np.matmul(X_block, W1.T, out=A1)
+            np.maximum(A1, 0.0, out=A1)
+            labels = y[start:start + _ROW_BLOCK]
+            for g, weights in enumerate(group):
+                A = A1[:, g * h1:(g + 1) * h1]
+                for W in weights[1:-1]:
+                    A = relu(A @ W.T)
+                outputs = A @ weights[-1].T
+                group_wrong[g] += int(np.count_nonzero(
+                    np.argmax(outputs, axis=1) != labels))
+        wrong.extend(group_wrong)
+    return np.array(wrong, dtype=np.float64) / n
 
 
 def one_hot(y: np.ndarray, k: int) -> np.ndarray:

@@ -189,6 +189,21 @@ class TestCliPipeline:
         assert "certify: 8 of 8 cells failed" in capsys.readouterr().err
         assert not (out / "certificates.csv").exists()
 
+    def test_retrain_in_place_uses_fresh_curvature(self, small_config,
+                                                   tmp_path):
+        def pipeline(out, seed):
+            args = ["--config", str(small_config),
+                    "--set", f"run.seed={seed}",
+                    "--set", "posterior.families=closed-diag"]
+            assert main(["train", *args, "--out", str(out)]) == 0
+            assert main(["certify", *args, "--run", str(out)]) == 0
+            return (out / "certificates.csv").read_bytes()
+
+        reused = tmp_path / "reused"
+        pipeline(reused, seed=1)
+        assert pipeline(reused, seed=2) == pipeline(tmp_path / "fresh", seed=2)
+        assert not (reused / "fisher_cache.npy").exists()
+
     def test_train_exit_code_on_missing_idx(self, tmp_path):
         config = tmp_path / "idx.ini"
         config.write_text("[data]\nsource = idx\nimages = /no/such/file\n")

@@ -247,6 +247,18 @@ class TestManifest:
         assert loaded.config == record.config
         assert loaded.epoch_losses == record.epoch_losses
 
+    def test_tampered_parameters_rejected(self, tmp_path, blob_data):
+        train_ds, _ = blob_data
+        record = train(NetSpec((12, 6, 3)), train_ds, TrainerConfig(epochs=1),
+                       seed=8)
+        save_train_record(tmp_path, record)
+        path = tmp_path / "theta_star.bin"
+        payload = bytearray(path.read_bytes())
+        payload[-1] ^= 0x01
+        path.write_bytes(bytes(payload))
+        with pytest.raises(ManifestError, match="theta_star.bin"):
+            load_train_record(tmp_path)
+
     def test_digest_tracks_contents(self, tmp_path):
         path = tmp_path / "f.bin"
         path.write_bytes(b"payload")

@@ -22,6 +22,7 @@ from pbcert.gaussians import (
     sample_gaussian,
     union_bound_nats,
 )
+from pbcert.rng import rng_for
 
 
 def kl_1d_numeric(mq, vq, mp, vp) -> float:
@@ -231,6 +232,27 @@ class TestUnionBound:
         with pytest.raises(ValueError):
             union_bound_nats(0.05, 100.0, 0.1, 1.5)
 
+    def test_grid_index_below_one_rejected(self):
+        # j = 100 ln(1/0.99999) = 0.001: the formula would give -9.6 nats
+        with pytest.raises(ValueError, match="below 1"):
+            union_bound_nats(0.99999, 100.0, 1.0, 0.025)
+
+    @given(c=st.floats(1e-3, 10.0),
+           fraction=st.floats(1e-9, 1.0, exclude_max=True),
+           b=st.floats(1e-2, 1e4),
+           delta=st.floats(1e-6, 1.0, exclude_max=True))
+    @settings(max_examples=300, deadline=None)
+    def test_never_below_plain_confidence_penalty(self, c, fraction, b, delta):
+        lam = c * fraction
+        if not 0.0 < lam < c:
+            return
+        try:
+            value = union_bound_nats(lam, b, c, delta)
+        except ValueError:
+            assert b * math.log(c / lam) < 1.0
+            return
+        assert value >= math.log(1.0 / delta)
+
 
 class TestPenaltyTerms:
     def test_accepts_valid(self):
@@ -277,6 +299,28 @@ class TestSampling:
         # neurons are independent of each other
         cross = np.cov(draws[:, 0], draws[:, 2])[0, 1]
         assert abs(cross) < 0.05
+
+    def test_block_matches_per_neuron_reference(self):
+        rng = np.random.default_rng(4)
+        blocks = []
+        for layer, (neurons, k) in enumerate([(20, 30), (5, 20)]):
+            A = rng.standard_normal((k, k))
+            blocks.append(GaussianBlock(layer=layer, neuron_count=neurons,
+                                        cov=A @ A.T / k + np.eye(k)))
+        mean = rng.standard_normal(20 * 30 + 5 * 20)
+        dist = BlockGaussian(mean=mean, blocks=tuple(blocks))
+        for seed in range(5):
+            z = rng_for(seed, "sample").standard_normal(dist.dim)
+            reference = np.array(mean)
+            offset = 0
+            for block in blocks:
+                for _ in range(block.neuron_count):
+                    k = block.fan_in
+                    reference[offset:offset + k] += block.chol @ z[offset:offset + k]
+                    offset += k
+            # one product per layer sums each entry in another order
+            np.testing.assert_allclose(sample_gaussian(dist, seed), reference,
+                                       rtol=0, atol=1e-13)
 
     def test_unsupported_type(self):
         with pytest.raises(TypeError):

@@ -1,10 +1,20 @@
 """Forward pass, losses, backprop, indexing, and training dynamics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import random_theta
+from pbcert.gaussians import (
+    BlockGaussian,
+    DiagGaussian,
+    GaussianBlock,
+    sample_gaussian,
+)
 from pbcert.nnet import (
+    _DRAW_GROUP,
+    _ROW_BLOCK,
     DivergenceError,
     NetSpec,
     ParamIndex,
@@ -18,6 +28,7 @@ from pbcert.nnet import (
     relu,
     softmax,
     train,
+    zero_one_errors,
 )
 
 
@@ -111,6 +122,89 @@ class TestForward:
         spec = NetSpec((4, 3, 2))
         with pytest.raises(ShapeMismatchError):
             forward(spec, random_theta(spec, seed=0), np.zeros((2, 5)))
+
+
+def block_posterior(spec, mean, seed):
+    """A BlockGaussian with one random positive-definite block per layer."""
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for layer, (rows, cols) in enumerate(spec.layer_shapes):
+        A = rng.standard_normal((cols, cols))
+        blocks.append(GaussianBlock(layer=layer, neuron_count=rows,
+                                    cov=0.02 * (A @ A.T / cols + np.eye(cols))))
+    return BlockGaussian(mean=mean, blocks=tuple(blocks))
+
+
+def per_draw_errors(spec, posterior, m, X, y):
+    """Reference: one forward pass per posterior draw."""
+    return np.array([
+        loss("zero_one",
+             forward(spec, sample_gaussian(posterior, seed=j), X).outputs, y)
+        for j in range(m)
+    ])
+
+
+class TestZeroOneErrors:
+    G = _DRAW_GROUP
+
+    @pytest.mark.parametrize("m", [1, G - 1, G, G + 1, 2 * G + 3])
+    @pytest.mark.parametrize("widths", [(12, 10, 3), (12, 9, 7, 3)])
+    @pytest.mark.parametrize("family", ["diag", "block"])
+    def test_equals_per_draw_forward(self, m, widths, family):
+        spec = NetSpec(widths)
+        rng = np.random.default_rng(m)
+        n = _ROW_BLOCK + 37   # the last row block is a partial one
+        X = rng.standard_normal((n, widths[0]))
+        y = rng.integers(0, widths[-1], n)
+        mean = random_theta(spec, seed=m)
+        if family == "diag":
+            posterior = DiagGaussian.isotropic(mean, 0.3)
+        else:
+            posterior = block_posterior(spec, mean, seed=m)
+        draws = (sample_gaussian(posterior, seed=j) for j in range(m))
+        errors = zero_one_errors(spec, draws, X, y)
+        assert np.array_equal(errors, per_draw_errors(spec, posterior, m, X, y))
+
+    def test_desk_shape_is_bitwise(self):
+        """784-100-100-2: the stacked first-layer product equals each draw's
+        own product bit for bit, so the per-draw errors match exactly."""
+        spec = NetSpec((784, 100, 100, 2))
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((_ROW_BLOCK + 452, 784))
+        y = rng.integers(0, 2, X.shape[0])
+        posterior = DiagGaussian.isotropic(init_params(spec, seed=1), 1e-3)
+        m = self.G + 1
+        thetas = [sample_gaussian(posterior, seed=j) for j in range(m)]
+        W1 = [ParamIndex(spec).to_matrices(theta)[0] for theta in thetas]
+        stacked = X[:_ROW_BLOCK] @ np.concatenate(W1[:self.G]).T
+        for g, W in enumerate(W1[:self.G]):
+            assert np.array_equal(stacked[:, g * 100:(g + 1) * 100],
+                                  (X @ W.T)[:_ROW_BLOCK])
+        errors = zero_one_errors(spec, thetas, X, y)
+        assert np.array_equal(errors, per_draw_errors(spec, posterior, m, X, y))
+
+    def test_stacks_at_most_one_group(self):
+        spec = NetSpec((6, 50, 2))
+        X = np.random.default_rng(1).standard_normal((_ROW_BLOCK, 6))
+        block_bytes = X.shape[0] * self.G * 50 * 8
+        draws = (random_theta(spec, seed=j) for j in range(3 * self.G))
+        tracemalloc.start()
+        try:
+            errors = zero_one_errors(spec, draws, X, np.zeros(len(X), int))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert errors.shape == (3 * self.G,)
+        # stacking all 3G draws would need three blocks of preactivations
+        assert peak < 2 * block_bytes
+
+    def test_input_validation(self):
+        spec = NetSpec((4, 3, 2))
+        theta = random_theta(spec, seed=0)
+        with pytest.raises(ShapeMismatchError):
+            zero_one_errors(spec, [theta], np.zeros((2, 5)), np.zeros(2, int))
+        with pytest.raises(ValueError):
+            zero_one_errors(spec, [theta], np.zeros((2, 4)), np.array([0, 2]))
 
 
 class TestLosses:
