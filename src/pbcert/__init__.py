@@ -11,7 +11,6 @@ Pareto fronts.
 from pbcert.gaussians import (
     BlockGaussian,
     DiagGaussian,
-    PenaltyTerms,
     catoni_inv,
     chernoff_gap,
     kl_block,
@@ -24,7 +23,6 @@ from pbcert.rng import child_seed, rng_for
 __all__ = [
     "BlockGaussian",
     "DiagGaussian",
-    "PenaltyTerms",
     "catoni_inv",
     "chernoff_gap",
     "child_seed",

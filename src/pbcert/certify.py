@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import Callable
 
 import numpy as np
 
-from pbcert.curvature import CurvatureEstimate
 from pbcert.gaussians import (
     DiagGaussian,
     catoni_inv,
@@ -29,7 +29,6 @@ from pbcert.gaussians import (
 )
 from pbcert.nnet import NetSpec, forward, loss, zero_one_errors
 from pbcert.posteriors import (
-    FAMILIES,
     closed_form_posterior,
     isotropic_posterior,
     joint_optimal_diag,
@@ -39,18 +38,6 @@ from pbcert.posteriors import (
 from pbcert.rng import child_seed
 
 CSV_SCHEMA_VERSION = "1"
-
-CERT_COLUMNS = [
-    "schema_version", "family", "beta", "lambda", "n", "m",
-    "delta", "delta_prime", "b", "c", "risk_mc", "kl_nats",
-    "union_bound_nats", "chernoff_gap", "bound_value",
-    "beta_star", "complexity", "validity", "seed",
-]
-
-PARETO_COLUMNS = [
-    "schema_version", "family", "risk_mc", "complexity",
-    "beta", "lambda", "validity", "seed",
-]
 
 
 @dataclass
@@ -75,6 +62,15 @@ class BoundCertificate:
     seed: int
 
 
+# CSV header of an attribute whose name is not its header
+_HEADERS = {"lam": "lambda", "valid_prior": "validity", "x": "risk_mc",
+            "y": "complexity"}
+# (CSV header, attribute) of every column after the leading schema_version;
+# a certificate's columns follow its field order
+CERT_COLUMNS = tuple((_HEADERS.get(f.name, f.name), f.name)
+                     for f in fields(BoundCertificate))
+
+
 @dataclass(frozen=True)
 class ParetoPoint:
     x: float                 # MC empirical 01-risk
@@ -90,6 +86,10 @@ class ParetoPoint:
             raise ValueError(f"x must lie in [0, 1], got {self.x}")
         if self.y < 0:
             raise ValueError(f"y must be nonnegative, got {self.y}")
+
+
+PARETO_COLUMNS = tuple((_HEADERS.get(name, name), name) for name in (
+    "family", "x", "y", "beta", "lam", "valid_prior", "seed"))
 
 
 def mc_empirical_risk(posterior, spec: NetSpec, data, m: int, seed: int):
@@ -149,8 +149,8 @@ class GridContext:
     b: float = 100.0
     c: float = 1.0
     seed: int = 0
-    fisher: CurvatureEstimate = None
-    blocks: CurvatureEstimate = None
+    fisher: np.ndarray = None          # diagonal Fisher, per weight
+    blocks: list = None                # LayerEig per layer
     vi_epochs: int = 5
     vi_batch_size: int = 100
     vi_lr: float = 0.1
@@ -160,44 +160,86 @@ class GridContext:
         return np.asarray(self.data.X).shape[0]
 
 
+def _isotropic(ctx: GridContext, lam: float, center: np.ndarray):
+    posterior, prior = isotropic_posterior(ctx.theta_star, center, lam)
+    return posterior, kl_diag(posterior, prior)
+
+
+def _iso_zero(ctx, beta, lam, cell_seed):
+    return _isotropic(ctx, lam, np.zeros_like(ctx.theta_star))
+
+
+def _iso_init(ctx, beta, lam, cell_seed):
+    return _isotropic(ctx, lam, ctx.theta0)
+
+
+def _closed_diag(ctx, beta, lam, cell_seed):
+    sigma = closed_form_posterior(ctx.fisher, 1.0 / (beta * ctx.n), lam)
+    posterior = DiagGaussian.from_variance(ctx.theta_star, sigma)
+    prior = DiagGaussian.isotropic(ctx.theta0, lam)
+    return posterior, kl_diag(posterior, prior)
+
+
+def _closed_joint(ctx, beta, lam, cell_seed):
+    res = joint_optimal_diag(ctx.fisher, 1.0 / (beta * ctx.n), lam,
+                             ctx.theta_star, ctx.theta0)
+    posterior = DiagGaussian.from_variance(ctx.theta_star, res.sigma_rho)
+    prior = DiagGaussian.from_variance(ctx.theta0, lam * res.sigma_pi)
+    return posterior, kl_diag(posterior, prior)
+
+
+def _vi_diag(ctx, beta, lam, cell_seed):
+    vi = vi_optimize_diag(ctx.spec, ctx.theta_star, ctx.theta0, ctx.data, beta,
+                          lam, ctx.vi_epochs, cell_seed,
+                          batch_size=ctx.vi_batch_size, lr=ctx.vi_lr,
+                          delta=ctx.delta)
+    prior = DiagGaussian.isotropic(ctx.theta0, lam)
+    return vi.posterior, kl_diag(vi.posterior, prior)
+
+
+def _skfac_block(ctx, beta, lam, cell_seed):
+    posterior = skfac_posterior(ctx.spec, ctx.theta_star, ctx.blocks,
+                                1.0 / (beta * ctx.n), lam)
+    return posterior, kl_block(posterior, ctx.theta0, lam)
+
+
+@dataclass(frozen=True)
+class Family:
+    """How a posterior family is built and what it needs.
+
+    `build(ctx, beta, lam, cell_seed)` returns (posterior, KL against the
+    family's prior).  A family whose prior depends on the training data has
+    `valid_prior` False: its results are a sanity ceiling, not a bound.
+    """
+
+    build: Callable
+    valid_prior: bool = True
+    needs_fisher: bool = False
+    needs_blocks: bool = False
+
+
+FAMILIES = {
+    "iso-zero": Family(_iso_zero),
+    "iso-init": Family(_iso_init),
+    "closed-diag": Family(_closed_diag, needs_fisher=True),
+    "closed-joint": Family(_closed_joint, valid_prior=False, needs_fisher=True),
+    "vi-diag": Family(_vi_diag),
+    "skfac-block": Family(_skfac_block, needs_blocks=True),
+}
+
+
 def build_posterior(family: str, beta: float, lam: float, ctx: GridContext,
                     cell_seed: int):
     """Posterior, its KL against the family's prior, and prior validity."""
-    if family not in FAMILIES:
+    entry = FAMILIES.get(family)
+    if entry is None:
         raise ValueError(f"unknown family {family!r}")
-    theta_star, theta0 = ctx.theta_star, ctx.theta0
-    if family in ("iso-zero", "iso-init"):
-        center = np.zeros_like(theta_star) if family == "iso-zero" else theta0
-        posterior, prior = isotropic_posterior(theta_star, center, lam)
-        return posterior, kl_diag(posterior, prior), True
-    beta_obj = 1.0 / (beta * ctx.n)
-    if family == "closed-diag":
-        if ctx.fisher is None:
-            raise ValueError("closed-diag requires a diagonal Fisher estimate")
-        sigma = closed_form_posterior(ctx.fisher.diag_fisher, beta_obj, lam)
-        posterior = DiagGaussian.from_variance(theta_star, sigma)
-        prior = DiagGaussian.isotropic(theta0, lam)
-        return posterior, kl_diag(posterior, prior), True
-    if family == "closed-joint":
-        if ctx.fisher is None:
-            raise ValueError("closed-joint requires a diagonal Fisher estimate")
-        res = joint_optimal_diag(ctx.fisher.fisher_floored(), beta_obj, lam,
-                                 theta_star, theta0)
-        posterior = DiagGaussian.from_variance(theta_star, res.sigma_rho)
-        prior = DiagGaussian.from_variance(theta0, lam * res.sigma_pi)
-        return posterior, kl_diag(posterior, prior), False
-    if family == "vi-diag":
-        vi = vi_optimize_diag(ctx.spec, theta_star, theta0, ctx.data, beta,
-                              lam, ctx.vi_epochs, cell_seed,
-                              batch_size=ctx.vi_batch_size, lr=ctx.vi_lr,
-                              delta=ctx.delta)
-        prior = DiagGaussian.isotropic(theta0, lam)
-        return vi.posterior, kl_diag(vi.posterior, prior), True
-    # skfac-block
-    if ctx.blocks is None:
-        raise ValueError("skfac-block requires block Hessians")
-    posterior = skfac_posterior(ctx.spec, theta_star, ctx.blocks, beta_obj, lam)
-    return posterior, kl_block(posterior, theta0, lam), True
+    if entry.needs_fisher and ctx.fisher is None:
+        raise ValueError(f"{family} requires a diagonal Fisher estimate")
+    if entry.needs_blocks and ctx.blocks is None:
+        raise ValueError(f"{family} requires block Hessians")
+    posterior, kl = entry.build(ctx, beta, lam, cell_seed)
+    return posterior, kl, entry.valid_prior
 
 
 @dataclass
@@ -296,62 +338,55 @@ def reference_star(record, train_data, test_data) -> ParetoPoint:
 
 
 def _fmt(value) -> str:
+    if isinstance(value, bool):
+        return "valid" if value else "invalid-prior"
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     return str(value)
 
 
-def write_certificates_csv(path, certs) -> None:
+_PARSE = {"str": str, "int": int, "float": float,
+          "bool": lambda text: text == "valid"}
+
+
+def csv_header(columns) -> list:
+    return ["schema_version"] + [header for header, _ in columns]
+
+
+def _write_csv(path, columns, records) -> None:
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(CERT_COLUMNS)
-        for cert in certs:
-            writer.writerow([
-                CSV_SCHEMA_VERSION, cert.family, _fmt(cert.beta),
-                _fmt(cert.lam), cert.n, cert.m, _fmt(cert.delta),
-                _fmt(cert.delta_prime), _fmt(cert.b), _fmt(cert.c),
-                _fmt(cert.risk_mc), _fmt(cert.kl_nats),
-                _fmt(cert.union_bound_nats), _fmt(cert.chernoff_gap),
-                _fmt(cert.bound_value), _fmt(cert.beta_star),
-                _fmt(cert.complexity),
-                "valid" if cert.valid_prior else "invalid-prior",
-                cert.seed,
-            ])
+        writer.writerow(csv_header(columns))
+        for record in records:
+            writer.writerow([CSV_SCHEMA_VERSION] + [
+                _fmt(getattr(record, attr)) for _, attr in columns])
+
+
+def _read_csv(path, columns, cls) -> list:
+    header = csv_header(columns)
+    types = {f.name: f.type for f in fields(cls)}
+    with open(path, newline="") as f:
+        reader = csv.DictReader(f)
+        if reader.fieldnames != header:
+            raise ValueError(f"{path}: header is not {','.join(header)}")
+        return [cls(**{attr: _PARSE[types[attr]](row[header])
+                       for header, attr in columns})
+                for row in reader]
+
+
+def write_certificates_csv(path, certs) -> None:
+    _write_csv(path, CERT_COLUMNS, certs)
 
 
 def read_certificates_csv(path) -> list:
-    certs = []
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames is None or reader.fieldnames[0] != "schema_version":
-            raise ValueError(f"{path}: missing schema_version header")
-        for row in reader:
-            certs.append(BoundCertificate(
-                family=row["family"], beta=float(row["beta"]),
-                lam=float(row["lambda"]), n=int(row["n"]), m=int(row["m"]),
-                delta=float(row["delta"]), delta_prime=float(row["delta_prime"]),
-                b=float(row["b"]), c=float(row["c"]),
-                risk_mc=float(row["risk_mc"]), kl_nats=float(row["kl_nats"]),
-                union_bound_nats=float(row["union_bound_nats"]),
-                chernoff_gap=float(row["chernoff_gap"]),
-                bound_value=float(row["bound_value"]),
-                beta_star=float(row["beta_star"]),
-                complexity=float(row["complexity"]),
-                valid_prior=row["validity"] == "valid",
-                seed=int(row["seed"]),
-            ))
-    return certs
+    return _read_csv(path, CERT_COLUMNS, BoundCertificate)
 
 
 def write_pareto_csv(path, fronts: dict) -> None:
-    """fronts maps family name -> list of ParetoPoint."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(PARETO_COLUMNS)
-        for family in sorted(fronts):
-            for p in fronts[family]:
-                writer.writerow([
-                    CSV_SCHEMA_VERSION, family, _fmt(p.x), _fmt(p.y),
-                    _fmt(p.beta), _fmt(p.lam),
-                    "valid" if p.valid_prior else "invalid-prior", p.seed,
-                ])
+    """fronts maps family name -> list of ParetoPoint of that family."""
+    _write_csv(path, PARETO_COLUMNS,
+               [p for family in sorted(fronts) for p in fronts[family]])
+
+
+def read_pareto_csv(path) -> list:
+    return _read_csv(path, PARETO_COLUMNS, ParetoPoint)

@@ -119,28 +119,37 @@ def _load_run(run_dir):
     if not (run_dir / "meta.json").exists():
         raise UsageError(f"run manifest not found: {run_dir / 'meta.json'}")
     record = load_train_record(run_dir)
-    import json
-    with open(run_dir / "meta.json") as f:
-        k = json.load(f)["k"]
+    k = record.spec.widths[-1]     # one output unit per class
     train_ds = load_dataset(run_dir / "train_data.bin", k, "train")
     test_ds = load_dataset(run_dir / "test_data.bin", k, "test")
     return record, train_ds, test_ds
 
 
+def _check_families(families) -> None:
+    """Reject an unknown or repeated posterior family before any work."""
+    for i, family in enumerate(families):
+        if family not in cert.FAMILIES or family in families[:i]:
+            problem = "repeated" if family in cert.FAMILIES else "unknown"
+            raise UsageError(f"{problem} family {family!r} in posterior.families"
+                             f" (families: {', '.join(cert.FAMILIES)})")
+
+
 def _curvature_for(families, record, train_ds, seed):
     """Fisher / block Hessians, computed on demand for the families in use."""
+    used = [cert.FAMILIES[family] for family in families]
     fisher = blocks = None
-    if {"closed-diag", "closed-joint"} & set(families):
+    if any(family.needs_fisher for family in used):
         fisher = diag_fisher(record.spec, record.theta_star, train_ds.X,
                              child_seed(seed, "fisher"))
-    if "skfac-block" in families:
+    if any(family.needs_blocks for family in used):
         blocks = all_block_hessians(record.spec, record.theta_star, train_ds.X)
     return fisher, blocks
 
 
 def cmd_certify(config: RunConfig, run_dir) -> None:
-    record, train_ds, test_ds = _load_run(_resolve_out(run_dir))
     families = config.get("posterior", "families")
+    _check_families(families)
+    record, train_ds, test_ds = _load_run(_resolve_out(run_dir))
     seed = config.get("run", "seed")
     fisher, blocks = _curvature_for(families, record, train_ds, seed)
     ctx = cert.GridContext(
@@ -190,24 +199,19 @@ def cmd_plot(csv_paths, out_path, log_x: bool, title: str) -> None:
             raise UsageError(f"CSV not found: {path}")
         with open(path, newline="") as f:
             header = next(csv.reader(f), None)
-        if header is None or header[0] != "schema_version":
-            raise ValueError(f"{path}: malformed CSV (no schema_version)")
-        if "bound_value" in header:
-            certs = cert.read_certificates_csv(path)
+        if header == cert.csv_header(cert.PARETO_COLUMNS):
+            for p in cert.read_pareto_csv(path):
+                if p.family == "reference":
+                    star = (p.x, p.y)
+                else:
+                    fronts.setdefault(p.family, []).append((p.x, p.y))
+        else:
             by_family = {}
-            for c in certs:
+            for c in cert.read_certificates_csv(path):
                 by_family.setdefault(c.family, []).append(c)
             for family, group in by_family.items():
                 front = cert.pareto_front(cert.certificates_to_points(group))
                 fronts[family] = [(p.x, p.y) for p in front]
-        else:
-            with open(path, newline="") as f:
-                for row in csv.DictReader(f):
-                    point = (float(row["risk_mc"]), float(row["complexity"]))
-                    if row["family"] == "reference":
-                        star = point
-                    else:
-                        fronts.setdefault(row["family"], []).append(point)
     svg = risk_complexity_svg(fronts, star=star, log_x=log_x, title=title)
     out_path = _resolve_out(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)

@@ -29,8 +29,6 @@ from pbcert.nnet import (
 )
 from pbcert.rng import rng_for
 
-FISHER_FLOOR = 1e-12
-
 
 def _label_uniforms(seed: int, X: np.ndarray) -> np.ndarray:
     """One uniform variate per sample, keyed by the sample's content.
@@ -57,24 +55,9 @@ class LayerEig:
     eigvecs: np.ndarray
 
 
-@dataclass
-class CurvatureEstimate:
-    spec: NetSpec
-    n_used: int
-    seed: int = None
-    diag_fisher: np.ndarray = None          # per-weight, >= 0
-    block_hessians: list = None             # per-layer fan_in x fan_in
-    block_eigs: list = None                 # LayerEig per layer
-
-    def fisher_floored(self) -> np.ndarray:
-        """Fisher entries floored at a tiny epsilon; formulas downstream
-        divide by h and have no finite optimum at exact zeros."""
-        return np.maximum(self.diag_fisher, FISHER_FLOOR)
-
-
 def diag_fisher(spec: NetSpec, theta: np.ndarray, X: np.ndarray,
-                seed: int) -> CurvatureEstimate:
-    """h = sum_i [grad_theta log p(y~_i | f(x_i))]^2 elementwise.
+                seed: int) -> np.ndarray:
+    """Per-weight h = sum_i [grad_theta log p(y~_i | f(x_i))]^2 elementwise.
 
     One label is sampled from the model softmax per input; per-sample
     weight gradients are rank-one, so the squared sum is a single matrix
@@ -83,7 +66,7 @@ def diag_fisher(spec: NetSpec, theta: np.ndarray, X: np.ndarray,
     X = np.asarray(X, dtype=np.float64)
     fp = forward(spec, theta, X)
     probs = softmax(fp.outputs)
-    n, k = probs.shape
+    k = probs.shape[1]
     cdf = np.cumsum(probs, axis=1)
     u = _label_uniforms(seed, X)
     sampled = (u[:, None] > cdf).sum(axis=1)
@@ -97,8 +80,7 @@ def diag_fisher(spec: NetSpec, theta: np.ndarray, X: np.ndarray,
         per_layer[i] = (delta ** 2).T @ (fp.activations[i] ** 2)
         if i > 0:
             delta = (delta @ weights[i]) * (fp.preactivations[i - 1] > 0)
-    h = ParamIndex(spec).to_vector(per_layer)
-    return CurvatureEstimate(spec=spec, n_used=n, seed=seed, diag_fisher=h)
+    return ParamIndex(spec).to_vector(per_layer)
 
 
 def block_hessian(spec: NetSpec, theta: np.ndarray, X: np.ndarray,
@@ -112,19 +94,14 @@ def block_hessian(spec: NetSpec, theta: np.ndarray, X: np.ndarray,
     return (2.0 / A.shape[0]) * (A.T @ A)
 
 
-def all_block_hessians(spec: NetSpec, theta: np.ndarray, X: np.ndarray,
-                       seed: int = None) -> CurvatureEstimate:
-    """Block Hessians for every layer, with cached eigendecompositions."""
-    hessians = [block_hessian(spec, theta, X, i) for i in range(spec.n_layers)]
+def all_block_hessians(spec: NetSpec, theta: np.ndarray, X: np.ndarray) -> list:
+    """Eigendecomposition (`LayerEig`) of every layer's block Hessian."""
     eigs = []
-    for H in hessians:
-        vals, vecs = np.linalg.eigh(H)
+    for i in range(spec.n_layers):
+        vals, vecs = np.linalg.eigh(block_hessian(spec, theta, X, i))
         order = np.argsort(vals)[::-1]
         eigs.append(LayerEig(eigvals=vals[order], eigvecs=vecs[:, order]))
-    return CurvatureEstimate(
-        spec=spec, n_used=np.asarray(X).shape[0], seed=seed,
-        block_hessians=hessians, block_eigs=eigs,
-    )
+    return eigs
 
 
 @dataclass

@@ -120,23 +120,6 @@ class BlockGaussian:
         return self.mean.shape[0]
 
 
-@dataclass(frozen=True)
-class PenaltyTerms:
-    """Slack terms entering the assembled bound, all in final units."""
-
-    union_bound_nats: float
-    chernoff_gap: float
-    kl_nats: float
-
-    def __post_init__(self):
-        for name in ("union_bound_nats", "chernoff_gap", "kl_nats"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v < 0:
-                raise ValueError(f"{name} must be finite and nonnegative, got {v}")
-        if self.chernoff_gap > 1:
-            raise ValueError("chernoff_gap must lie in [0, 1]")
-
-
 def kl_diag(q: DiagGaussian, p: DiagGaussian) -> float:
     """KL(q || p) in nats for diagonal Gaussians (closed form)."""
     if q.dim != p.dim:

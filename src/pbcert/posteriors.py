@@ -26,32 +26,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from pbcert.blas import single_threaded
-from pbcert.curvature import FISHER_FLOOR, CurvatureEstimate
 from pbcert.gaussians import BlockGaussian, DiagGaussian, GaussianBlock, kl_diag
 from pbcert.nnet import NetSpec, forward, grad as nnet_grad, loss as nnet_loss
 from pbcert.rng import rng_for
 
-FAMILIES = ("iso-zero", "iso-init", "closed-diag", "closed-joint",
-            "vi-diag", "skfac-block")
+FISHER_FLOOR = 1e-12
 DELTA_MU_FLOOR = 1e-16
 
 
 class DegenerateCoordinateError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class PosteriorSpec:
-    family: str
-    beta: float
-    lam: float
-    valid_prior: bool = True
-
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.family == "closed-joint" and self.valid_prior:
-            raise ValueError("closed-joint results always carry invalid-prior")
 
 
 def isotropic_posterior(theta_center: np.ndarray, prior_center: np.ndarray,
@@ -66,25 +50,20 @@ def isotropic_posterior(theta_center: np.ndarray, prior_center: np.ndarray,
 
 
 def closed_form_posterior(h, beta: float, lam: float, prior_var=None):
-    """Curvature-matched covariance: beta * (H + (beta/lambda) Sigma_pi^-1)^-1.
+    """Curvature-matched variances: beta / (h + (beta/lambda) / sigma_pi).
 
-    `h` may be a diagonal curvature vector or a full symmetric matrix;
-    `prior_var` defaults to the identity (prior covariance lambda I).
+    `h` is a diagonal curvature vector; `prior_var` (sigma_pi) defaults to
+    ones (prior covariance lambda I).
     """
     if beta <= 0 or lam <= 0:
         raise ValueError("beta and lambda must be positive")
     h = np.asarray(h, dtype=np.float64)
-    if h.ndim == 1:
-        prior_var = np.ones_like(h) if prior_var is None else np.asarray(prior_var)
-        if np.any(prior_var <= 0):
-            raise ValueError("prior variance must be positive")
-        return beta / (h + (beta / lam) / prior_var)
-    if h.ndim == 2:
-        k = h.shape[0]
-        prior_prec = (np.eye(k) if prior_var is None
-                      else np.linalg.inv(np.asarray(prior_var)))
-        return beta * np.linalg.inv(h + (beta / lam) * prior_prec)
-    raise ValueError("h must be a vector or a square matrix")
+    if h.ndim != 1:
+        raise ValueError("h must be a vector")
+    prior_var = np.ones_like(h) if prior_var is None else np.asarray(prior_var)
+    if np.any(prior_var <= 0):
+        raise ValueError("prior variance must be positive")
+    return beta / (h + (beta / lam) / prior_var)
 
 
 @dataclass
@@ -269,19 +248,18 @@ def vi_optimize_diag(spec: NetSpec, theta_star: np.ndarray,
     return VIResult(posterior=posterior, surrogate_value=float(value))
 
 
-def skfac_posterior(spec: NetSpec, theta_star: np.ndarray,
-                    curvature: CurvatureEstimate, beta: float,
-                    lam: float) -> BlockGaussian:
+def skfac_posterior(spec: NetSpec, theta_star: np.ndarray, curvature: list,
+                    beta: float, lam: float) -> BlockGaussian:
     """Per-neuron block posterior from shared layer Hessians.
 
-    Each block covariance is beta * (H_i + (beta/lambda) I)^-1, assembled
-    from the cached eigendecomposition so sweeping lambda costs one
-    diagonal rescale per layer rather than a fresh inversion.
+    `curvature` holds each layer Hessian's eigendecomposition (`LayerEig`,
+    from `curvature.all_block_hessians`).  Each block covariance is
+    beta * (H_i + (beta/lambda) I)^-1, assembled from the eigendecomposition
+    so sweeping lambda costs one diagonal rescale per layer rather than a
+    fresh inversion.
     """
-    if curvature.block_hessians is None:
-        raise ValueError("curvature estimate lacks block Hessians")
     blocks = []
-    for layer, eig in enumerate(curvature.block_eigs):
+    for layer, eig in enumerate(curvature):
         scaled = beta / (eig.eigvals + beta / lam)
         cov = (eig.eigvecs * scaled) @ eig.eigvecs.T
         cov = 0.5 * (cov + cov.T)

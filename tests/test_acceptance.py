@@ -168,9 +168,10 @@ def test_criterion_5_quadratic_dominance(desk_run, capsys):
     start = time.time()
     spec, record, train_ds, _ = desk_run
     n = train_ds.n
-    fisher = diag_fisher(spec, record.theta_star, train_ds.X, seed=5)
+    h = diag_fisher(spec, record.theta_star, train_ds.X, seed=5)
     blocks = all_block_hessians(spec, record.theta_star, train_ds.X)
-    h = fisher.diag_fisher
+    hessians = [block_hessian(spec, record.theta_star, train_ds.X, layer)
+                for layer in range(spec.n_layers)]
     improvements = []
     for beta, lam in [(1.0, 0.031), (5.0, 0.1), (2.0, 0.3)]:
         beta_obj = 1.0 / (beta * n)
@@ -185,12 +186,12 @@ def test_criterion_5_quadratic_dominance(desk_run, capsys):
         from pbcert.posteriors import skfac_posterior
         post = skfac_posterior(spec, record.theta_star, blocks, beta_obj, lam)
         block_best = quadratic_objective_block(
-            blocks.block_hessians, [b.cov for b in post.blocks], counts,
+            hessians, [b.cov for b in post.blocks], counts,
             beta_obj, lam, record.theta_star, record.theta0)
         diag_restricted = quadratic_objective_block(
-            blocks.block_hessians,
+            hessians,
             [np.diag(closed_form_posterior(np.diag(H), beta_obj, lam))
-             for H in blocks.block_hessians],
+             for H in hessians],
             counts, beta_obj, lam, record.theta_star, record.theta0)
         assert block_best <= diag_restricted
         improvements.append(
@@ -273,7 +274,7 @@ def test_criterion_7_curvature_correctness(capsys):
             g = (log_density(spec, up, X_small[s], labels[s])
                  - log_density(spec, down, X_small[s], labels[s])) / (2 * step)
             oracle[i] += g ** 2
-    worst_fisher = float(np.max(np.abs(est.diag_fisher - oracle)
+    worst_fisher = float(np.max(np.abs(est - oracle)
                                 / np.maximum(oracle, 1e-8)))
     assert worst_fisher < 1e-5
     elapsed = time.time() - start

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pbcert.certify import (
+    FAMILIES,
     BoundCertificate,
     GridContext,
     ParetoPoint,
@@ -14,6 +15,7 @@ from pbcert.certify import (
     mc_empirical_risk,
     pareto_front,
     read_certificates_csv,
+    read_pareto_csv,
     reference_star,
     write_certificates_csv,
     write_pareto_csv,
@@ -181,18 +183,33 @@ def ctx(blob_data, trained_net):
 
 class TestGridSearch:
     def test_all_families_produce_certificates(self, ctx):
-        for family in ("iso-zero", "iso-init", "closed-diag", "closed-joint",
-                       "vi-diag", "skfac-block"):
+        for family, entry in FAMILIES.items():
             result = grid_search(family, [1.0, 3.0], [0.05, 0.2], ctx)
             assert not result.failures
             assert len(result.certificates) == 4
             for cert in result.certificates:
                 assert 0.0 <= cert.bound_value <= 1.0
                 assert cert.kl_nats >= 0.0
-                if family == "closed-joint":
-                    assert not cert.valid_prior
-                else:
-                    assert cert.valid_prior
+                assert cert.valid_prior == entry.valid_prior
+
+    def test_only_the_data_fitted_prior_is_invalid(self):
+        invalid = [name for name, entry in FAMILIES.items()
+                   if not entry.valid_prior]
+        assert invalid == ["closed-joint"]
+
+    def test_missing_curvature_fails_cells(self, blob_data, trained_net):
+        train_ds, _ = blob_data
+        spec, record = trained_net
+        bare = GridContext(spec=spec, theta_star=record.theta_star,
+                           theta0=record.theta0, data=train_ds, m=4, seed=0)
+        for family, entry in FAMILIES.items():
+            if not (entry.needs_fisher or entry.needs_blocks):
+                continue
+            result = grid_search(family, [1.0], [0.1], bare)
+            assert result.certificates == []
+            (_, _, message), = result.failures
+            needed = "Fisher" if entry.needs_fisher else "block Hessians"
+            assert f"{family} requires" in message and needed in message
 
     def test_iso_kl_scales_inversely_with_lambda(self, ctx):
         result = grid_search("iso-init", [1.0], [0.05, 0.1, 0.2], ctx)
@@ -291,6 +308,8 @@ class TestCsvIO:
         path.write_text("family,beta\niso-zero,1.0\n")
         with pytest.raises(ValueError, match="schema_version"):
             read_certificates_csv(path)
+        with pytest.raises(ValueError, match="schema_version"):
+            read_pareto_csv(path)
 
     def test_pareto_csv_layout(self, tmp_path):
         fronts = {
@@ -304,6 +323,11 @@ class TestCsvIO:
         assert lines[0].startswith("schema_version,family,risk_mc,complexity")
         assert len(lines) == 3
         assert lines[1].split(",")[1] == "iso-zero"
+        # NaN fields (the reference's beta and lambda) compare unequal, so
+        # the round trip is checked on the bytes
+        again = tmp_path / "again.csv"
+        write_pareto_csv(again, {p.family: [p] for p in read_pareto_csv(path)})
+        assert again.read_bytes() == path.read_bytes()
 
     def test_certificates_to_points_carries_fields(self):
         cert = self._cert(valid_prior=False)

@@ -1,16 +1,20 @@
 """Run configuration, CLI subcommands, and SVG rendering."""
 
 import csv
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from pbcert import cli
+from pbcert.certify import FAMILIES
 from pbcert.cli import main
 from pbcert.config import ConfigError, load_config
 from pbcert.plotting import risk_complexity_svg
 
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).parent.parent / "README.md"
 
 SMALL_CONFIG = """
 [data]
@@ -108,6 +112,17 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(None, ["data.unknown=1"])
 
+    def test_readme_example_config_and_families(self, tmp_path):
+        text = README.read_text()
+        (block,) = re.findall(r"```ini\n(.*?)```", text, re.S)
+        path = tmp_path / "readme.ini"
+        path.write_text(block)
+        config = load_config(path)
+        assert set(config.get("posterior", "families")) <= set(FAMILIES)
+        table = re.search(r"### Posterior families\n(.*?)\n\n", text, re.S)
+        listed = re.findall(r"^\| `([^`]+)`", table.group(1), re.M)
+        assert listed == list(FAMILIES)
+
 
 def run_pipeline(small_config, out_dir):
     code = main(["train", "--config", str(small_config),
@@ -203,6 +218,51 @@ class TestCliPipeline:
         pipeline(reused, seed=1)
         assert pipeline(reused, seed=2) == pipeline(tmp_path / "fresh", seed=2)
         assert not (reused / "fisher_cache.npy").exists()
+
+    @pytest.mark.parametrize("families, bad", [
+        ("iso-zero,iso-zeroo,iso-zero", "iso-zeroo"),
+        ("closed-diag,skfac-block,closed-diag", "closed-diag"),
+    ])
+    def test_certify_rejects_bad_families_before_work(
+            self, small_config, tmp_path, capsys, monkeypatch, families, bad):
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(small_config),
+                     "--out", str(out)]) == 0
+
+        def refuse(*args, **kwargs):
+            raise RuntimeError("curvature computed for a bad family list")
+
+        monkeypatch.setattr(cli, "diag_fisher", refuse)
+        monkeypatch.setattr(cli, "all_block_hessians", refuse)
+        code = main(["certify", "--config", str(small_config), "--run", str(out),
+                     "--set", f"posterior.families={families}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert repr(bad) in err
+        assert all(name in err for name in FAMILIES)
+        assert not (out / "certificates.csv").exists()
+        assert not (out / "pareto.csv").exists()
+
+    def test_certify_computes_only_the_curvature_in_use(
+            self, small_config, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(small_config),
+                     "--out", str(out)]) == 0
+        calls = []
+
+        def refuse(name):
+            def fn(*args, **kwargs):
+                calls.append(name)
+                raise RuntimeError(f"{name} called")
+            return fn
+
+        monkeypatch.setattr(cli, "diag_fisher", refuse("fisher"))
+        monkeypatch.setattr(cli, "all_block_hessians", refuse("blocks"))
+        args = ["certify", "--config", str(small_config), "--run", str(out)]
+        assert main([*args, "--set", "posterior.families=iso-zero,iso-init"]) == 0
+        assert calls == []
+        assert main([*args, "--set", "posterior.families=closed-diag"]) == 1
+        assert calls == ["fisher"]
 
     def test_train_exit_code_on_missing_idx(self, tmp_path):
         config = tmp_path / "idx.ini"

@@ -15,6 +15,7 @@ from pbcert.curvature import (
 )
 from pbcert.data import Dataset, synthetic_blobs
 from pbcert.nnet import NetSpec, ParamIndex, forward, loss, softmax
+from pbcert.posteriors import joint_optimal_diag
 from pbcert.rng import child_seed
 
 
@@ -56,7 +57,7 @@ def fisher_oracle_error(seed, h=1e-5):
                  - log_density(spec, down, X[s], labels[s])) / (2 * h)
             oracle[i] += g ** 2
     scale = np.maximum(oracle, 1e-8)
-    return np.max(np.abs(est.diag_fisher - oracle) / scale)
+    return np.max(np.abs(est - oracle) / scale)
 
 
 class TestDiagFisher:
@@ -74,31 +75,34 @@ class TestDiagFisher:
         theta = random_theta(spec, seed=2)
         est = diag_fisher(spec, theta, np.zeros((5, 3)), seed=0)
         first = ParamIndex(spec).layer_slice(0)
-        assert np.all(est.diag_fisher[first] == 0.0)
+        assert np.all(est[first] == 0.0)
 
     def test_duplication_doubles(self):
         spec = NetSpec((3, 4, 2))
         theta = random_theta(spec, seed=3)
         X = np.random.default_rng(4).standard_normal((6, 3))
-        single = diag_fisher(spec, theta, X, seed=9).diag_fisher
-        double = diag_fisher(spec, theta, np.vstack([X, X]), seed=9).diag_fisher
+        single = diag_fisher(spec, theta, X, seed=9)
+        double = diag_fisher(spec, theta, np.vstack([X, X]), seed=9)
         assert np.allclose(double, 2.0 * single, rtol=1e-10)
 
     def test_permutation_invariant(self):
         spec = NetSpec((3, 4, 2))
         theta = random_theta(spec, seed=5)
         X = np.random.default_rng(6).standard_normal((8, 3))
-        base = diag_fisher(spec, theta, X, seed=9).diag_fisher
+        base = diag_fisher(spec, theta, X, seed=9)
         perm = np.random.default_rng(7).permutation(8)
-        permuted = diag_fisher(spec, theta, X[perm], seed=9).diag_fisher
+        permuted = diag_fisher(spec, theta, X[perm], seed=9)
         assert np.allclose(permuted, base, rtol=1e-10)
 
     def test_nonnegative_and_floored(self):
         spec = NetSpec((3, 2, 2))
         theta = random_theta(spec, seed=8)
         est = diag_fisher(spec, theta, np.zeros((2, 3)), seed=0)
-        assert np.all(est.diag_fisher >= 0)
-        assert np.all(est.fisher_floored() >= 1e-12)
+        assert np.all(est >= 0)
+        # the closed-joint solver floors, and counts, every zero entry
+        res = joint_optimal_diag(est, 1.0, 1.0, theta, theta + 1.0)
+        assert res.n_floored == int(np.sum(est == 0.0)) > 0
+        assert np.all(np.isfinite(res.sigma_rho))
 
 
 class TestBlockHessian:
@@ -158,8 +162,10 @@ class TestBlockHessian:
     def test_psd_on_real_data(self, blob_data, trained_net):
         train_ds, _ = blob_data
         spec, record = trained_net
-        est = all_block_hessians(spec, record.theta_star, train_ds.X)
-        for H, eig in zip(est.block_hessians, est.block_eigs):
+        eigs = all_block_hessians(spec, record.theta_star, train_ds.X)
+        assert len(eigs) == spec.n_layers
+        for layer, eig in enumerate(eigs):
+            H = block_hessian(spec, record.theta_star, train_ds.X, layer)
             assert eig.eigvals.min() >= -1e-8 * max(eig.eigvals.max(), 1e-30)
             recon = (eig.eigvecs * eig.eigvals) @ eig.eigvecs.T
             assert np.allclose(recon, H, atol=1e-10)

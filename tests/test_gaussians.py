@@ -14,7 +14,6 @@ from pbcert.gaussians import (
     DimensionMismatchError,
     GaussianBlock,
     NotPositiveDefiniteError,
-    PenaltyTerms,
     catoni_inv,
     chernoff_gap,
     kl_block,
@@ -252,19 +251,6 @@ class TestUnionBound:
             assert b * math.log(c / lam) < 1.0
             return
         assert value >= math.log(1.0 / delta)
-
-
-class TestPenaltyTerms:
-    def test_accepts_valid(self):
-        PenaltyTerms(union_bound_nats=3.0, chernoff_gap=0.1, kl_nats=10.0)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            PenaltyTerms(union_bound_nats=-1.0, chernoff_gap=0.1, kl_nats=0.0)
-
-    def test_rejects_gap_above_one(self):
-        with pytest.raises(ValueError):
-            PenaltyTerms(union_bound_nats=0.0, chernoff_gap=1.5, kl_nats=0.0)
 
 
 class TestSampling:

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from pbcert.curvature import CurvatureEstimate, all_block_hessians
+from pbcert.certify import GridContext, build_posterior
+from pbcert.curvature import all_block_hessians, block_hessian
 from pbcert.gaussians import kl_block
 from pbcert.nnet import NetSpec
 from pbcert.posteriors import (
     DegenerateCoordinateError,
-    PosteriorSpec,
     closed_form_posterior,
     joint_optimal_diag,
     quadratic_objective_block,
@@ -45,13 +45,6 @@ class TestClosedForm:
     def test_unit_instance(self):
         sigma = closed_form_posterior(np.array([1.0]), beta=1.0, lam=1.0)
         assert sigma[0] == pytest.approx(0.5, abs=1e-12)
-
-    def test_matrix_agrees_with_vector_on_diagonal(self):
-        h = np.array([0.5, 2.0, 7.0])
-        vec = closed_form_posterior(h, beta=0.4, lam=0.2)
-        mat = closed_form_posterior(np.diag(h), beta=0.4, lam=0.2)
-        assert np.allclose(np.diag(mat), vec, rtol=1e-12)
-        assert np.allclose(mat, np.diag(np.diag(mat)), atol=1e-14)
 
     def test_matches_scalar_minimization_oracle(self):
         rng = np.random.default_rng(12)
@@ -252,7 +245,7 @@ class TestSkfac:
         est = all_block_hessians(spec, theta, X)
         post = skfac_posterior(spec, theta, est, beta=0.3, lam=0.7)
         for layer in range(spec.n_layers):
-            h = est.block_hessians[layer][0, 0]
+            h = block_hessian(spec, theta, X, layer)[0, 0]
             expected = closed_form_posterior(np.array([h]), 0.3, 0.7)[0]
             assert post.blocks[layer].cov[0, 0] == pytest.approx(
                 expected, rel=1e-12)
@@ -263,7 +256,8 @@ class TestSkfac:
         est = all_block_hessians(spec, record.theta_star, train_ds.X)
         beta, lam = 0.004, 0.08
         post = skfac_posterior(spec, record.theta_star, est, beta, lam)
-        for layer, H in enumerate(est.block_hessians):
+        for layer in range(spec.n_layers):
+            H = block_hessian(spec, record.theta_star, train_ds.X, layer)
             direct = beta * np.linalg.inv(H + (beta / lam) * np.eye(H.shape[0]))
             assert np.allclose(post.blocks[layer].cov, direct, atol=1e-10)
 
@@ -294,15 +288,17 @@ class TestSkfac:
         beta, lam = 0.002, 0.1
         post = skfac_posterior(spec, record.theta_star, est, beta, lam)
         counts = [rows for rows, _ in spec.layer_shapes]
+        hessians = [block_hessian(spec, record.theta_star, train_ds.X, layer)
+                    for layer in range(spec.n_layers)]
         full = quadratic_objective_block(
-            est.block_hessians, [b.cov for b in post.blocks], counts,
+            hessians, [b.cov for b in post.blocks], counts,
             beta, lam, record.theta_star, record.theta0)
         diag_covs = [
             np.diag(closed_form_posterior(np.diag(H), beta, lam))
-            for H in est.block_hessians
+            for H in hessians
         ]
         restricted = quadratic_objective_block(
-            est.block_hessians, diag_covs, counts, beta, lam,
+            hessians, diag_covs, counts, beta, lam,
             record.theta_star, record.theta0)
         assert full <= restricted + 1e-10 * abs(restricted)
 
@@ -313,21 +309,10 @@ class TestSkfac:
         post = skfac_posterior(spec, record.theta_star, est, 0.01, 0.1)
         assert kl_block(post, record.theta0, 0.1) >= 0.0
 
-    def test_requires_block_hessians(self, trained_net):
+    def test_requires_block_hessians(self, blob_data, trained_net):
+        train_ds, _ = blob_data
         spec, record = trained_net
-        bare = CurvatureEstimate(spec=spec, n_used=0)
-        with pytest.raises(ValueError):
-            skfac_posterior(spec, record.theta_star, bare, 0.1, 0.1)
-
-
-class TestPosteriorSpec:
-    def test_unknown_family_rejected(self):
-        with pytest.raises(ValueError):
-            PosteriorSpec(family="laplace-full", beta=1.0, lam=0.1)
-
-    def test_joint_family_always_invalid_prior(self):
-        with pytest.raises(ValueError):
-            PosteriorSpec(family="closed-joint", beta=1.0, lam=0.1,
-                          valid_prior=True)
-        PosteriorSpec(family="closed-joint", beta=1.0, lam=0.1,
-                      valid_prior=False)
+        bare = GridContext(spec=spec, theta_star=record.theta_star,
+                           theta0=record.theta0, data=train_ds)
+        with pytest.raises(ValueError, match="requires block Hessians"):
+            build_posterior("skfac-block", 1.0, 0.1, bare, cell_seed=0)
