@@ -30,7 +30,6 @@ from pbcert.gaussians import (
 from pbcert.nnet import NetSpec, forward, loss, zero_one_errors
 from pbcert.posteriors import (
     closed_form_posterior,
-    isotropic_posterior,
     joint_optimal_diag,
     skfac_posterior,
     vi_optimize_diag,
@@ -161,7 +160,8 @@ class GridContext:
 
 
 def _isotropic(ctx: GridContext, lam: float, center: np.ndarray):
-    posterior, prior = isotropic_posterior(ctx.theta_star, center, lam)
+    posterior = DiagGaussian.isotropic(ctx.theta_star, lam)
+    prior = DiagGaussian.isotropic(center, lam)
     return posterior, kl_diag(posterior, prior)
 
 

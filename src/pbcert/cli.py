@@ -59,17 +59,16 @@ def _build_datasets(config: RunConfig):
             if not path or not Path(path).exists():
                 raise UsageError(f"dataset path missing or unreadable: "
                                  f"data.{key}={path!r}")
-        train_ds = load_idx(get("data", "images"), get("data", "labels"), "train")
-        test_ds = load_idx(get("data", "test_images"), get("data", "test_labels"),
-                           "test")
+        train_ds = load_idx(get("data", "images"), get("data", "labels"))
+        test_ds = load_idx(get("data", "test_images"), get("data", "test_labels"))
     elif source == "cifar":
         batches = get("data", "batches").split(":")
         test_batches = get("data", "test_batches").split(":")
         for path in batches + test_batches:
             if not path or not Path(path).exists():
                 raise UsageError(f"dataset path missing or unreadable: {path!r}")
-        train_ds = load_cifar_bin(batches, split="train")
-        test_ds = load_cifar_bin(test_batches, split="test")
+        train_ds = load_cifar_bin(batches)
+        test_ds = load_cifar_bin(test_batches)
     else:
         raise ConfigError(f"unknown data source {source!r}")
     collapse = get("data", "collapse")
@@ -120,13 +119,17 @@ def _load_run(run_dir):
         raise UsageError(f"run manifest not found: {run_dir / 'meta.json'}")
     record = load_train_record(run_dir)
     k = record.spec.widths[-1]     # one output unit per class
-    train_ds = load_dataset(run_dir / "train_data.bin", k, "train")
-    test_ds = load_dataset(run_dir / "test_data.bin", k, "test")
+    train_ds = load_dataset(run_dir / "train_data.bin", k)
+    test_ds = load_dataset(run_dir / "test_data.bin", k)
     return record, train_ds, test_ds
 
 
 def _check_families(families) -> None:
-    """Reject an unknown or repeated posterior family before any work."""
+    """Reject an empty family list, or an unknown or repeated posterior
+    family, before any work."""
+    if not families:
+        raise UsageError(f"posterior.families is empty"
+                         f" (families: {', '.join(cert.FAMILIES)})")
     for i, family in enumerate(families):
         if family not in cert.FAMILIES or family in families[:i]:
             problem = "repeated" if family in cert.FAMILIES else "unknown"
@@ -192,7 +195,10 @@ def cmd_certify(config: RunConfig, run_dir) -> None:
 
 
 def cmd_plot(csv_paths, out_path, log_x: bool, title: str) -> None:
-    fronts = {}
+    """Plot, per family, the Pareto front of the points of every input CSV,
+    certificate or pareto alike; the last pareto CSV's reference star is
+    drawn too."""
+    points = {}
     star = None
     for path in csv_paths:
         if not Path(path).exists():
@@ -200,18 +206,17 @@ def cmd_plot(csv_paths, out_path, log_x: bool, title: str) -> None:
         with open(path, newline="") as f:
             header = next(csv.reader(f), None)
         if header == cert.csv_header(cert.PARETO_COLUMNS):
-            for p in cert.read_pareto_csv(path):
-                if p.family == "reference":
-                    star = (p.x, p.y)
-                else:
-                    fronts.setdefault(p.family, []).append((p.x, p.y))
+            file_points = cert.read_pareto_csv(path)
         else:
-            by_family = {}
-            for c in cert.read_certificates_csv(path):
-                by_family.setdefault(c.family, []).append(c)
-            for family, group in by_family.items():
-                front = cert.pareto_front(cert.certificates_to_points(group))
-                fronts[family] = [(p.x, p.y) for p in front]
+            file_points = cert.certificates_to_points(
+                cert.read_certificates_csv(path))
+        for p in file_points:
+            if p.family == "reference":
+                star = (p.x, p.y)
+            else:
+                points.setdefault(p.family, []).append(p)
+    fronts = {family: [(p.x, p.y) for p in cert.pareto_front(group)]
+              for family, group in points.items()}
     svg = risk_complexity_svg(fronts, star=star, log_x=log_x, title=title)
     out_path = _resolve_out(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -237,7 +242,7 @@ def cmd_probe(config: RunConfig, run_dir) -> None:
         for i in range(probe.directions.shape[0]):
             fit = np.polyval(probe.fit_coeffs[i], probe.t_grid)
             for j, t in enumerate(probe.t_grid):
-                writer.writerow(["1", i, repr(float(t)),
+                writer.writerow([cert.CSV_SCHEMA_VERSION, i, repr(float(t)),
                                  repr(float(probe.losses[i, j])),
                                  repr(float(fit[j]))])
     for i, r2 in enumerate(probe.fit_r2):

@@ -29,7 +29,6 @@ class Dataset:
     X: np.ndarray        # (n, d) float64
     y: np.ndarray        # (n,) int64 in [0, k)
     k: int
-    split: str = "train"
 
     def __post_init__(self):
         X = np.asarray(self.X, dtype=np.float64)
@@ -63,7 +62,7 @@ def _read_exact(f, count: int, what: str) -> bytes:
     return buf
 
 
-def load_idx(images_path, labels_path, split: str = "train") -> Dataset:
+def load_idx(images_path, labels_path) -> Dataset:
     """Load an IDX image/label file pair; pixels are scaled by 1/255."""
     with open(images_path, "rb") as f:
         magic, n, rows, cols = struct.unpack(">iiii", _read_exact(f, 16, "image header"))
@@ -79,10 +78,10 @@ def load_idx(images_path, labels_path, split: str = "train") -> Dataset:
         raise DataFormatError(f"image count {n} != label count {n_labels}")
     X = np.frombuffer(pixels, dtype=np.uint8).reshape(n, rows * cols) / 255.0
     y = np.frombuffer(labels, dtype=np.uint8).astype(np.int64)
-    return Dataset(X=X, y=y, k=int(y.max()) + 1, split=split)
+    return Dataset(X=X, y=y, k=int(y.max()) + 1)
 
 
-def load_cifar_bin(batch_paths, k: int = 10, split: str = "train") -> Dataset:
+def load_cifar_bin(batch_paths, k: int = 10) -> Dataset:
     """Load one or more CIFAR-10 binary batches into flat 3072-dim rows."""
     xs, ys = [], []
     for path in batch_paths:
@@ -97,7 +96,7 @@ def load_cifar_bin(batch_paths, k: int = 10, split: str = "train") -> Dataset:
         xs.append(records[:, 1:] / 255.0)
     X = np.concatenate(xs)
     y = np.concatenate(ys)
-    return Dataset(X=X, y=y, k=k, split=split)
+    return Dataset(X=X, y=y, k=k)
 
 
 def collapse_classes(dataset: Dataset, k_new: int) -> Dataset:
@@ -124,4 +123,4 @@ def synthetic_blobs(n: int, d: int, k: int, separation: float, seed: int,
     means = separation * directions
     y = rng.integers(0, k, size=n)
     X = means[y] + rng.standard_normal((n, d))
-    return Dataset(X=X, y=y, k=k, split=split)
+    return Dataset(X=X, y=y, k=k)

@@ -75,9 +75,9 @@ def save_dataset(path, dataset: Dataset) -> None:
                   [dataset.X.astype("<f8"), dataset.y.astype("<i8")])
 
 
-def load_dataset(path, k: int, split: str = "train") -> Dataset:
+def load_dataset(path, k: int) -> Dataset:
     X, y = _read_arrays(path, DATASET_MAGIC, ["<f8", "<i8"])
-    return Dataset(X=X, y=y, k=k, split=split)
+    return Dataset(X=X, y=y, k=k)
 
 
 def file_digest(path) -> str:

@@ -34,21 +34,6 @@ FISHER_FLOOR = 1e-12
 DELTA_MU_FLOOR = 1e-16
 
 
-class DegenerateCoordinateError(ValueError):
-    pass
-
-
-def isotropic_posterior(theta_center: np.ndarray, prior_center: np.ndarray,
-                        lam: float):
-    """Posterior N(theta_center, lambda I) against prior N(prior_center,
-    lambda I); the KL reduces to ||delta mu||^2 / (2 lambda)."""
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    posterior = DiagGaussian.isotropic(theta_center, lam)
-    prior = DiagGaussian.isotropic(prior_center, lam)
-    return posterior, prior
-
-
 def closed_form_posterior(h, beta: float, lam: float, prior_var=None):
     """Curvature-matched variances: beta / (h + (beta/lambda) / sigma_pi).
 
@@ -73,15 +58,15 @@ class JointOptimalResult:
     n_floored: int              # coordinates floored before evaluation
 
 
-def joint_optimal_diag(h, beta: float, lam: float, mu_rho, mu_pi,
-                       floor_degenerate: bool = True) -> JointOptimalResult:
+def joint_optimal_diag(h, beta: float, lam: float, mu_rho,
+                       mu_pi) -> JointOptimalResult:
     """Jointly optimal diagonal posterior and prior covariances.
 
     The prior here is fitted to the training data, so results must be
     treated as a sanity ceiling, never as a valid bound.  Coordinates with
     zero curvature or zero mean gap have no finite optimizer (the
     objective diverges at the domain boundary); they are floored at tiny
-    epsilons and counted, or rejected when flooring is disabled.
+    epsilons and counted.
     """
     if beta <= 0 or lam <= 0:
         raise ValueError("beta and lambda must be positive")
@@ -89,10 +74,6 @@ def joint_optimal_diag(h, beta: float, lam: float, mu_rho, mu_pi,
     dmu2 = (np.asarray(mu_rho, dtype=np.float64)
             - np.asarray(mu_pi, dtype=np.float64)) ** 2
     degenerate = (h < FISHER_FLOOR) | (dmu2 < DELTA_MU_FLOOR)
-    if np.any(degenerate) and not floor_degenerate:
-        raise DegenerateCoordinateError(
-            f"{int(degenerate.sum())} coordinates have h=0 or delta mu=0"
-        )
     h = np.maximum(h, FISHER_FLOOR)
     dmu2 = np.maximum(dmu2, DELTA_MU_FLOOR)
     root = np.sqrt(h * h + 4.0 * beta * h / dmu2)
@@ -145,24 +126,17 @@ class VIResult:
     surrogate_value: float
 
 
-def _surrogate_kl(sigma, lam, dmu2):
-    return 0.5 * float(np.sum(sigma / lam + dmu2 / lam - 1.0
-                              + np.log(lam) - np.log(sigma)))
-
-
 def vi_optimize_log_sigma(grad_fn, theta_star: np.ndarray, lam: float,
                           kl_weight: float, epochs: int,
-                          steps_per_epoch: int, seed: int, lr: float = 0.1,
-                          lr_decay: float = 0.0,
-                          average_tail: float = 0.0) -> np.ndarray:
+                          steps_per_epoch: int, seed: int,
+                          lr: float = 0.1) -> np.ndarray:
     """Reparameterized Adam on posterior log-variances, mean held fixed.
 
     `grad_fn(theta, epoch, step)` returns the loss gradient at a sampled
     theta.  The analytic KL gradient against the isotropic prior is added
-    with weight `kl_weight`.  The step size follows lr / (1 + lr_decay * t);
-    `average_tail` in (0, 1] returns the iterate average over that trailing
-    fraction of steps, damping the single-draw gradient noise.  Returns the
-    optimized log-variances.
+    with weight `kl_weight`.  The step size at step t is lr / (1 + 0.01 t),
+    and the result is the mean of the last 40% of the iterates, which damps
+    the single-draw gradient noise.  Returns the optimized log-variances.
 
     The step loop runs on one BLAS thread (see `pbcert.blas`): a mini-batch
     product saves little wall time on a second core, whose worker then
@@ -174,6 +148,7 @@ def vi_optimize_log_sigma(grad_fn, theta_star: np.ndarray, lam: float,
     m1 = np.zeros(d)
     m2 = np.zeros(d)
     b1, b2, eps = 0.9, 0.999, 1e-8
+    decay, tail = 0.01, 0.4
     t = 0
     total = epochs * steps_per_epoch
     tail_sum = np.zeros(d)
@@ -194,10 +169,10 @@ def vi_optimize_log_sigma(grad_fn, theta_star: np.ndarray, lam: float,
                 t += 1
                 m1 = b1 * m1 + (1 - b1) * g_log_sigma
                 m2 = b2 * m2 + (1 - b2) * g_log_sigma ** 2
-                step_size = lr / (1.0 + lr_decay * t)
+                step_size = lr / (1.0 + decay * t)
                 log_sigma -= step_size * (m1 / (1 - b1 ** t)) / (
                     np.sqrt(m2 / (1 - b2 ** t)) + eps)
-                if t > (1.0 - average_tail) * total:
+                if t > (1.0 - tail) * total:
                     tail_sum += log_sigma
                     tail_count += 1
     if tail_count:
@@ -207,11 +182,11 @@ def vi_optimize_log_sigma(grad_fn, theta_star: np.ndarray, lam: float,
 
 def vi_optimize_diag(spec: NetSpec, theta_star: np.ndarray,
                      theta0: np.ndarray, data, beta: float, lam: float,
-                     epochs: int, seed: int, *, loss_kind: str = "categorical",
-                     batch_size: int = 100, lr: float = 0.1,
-                     delta: float = 0.025) -> VIResult:
+                     epochs: int, seed: int, *, batch_size: int = 100,
+                     lr: float = 0.1, delta: float = 0.025) -> VIResult:
     """Optimize diagonal posterior variances by reparameterized SGD on the
-    bound surrogate E[loss] + (KL + ln(1/delta)) / (beta n).
+    bound surrogate E[loss] + (KL + ln(1/delta)) / (beta n), with the
+    categorical loss and the prior N(theta0, lambda I).
 
     The posterior mean stays fixed at theta_star; only log-variances move.
     One shared noise draw per mini-batch (plain reparameterization).
@@ -222,7 +197,6 @@ def vi_optimize_diag(spec: NetSpec, theta_star: np.ndarray,
     X, y = np.asarray(data.X, dtype=np.float64), np.asarray(data.y)
     n = X.shape[0]
     d = theta_star.shape[0]
-    dmu2 = (theta_star - theta0) ** 2
     kl_weight = 1.0 / (beta * n)
     shuffle_rng = rng_for(seed, "vi-shuffle")
     batches = []
@@ -234,17 +208,18 @@ def vi_optimize_diag(spec: NetSpec, theta_star: np.ndarray,
 
     def grad_fn(theta, epoch, step):
         idx = batches[epoch][step]
-        return nnet_grad(spec, theta, X[idx], y[idx], loss_kind)
+        return nnet_grad(spec, theta, X[idx], y[idx], "categorical")
 
     log_sigma = vi_optimize_log_sigma(grad_fn, theta_star, lam, kl_weight,
                                       epochs, steps_per_epoch, seed, lr)
-    sigma = np.exp(log_sigma)
     posterior = DiagGaussian(theta_star, log_sigma)
     # MC estimate of the achieved surrogate with a fixed evaluation draw
     eval_rng = rng_for(seed, "vi-eval")
-    theta_eval = theta_star + np.sqrt(sigma) * eval_rng.standard_normal(d)
-    value = (nnet_loss(loss_kind, forward(spec, theta_eval, X).outputs, y)
-             + kl_weight * (_surrogate_kl(sigma, lam, dmu2) + np.log(1.0 / delta)))
+    theta_eval = (theta_star
+                  + np.sqrt(posterior.variance) * eval_rng.standard_normal(d))
+    kl = kl_diag(posterior, DiagGaussian.isotropic(theta0, lam))
+    value = (nnet_loss("categorical", forward(spec, theta_eval, X).outputs, y)
+             + kl_weight * (kl + np.log(1.0 / delta)))
     return VIResult(posterior=posterior, surrogate_value=float(value))
 
 

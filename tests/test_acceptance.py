@@ -36,8 +36,8 @@ from pbcert.posteriors import (
     quadratic_objective_diag,
     vi_optimize_log_sigma,
 )
-from test_curvature import log_density, sampled_labels
-from test_posteriors import joint_objective, scalar_objective
+from tests.test_curvature import log_density, sampled_labels
+from tests.test_posteriors import joint_objective, scalar_objective
 
 
 def report(capsys, criterion: int, elapsed: float, detail: str) -> None:
@@ -216,8 +216,7 @@ def test_criterion_6_vi_matches_closed_form(capsys):
         return h * (theta - theta_star)
 
     log_sigma = vi_optimize_log_sigma(grad_fn, theta_star, lam, kl_weight,
-                                      epochs=5, steps_per_epoch=400, seed=6,
-                                      lr=0.1, lr_decay=0.01, average_tail=0.4)
+                                      epochs=5, steps_per_epoch=400, seed=6)
     expected = closed_form_posterior(h, kl_weight, lam)
     rel = np.abs(np.exp(log_sigma) - expected) / expected
     median = float(np.median(rel))

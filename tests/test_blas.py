@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_theta
+from tests.conftest import random_theta
 from pbcert import blas
 from pbcert.data import Dataset
 from pbcert.nnet import NetSpec

@@ -186,6 +186,30 @@ class TestCliPipeline:
         # the pareto CSV carries the reference star marker
         assert "polygon" in svg2.read_text()
 
+    def test_plot_takes_one_front_over_every_input(self, small_config,
+                                                   tmp_path):
+        seed_one = tmp_path / "seed1.ini"
+        seed_one.write_text(SMALL_CONFIG + "\n[run]\nseed = 1\n")
+        a = run_pipeline(small_config, tmp_path / "a")
+        b = run_pipeline(seed_one, tmp_path / "b")
+
+        def without_star(run):
+            # the reference star is only in pareto CSVs; drop it to compare
+            path = run / "pareto-no-star.csv"
+            rows = (run / "pareto.csv").read_text().splitlines(keepends=True)
+            path.write_text("".join(row for row in rows
+                                    if row.split(",")[1] != "reference"))
+            return path
+
+        def plot(*paths):
+            svg = tmp_path / "plot.svg"
+            assert main(["plot", *map(str, paths), "--out", str(svg)]) == 0
+            return svg.read_bytes()
+
+        both = plot(a / "certificates.csv", b / "certificates.csv")
+        assert both == plot(without_star(a), without_star(b))
+        assert both != plot(b / "certificates.csv")
+
     def test_certify_exit_code_on_missing_run(self, small_config, tmp_path):
         code = main(["certify", "--config", str(small_config),
                      "--run", str(tmp_path / "nowhere")])
@@ -222,6 +246,7 @@ class TestCliPipeline:
     @pytest.mark.parametrize("families, bad", [
         ("iso-zero,iso-zeroo,iso-zero", "iso-zeroo"),
         ("closed-diag,skfac-block,closed-diag", "closed-diag"),
+        ("", ""),
     ])
     def test_certify_rejects_bad_families_before_work(
             self, small_config, tmp_path, capsys, monkeypatch, families, bad):
@@ -230,15 +255,16 @@ class TestCliPipeline:
                      "--out", str(out)]) == 0
 
         def refuse(*args, **kwargs):
-            raise RuntimeError("curvature computed for a bad family list")
+            raise RuntimeError("work done for a bad family list")
 
+        monkeypatch.setattr(cli, "load_train_record", refuse)
         monkeypatch.setattr(cli, "diag_fisher", refuse)
         monkeypatch.setattr(cli, "all_block_hessians", refuse)
         code = main(["certify", "--config", str(small_config), "--run", str(out),
                      "--set", f"posterior.families={families}"])
         assert code == 2
         err = capsys.readouterr().err
-        assert repr(bad) in err
+        assert (repr(bad) if bad else "posterior.families is empty") in err
         assert all(name in err for name in FAMILIES)
         assert not (out / "certificates.csv").exists()
         assert not (out / "pareto.csv").exists()

@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from conftest import random_theta
+from tests.conftest import random_theta
 from pbcert.curvature import (
     all_block_hessians,
     block_hessian,

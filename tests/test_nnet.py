@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import random_theta
+from tests.conftest import random_theta
 from pbcert.gaussians import (
     BlockGaussian,
     DiagGaussian,
