@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field, fields
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -89,6 +90,7 @@ class ParetoPoint:
 
 PARETO_COLUMNS = tuple((_HEADERS.get(name, name), name) for name in (
     "family", "x", "y", "beta", "lam", "valid_prior", "seed"))
+LANDSCAPE_COLUMNS = tuple((c, c) for c in ("direction", "t", "loss", "fit"))
 
 
 def mc_empirical_risk(posterior, spec: NetSpec, data, m: int, seed: int):
@@ -142,17 +144,17 @@ class GridContext:
     theta_star: np.ndarray
     theta0: np.ndarray
     data: object
-    m: int = 100
-    delta: float = 0.025
-    delta_prime: float = 0.025
-    b: float = 100.0
-    c: float = 1.0
-    seed: int = 0
+    m: int
+    delta: float
+    delta_prime: float
+    b: float
+    c: float
+    seed: int
+    vi_epochs: int
+    vi_batch_size: int
+    vi_lr: float
     fisher: np.ndarray = None          # diagonal Fisher, per weight
     blocks: list = None                # LayerEig per layer
-    vi_epochs: int = 5
-    vi_batch_size: int = 100
-    vi_lr: float = 0.1
 
     @property
     def n(self) -> int:
@@ -390,3 +392,11 @@ def write_pareto_csv(path, fronts: dict) -> None:
 
 def read_pareto_csv(path) -> list:
     return _read_csv(path, PARETO_COLUMNS, ParetoPoint)
+
+
+def write_landscape_csv(path, probe) -> None:
+    """Loss and quadratic fit at each (direction, t) of a LandscapeProbe."""
+    _write_csv(path, LANDSCAPE_COLUMNS, [
+        SimpleNamespace(direction=i, t=t, loss=value, fit=fit)
+        for i, (losses, c) in enumerate(zip(probe.losses, probe.fit_coeffs))
+        for t, value, fit in zip(probe.t_grid, losses, np.polyval(c, probe.t_grid))])

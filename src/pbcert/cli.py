@@ -78,26 +78,11 @@ def _build_datasets(config: RunConfig):
     return train_ds, test_ds
 
 
-def _net_spec(config: RunConfig, train_ds) -> NetSpec:
-    hidden = config.get("net", "hidden")
-    return NetSpec((train_ds.d, *hidden, train_ds.k))
-
-
 def cmd_train(config: RunConfig, out_dir) -> Path:
     train_ds, test_ds = _build_datasets(config)
-    spec = _net_spec(config, train_ds)
-    tc = TrainerConfig(
-        optimizer=config.get("train", "optimizer"),
-        lr=config.get("train", "lr"),
-        momentum=config.get("train", "momentum"),
-        decay=config.get("train", "decay"),
-        epochs=config.get("train", "epochs"),
-        batch_size=config.get("train", "batch_size"),
-        loss=config.get("train", "loss"),
-        init_gain=config.get("train", "init_gain"),
-    )
-    record = train(spec, train_ds, tc, config.get("run", "seed"),
-                   test_data=test_ds)
+    spec = NetSpec((train_ds.d, *config.get("net", "hidden"), train_ds.k))
+    record = train(spec, train_ds, TrainerConfig(**config.values["train"]),
+                   config.get("run", "seed"), test_data=test_ds)
     out_dir = _resolve_out(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_dataset(out_dir / "train_data.bin", train_ds)
@@ -124,9 +109,10 @@ def _load_run(run_dir):
     return record, train_ds, test_ds
 
 
-def _check_families(families) -> None:
-    """Reject an empty family list, or an unknown or repeated posterior
-    family, before any work."""
+def _check_sweep(config: RunConfig) -> tuple:
+    """Families and beta and lambda grids, after rejecting a bad family
+    list, an empty or unbuildable grid, m < 1, or delta, delta' not in (0, 1)."""
+    families = config.get("posterior", "families")
     if not families:
         raise UsageError(f"posterior.families is empty"
                          f" (families: {', '.join(cert.FAMILIES)})")
@@ -135,6 +121,19 @@ def _check_families(families) -> None:
             problem = "repeated" if family in cert.FAMILIES else "unknown"
             raise UsageError(f"{problem} family {family!r} in posterior.families"
                              f" (families: {', '.join(cert.FAMILIES)})")
+    try:
+        grids = config.beta_grid, config.lambda_grid
+    except ValueError as exc:
+        raise UsageError(f"bad posterior grid: {exc}") from exc
+    if not all(grids):
+        raise UsageError("posterior.beta_count and posterior.lambda_count "
+                         "must be at least 1")
+    if config.get("bound", "m") < 1:
+        raise UsageError("bound.m must be at least 1")
+    for key in ("delta", "delta_prime"):
+        if not 0.0 < config.get("bound", key) < 1.0:
+            raise UsageError(f"bound.{key} must lie in (0, 1)")
+    return (families, *grids)
 
 
 def _curvature_for(families, record, train_ds, seed):
@@ -150,28 +149,18 @@ def _curvature_for(families, record, train_ds, seed):
 
 
 def cmd_certify(config: RunConfig, run_dir) -> None:
-    families = config.get("posterior", "families")
-    _check_families(families)
+    families, beta_grid, lambda_grid = _check_sweep(config)
     record, train_ds, test_ds = _load_run(_resolve_out(run_dir))
-    seed = config.get("run", "seed")
-    fisher, blocks = _curvature_for(families, record, train_ds, seed)
+    fisher, blocks = _curvature_for(families, record, train_ds,
+                                    config.get("run", "seed"))
     ctx = cert.GridContext(
         spec=record.spec, theta_star=record.theta_star, theta0=record.theta0,
-        data=train_ds, m=config.get("bound", "m"),
-        delta=config.get("bound", "delta"),
-        delta_prime=config.get("bound", "delta_prime"),
-        b=config.get("bound", "b"), c=config.get("bound", "c"),
-        seed=seed, fisher=fisher, blocks=blocks,
-        vi_epochs=config.get("posterior", "vi_epochs"),
-        vi_batch_size=config.get("posterior", "vi_batch_size"),
-        vi_lr=config.get("posterior", "vi_lr"),
-    )
+        data=train_ds, fisher=fisher, blocks=blocks, **config.grid_settings)
     all_certs = []
     fronts = {}
     failed = 0
     for family in families:
-        result = cert.grid_search(family, config.beta_grid, config.lambda_grid,
-                                  ctx)
+        result = cert.grid_search(family, beta_grid, lambda_grid, ctx)
         for beta, lam, message in result.failures:
             print(f"cell failure [{family} beta={beta} lambda={lam}]: {message}",
                   file=sys.stderr)
@@ -233,18 +222,10 @@ def cmd_probe(config: RunConfig, run_dir) -> None:
                     config.get("probe", "t_points")),
         config.get("probe", "lambdas"),
         config.get("run", "seed"),
-        loss_kind=config.get("train", "loss"),
+        config.get("train", "loss"),
     )
     out_dir = _resolve_out(run_dir)
-    with open(out_dir / "landscape.csv", "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["schema_version", "direction", "t", "loss", "fit"])
-        for i in range(probe.directions.shape[0]):
-            fit = np.polyval(probe.fit_coeffs[i], probe.t_grid)
-            for j, t in enumerate(probe.t_grid):
-                writer.writerow([cert.CSV_SCHEMA_VERSION, i, repr(float(t)),
-                                 repr(float(probe.losses[i, j])),
-                                 repr(float(fit[j]))])
+    cert.write_landscape_csv(out_dir / "landscape.csv", probe)
     for i, r2 in enumerate(probe.fit_r2):
         print(f"direction {i}: R^2 = {r2:.6f}")
     for lam, radius in probe.bubble_radii.items():

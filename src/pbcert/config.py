@@ -18,7 +18,7 @@ class ConfigError(ValueError):
     pass
 
 
-# section -> key -> (type tag, default as string)
+# section -> key -> (type tag, default as string): each default's only home
 SCHEMA = {
     "data": {
         "source": ("str", "blobs"),            # blobs | idx | cifar
@@ -108,6 +108,13 @@ class RunConfig:
         return list(np.geomspace(self.get("posterior", "lambda_min"),
                                  self.get("posterior", "lambda_max"),
                                  self.get("posterior", "lambda_count")))
+
+    @property
+    def grid_settings(self) -> dict:
+        """`certify.GridContext`'s settings: [bound], run.seed, posterior.vi_*."""
+        return {**self.values["bound"], "seed": self.get("run", "seed"),
+                **{key: value for key, value in self.values["posterior"].items()
+                   if key.startswith("vi_")}}
 
 
 def _parse_value(section: str, key: str, raw: str):

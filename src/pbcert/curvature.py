@@ -83,22 +83,18 @@ def diag_fisher(spec: NetSpec, theta: np.ndarray, X: np.ndarray,
     return ParamIndex(spec).to_vector(per_layer)
 
 
-def block_hessian(spec: NetSpec, theta: np.ndarray, X: np.ndarray,
-                  layer: int) -> np.ndarray:
-    """H_i = (2/n) sum_k a_{i-1}^k a_{i-1}^k', shared by all layer-i neurons."""
-    if not (0 <= layer < spec.n_layers):
-        raise IndexError(f"layer {layer} out of range")
-    X = np.asarray(X, dtype=np.float64)
+def block_hessians(spec: NetSpec, theta: np.ndarray, X: np.ndarray) -> list:
+    """H_i = (2/n) sum_k a_{i-1}^k a_{i-1}^k' of every layer i, shared by all
+    layer-i neurons, from one forward pass."""
     fp = forward(spec, theta, X)
-    A = fp.activations[layer]
-    return (2.0 / A.shape[0]) * (A.T @ A)
+    return [(2.0 / A.shape[0]) * (A.T @ A) for A in fp.activations[:-1]]
 
 
 def all_block_hessians(spec: NetSpec, theta: np.ndarray, X: np.ndarray) -> list:
     """Eigendecomposition (`LayerEig`) of every layer's block Hessian."""
     eigs = []
-    for i in range(spec.n_layers):
-        vals, vecs = np.linalg.eigh(block_hessian(spec, theta, X, i))
+    for H in block_hessians(spec, theta, X):
+        vals, vecs = np.linalg.eigh(H)
         order = np.argsort(vals)[::-1]
         eigs.append(LayerEig(eigvals=vals[order], eigvecs=vecs[:, order]))
     return eigs
@@ -124,8 +120,7 @@ def _quadratic_fit(t: np.ndarray, values: np.ndarray):
 
 
 def landscape_probe(spec: NetSpec, theta: np.ndarray, data, n_directions: int,
-                    t_grid, lambdas, seed: int,
-                    loss_kind: str = "categorical",
+                    t_grid, lambdas, seed: int, loss_kind: str,
                     loss_fn=None) -> LandscapeProbe:
     """Loss curves L(theta + t v) along random unit directions, with
     per-direction least-squares quadratic fits.

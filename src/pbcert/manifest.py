@@ -41,11 +41,14 @@ def _read_arrays(path, magic: bytes, dtypes) -> list:
     with open(path, "rb") as f:
         if f.read(4) != magic:
             raise ManifestError(f"{path}: bad magic")
-        (count,) = struct.unpack("<I", f.read(4))
-        shapes = []
-        for _ in range(count):
-            (ndim,) = struct.unpack("<I", f.read(4))
-            shapes.append(struct.unpack(f"<{ndim}Q", f.read(8 * ndim)))
+        try:
+            (count,) = struct.unpack("<I", f.read(4))
+            shapes = []
+            for _ in range(count):
+                (ndim,) = struct.unpack("<I", f.read(4))
+                shapes.append(struct.unpack(f"<{ndim}Q", f.read(8 * ndim)))
+        except struct.error as exc:
+            raise ManifestError(f"{path}: truncated header") from exc
         arrays = []
         for i, shape in enumerate(shapes):
             dtype = np.dtype(dtypes[i] if i < len(dtypes) else dtypes[-1])
@@ -54,6 +57,8 @@ def _read_arrays(path, magic: bytes, dtypes) -> list:
             if len(buf) != n_items * dtype.itemsize:
                 raise ManifestError(f"{path}: truncated payload")
             arrays.append(np.frombuffer(buf, dtype=dtype).reshape(shape))
+        if f.read(1):
+            raise ManifestError(f"{path}: trailing bytes after the payloads")
     return arrays
 
 

@@ -223,7 +223,7 @@ def loss(kind: str, outputs: np.ndarray, labels: np.ndarray) -> float:
 
 
 def grad(spec: NetSpec, theta: np.ndarray, X: np.ndarray, y: np.ndarray,
-         kind: str = "categorical") -> np.ndarray:
+         kind: str) -> np.ndarray:
     """Reverse-mode gradient of the mean batch loss with respect to theta."""
     if kind == "zero_one":
         raise ValueError("zero_one loss is not differentiable")
@@ -247,17 +247,18 @@ def grad(spec: NetSpec, theta: np.ndarray, X: np.ndarray, y: np.ndarray,
 
 @dataclass(frozen=True)
 class TrainerConfig:
-    optimizer: str = "sgd"        # "sgd" or "adam"
-    lr: float = 0.01
-    momentum: float = 0.9
-    decay: float = 0.001          # lr_t = lr / (1 + decay * t)
+    # the [train] settings (defaults in config.SCHEMA), then Adam constants
+    optimizer: str                # "sgd" or "adam"
+    lr: float
+    momentum: float
+    decay: float                  # lr_t = lr / (1 + decay * t)
+    epochs: int
+    batch_size: int
+    loss: str
+    init_gain: float
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_eps: float = 1e-7
-    epochs: int = 10
-    batch_size: int = 128
-    loss: str = "categorical"
-    init_gain: float = 1.0
 
 
 @dataclass
@@ -272,7 +273,7 @@ class TrainRecord:
     final_test_error: float = None
 
 
-def init_params(spec: NetSpec, seed: int, gain: float = 1.0) -> np.ndarray:
+def init_params(spec: NetSpec, seed: int, gain: float) -> np.ndarray:
     """Gaussian fan-in-scaled initialization, deterministic given seed."""
     rng = rng_for(seed, "init")
     mats = [

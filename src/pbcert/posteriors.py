@@ -129,7 +129,7 @@ class VIResult:
 def vi_optimize_log_sigma(grad_fn, theta_star: np.ndarray, lam: float,
                           kl_weight: float, epochs: int,
                           steps_per_epoch: int, seed: int,
-                          lr: float = 0.1) -> np.ndarray:
+                          lr: float) -> np.ndarray:
     """Reparameterized Adam on posterior log-variances, mean held fixed.
 
     `grad_fn(theta, epoch, step)` returns the loss gradient at a sampled
@@ -182,8 +182,8 @@ def vi_optimize_log_sigma(grad_fn, theta_star: np.ndarray, lam: float,
 
 def vi_optimize_diag(spec: NetSpec, theta_star: np.ndarray,
                      theta0: np.ndarray, data, beta: float, lam: float,
-                     epochs: int, seed: int, *, batch_size: int = 100,
-                     lr: float = 0.1, delta: float = 0.025) -> VIResult:
+                     epochs: int, seed: int, *, batch_size: int, lr: float,
+                     delta: float) -> VIResult:
     """Optimize diagonal posterior variances by reparameterized SGD on the
     bound surrogate E[loss] + (KL + ln(1/delta)) / (beta n), with the
     categorical loss and the prior N(theta0, lambda I).

@@ -3,8 +3,22 @@
 import numpy as np
 import pytest
 
+from pbcert.config import load_config
 from pbcert.data import synthetic_blobs
 from pbcert.nnet import NetSpec, TrainerConfig, train
+
+
+def settings(section: str, **overrides) -> dict:
+    """The default settings `pbcert` runs with, from `config.SCHEMA`, with
+    `overrides` replacing some.  `section` is a config section, or "grid"
+    for `RunConfig.grid_settings`; an override that is not one of its keys
+    raises KeyError."""
+    config = load_config()
+    values = config.grid_settings if section == "grid" else config.values[section]
+    unknown = set(overrides) - set(values)
+    if unknown:
+        raise KeyError(f"not {section} settings: {sorted(unknown)}")
+    return {**values, **overrides}
 
 
 @pytest.fixture(scope="session")
@@ -18,7 +32,8 @@ def blob_data():
 def trained_net(blob_data):
     train_ds, test_ds = blob_data
     spec = NetSpec((12, 10, 3))
-    config = TrainerConfig(epochs=6, batch_size=64, lr=0.05)
+    config = TrainerConfig(**settings("train", epochs=6, batch_size=64,
+                                      lr=0.05))
     record = train(spec, train_ds, config, seed=11, test_data=test_ds)
     return spec, record
 

@@ -21,7 +21,7 @@ from pbcert.certify import (
 )
 from pbcert.curvature import (
     all_block_hessians,
-    block_hessian,
+    block_hessians,
     diag_fisher,
     error_propagation_check,
     landscape_probe,
@@ -36,6 +36,7 @@ from pbcert.posteriors import (
     quadratic_objective_diag,
     vi_optimize_log_sigma,
 )
+from tests.conftest import settings
 from tests.test_curvature import log_density, sampled_labels
 from tests.test_posteriors import joint_objective, scalar_objective
 
@@ -64,7 +65,8 @@ def desk_run():
     train_ds = make(n_train, np.random.default_rng(7))
     test_ds = make(n_test, np.random.default_rng(8))
     spec = NetSpec((d, 100, 100, k))
-    config = TrainerConfig(epochs=10, batch_size=128, lr=0.01)
+    config = TrainerConfig(**settings("train", epochs=10, batch_size=128,
+                                      lr=0.01))
     record = train(spec, train_ds, config, seed=31, test_data=test_ds)
     assert record.final_train_error < 0.12
     return spec, record, train_ds, test_ds
@@ -144,7 +146,8 @@ def test_criterion_4_desk_scale_non_vacuity(desk_run, capsys):
     start = time.time()
     spec, record, train_ds, _ = desk_run
     ctx = GridContext(spec=spec, theta_star=record.theta_star,
-                      theta0=record.theta0, data=train_ds, m=100, seed=31)
+                      theta0=record.theta0, data=train_ds,
+                      **settings("grid", m=100, seed=31))
     beta_grid = [1.0, 5.0]
     lambda_grid = list(np.geomspace(0.031, 0.3, 3))
     init = grid_search("iso-init", beta_grid, lambda_grid, ctx)
@@ -170,8 +173,7 @@ def test_criterion_5_quadratic_dominance(desk_run, capsys):
     n = train_ds.n
     h = diag_fisher(spec, record.theta_star, train_ds.X, seed=5)
     blocks = all_block_hessians(spec, record.theta_star, train_ds.X)
-    hessians = [block_hessian(spec, record.theta_star, train_ds.X, layer)
-                for layer in range(spec.n_layers)]
+    hessians = block_hessians(spec, record.theta_star, train_ds.X)
     improvements = []
     for beta, lam in [(1.0, 0.031), (5.0, 0.1), (2.0, 0.3)]:
         beta_obj = 1.0 / (beta * n)
@@ -216,7 +218,8 @@ def test_criterion_6_vi_matches_closed_form(capsys):
         return h * (theta - theta_star)
 
     log_sigma = vi_optimize_log_sigma(grad_fn, theta_star, lam, kl_weight,
-                                      epochs=5, steps_per_epoch=400, seed=6)
+                                      epochs=5, steps_per_epoch=400, seed=6,
+                                      lr=settings("posterior")["vi_lr"])
     expected = closed_form_posterior(h, kl_weight, lam)
     rel = np.abs(np.exp(log_sigma) - expected) / expected
     median = float(np.median(rel))
@@ -237,8 +240,7 @@ def test_criterion_7_curvature_correctness(capsys):
     X = rng.standard_normal((8, 3))
     index = ParamIndex(spec)
     worst_block = 0.0
-    for layer in range(spec.n_layers):
-        H = block_hessian(spec, theta, X, layer)
+    for layer, H in enumerate(block_hessians(spec, theta, X)):
         A = forward(spec, theta, X).activations[layer]
         w_star = theta[index.neuron_slice(layer, 0)]
 
@@ -289,7 +291,8 @@ def test_criterion_8_landscape_probe(desk_run, capsys):
     lam = 0.04
     radius = np.sqrt(lam * spec.n_params)
     probe = landscape_probe(spec, record.theta_star, train_ds, 4,
-                            np.linspace(-radius, radius, 13), [lam], seed=9)
+                            np.linspace(-radius, radius, 13), [lam], seed=9,
+                            loss_kind=settings("train")["loss"])
     assert probe.bubble_radii[lam] == pytest.approx(radius)
     assert np.all(probe.fit_r2 > 0.9)
     elapsed = time.time() - start
@@ -325,7 +328,8 @@ def test_criterion_10_determinism_and_pareto(tmp_path, blob_data,
     train_ds, _ = blob_data
     spec, record = trained_net
     ctx = GridContext(spec=spec, theta_star=record.theta_star,
-                      theta0=record.theta0, data=train_ds, m=20, seed=12)
+                      theta0=record.theta0, data=train_ds,
+                      **settings("grid", m=20, seed=12))
     paths = []
     for run in range(2):
         result = grid_search("iso-init", [1.0, 3.0], [0.05, 0.15], ctx)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from tests.conftest import random_theta
+from tests.conftest import random_theta, settings
 from pbcert import blas
 from pbcert.data import Dataset
 from pbcert.nnet import NetSpec
@@ -63,7 +63,9 @@ def test_vi_bytes_do_not_depend_on_caller_thread_count():
     theta_star = random_theta(spec, seed=4, scale=0.05)
     theta0 = random_theta(spec, seed=5, scale=0.05)
     data = Dataset(X=rng.random((300, 784)), y=rng.integers(0, 2, 300), k=2)
-    kwargs = dict(beta=2.0, lam=0.001, epochs=1, seed=7, batch_size=100)
+    kwargs = dict(beta=2.0, lam=0.001, epochs=1, seed=7, batch_size=100,
+                  lr=settings("posterior")["vi_lr"],
+                  delta=settings("bound")["delta"])
     free = vi_optimize_diag(spec, theta_star, theta0, data, **kwargs)
     with blas.single_threaded():
         pinned = vi_optimize_diag(spec, theta_star, theta0, data, **kwargs)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from tests.conftest import settings
 from pbcert.certify import (
     FAMILIES,
     BoundCertificate,
@@ -177,8 +178,9 @@ def ctx(blob_data, trained_net):
     fisher = diag_fisher(spec, record.theta_star, train_ds.X, seed=3)
     blocks = all_block_hessians(spec, record.theta_star, train_ds.X)
     return GridContext(spec=spec, theta_star=record.theta_star,
-                       theta0=record.theta0, data=train_ds, m=8,
-                       seed=5, fisher=fisher, blocks=blocks, vi_epochs=1)
+                       theta0=record.theta0, data=train_ds, fisher=fisher,
+                       blocks=blocks,
+                       **settings("grid", m=8, seed=5, vi_epochs=1))
 
 
 class TestGridSearch:
@@ -201,7 +203,8 @@ class TestGridSearch:
         train_ds, _ = blob_data
         spec, record = trained_net
         bare = GridContext(spec=spec, theta_star=record.theta_star,
-                           theta0=record.theta0, data=train_ds, m=4, seed=0)
+                           theta0=record.theta0, data=train_ds,
+                           **settings("grid", m=4, seed=0))
         for family, entry in FAMILIES.items():
             if not (entry.needs_fisher or entry.needs_blocks):
                 continue
@@ -240,7 +243,8 @@ class TestGridSearch:
         train_ds, _ = blob_data
         spec, record = trained_net
         bare = GridContext(spec=spec, theta_star=record.theta_star,
-                           theta0=record.theta0, data=train_ds, m=4, seed=0)
+                           theta0=record.theta0, data=train_ds,
+                           **settings("grid", m=4, seed=0))
         result = grid_search("closed-diag", [1.0, 2.0], [0.1], bare)
         assert result.certificates == []
         assert len(result.failures) == 2

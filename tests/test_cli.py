@@ -2,15 +2,17 @@
 
 import csv
 import re
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pbcert import cli
-from pbcert.certify import FAMILIES
+from pbcert.certify import FAMILIES, GridContext
 from pbcert.cli import main
-from pbcert.config import ConfigError, load_config
+from pbcert.config import SCHEMA, ConfigError, load_config
+from pbcert.nnet import TrainerConfig
 from pbcert.plotting import risk_complexity_svg
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -111,6 +113,19 @@ class TestConfig:
     def test_unknown_override_key(self):
         with pytest.raises(ConfigError):
             load_config(None, ["data.unknown=1"])
+
+    def test_every_setting_has_one_home(self):
+        """The objects built from config sections take every setting they
+        have no default for, and nothing else, from config.SCHEMA."""
+        def required(cls):
+            return {f.name for f in fields(cls) if f.default is MISSING}
+
+        assert required(TrainerConfig) == set(SCHEMA["train"])
+        vi = {key for key in SCHEMA["posterior"] if key.startswith("vi_")}
+        settings = load_config().grid_settings
+        assert set(settings) == set(SCHEMA["bound"]) | vi | {"seed"}
+        assert required(GridContext) == set(settings) | {
+            "spec", "theta_star", "theta0", "data"}
 
     def test_readme_example_config_and_families(self, tmp_path):
         text = README.read_text()
@@ -243,29 +258,43 @@ class TestCliPipeline:
         assert pipeline(reused, seed=2) == pipeline(tmp_path / "fresh", seed=2)
         assert not (reused / "fisher_cache.npy").exists()
 
-    @pytest.mark.parametrize("families, bad", [
-        ("iso-zero,iso-zeroo,iso-zero", "iso-zeroo"),
-        ("closed-diag,skfac-block,closed-diag", "closed-diag"),
-        ("", ""),
+    LISTED = f"(families: {', '.join(FAMILIES)})"
+
+    @pytest.mark.parametrize("setting, message", [
+        pytest.param("posterior.families=iso-zero,iso-zeroo,iso-zero",
+                     f"unknown family 'iso-zeroo' in posterior.families {LISTED}",
+                     id="iso-zero,iso-zeroo,iso-zero-iso-zeroo"),
+        pytest.param("posterior.families=closed-diag,skfac-block,closed-diag",
+                     f"repeated family 'closed-diag' in posterior.families {LISTED}",
+                     id="closed-diag,skfac-block,closed-diag-closed-diag"),
+        pytest.param("posterior.families=", f"posterior.families is empty {LISTED}",
+                     id="-"),
+        *(pytest.param(setting, message, id=setting) for setting, message in [
+            ("posterior.beta_count=0", "beta_count and posterior.lambda_count"),
+            ("posterior.lambda_count=0", "beta_count and posterior.lambda_count"),
+            ("posterior.lambda_min=0", "bad posterior grid: Geometric sequence"),
+            ("bound.m=0", "bound.m must be at least 1"),
+            ("bound.delta=0", "bound.delta must lie in (0, 1)"),
+            ("bound.delta_prime=1.5", "bound.delta_prime must lie in (0, 1)"),
+        ]),
     ])
     def test_certify_rejects_bad_families_before_work(
-            self, small_config, tmp_path, capsys, monkeypatch, families, bad):
+            self, small_config, tmp_path, capsys, monkeypatch, setting,
+            message):
         out = tmp_path / "run"
         assert main(["train", "--config", str(small_config),
                      "--out", str(out)]) == 0
 
         def refuse(*args, **kwargs):
-            raise RuntimeError("work done for a bad family list")
+            raise RuntimeError("work done for a bad sweep")
 
         monkeypatch.setattr(cli, "load_train_record", refuse)
         monkeypatch.setattr(cli, "diag_fisher", refuse)
         monkeypatch.setattr(cli, "all_block_hessians", refuse)
         code = main(["certify", "--config", str(small_config), "--run", str(out),
-                     "--set", f"posterior.families={families}"])
+                     "--set", setting])
         assert code == 2
-        err = capsys.readouterr().err
-        assert (repr(bad) if bad else "posterior.families is empty") in err
-        assert all(name in err for name in FAMILIES)
+        assert message in capsys.readouterr().err
         assert not (out / "certificates.csv").exists()
         assert not (out / "pareto.csv").exists()
 

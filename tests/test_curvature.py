@@ -5,10 +5,11 @@ import hashlib
 import numpy as np
 import pytest
 
-from tests.conftest import random_theta
+from tests.conftest import random_theta, settings
+from pbcert import curvature
 from pbcert.curvature import (
     all_block_hessians,
-    block_hessian,
+    block_hessians,
     diag_fisher,
     error_propagation_check,
     landscape_probe,
@@ -110,13 +111,13 @@ class TestBlockHessian:
         spec = NetSpec((2, 2, 2))
         theta = random_theta(spec, seed=0)
         X = np.array([[1.0, 0.0], [0.0, 1.0]])
-        H = block_hessian(spec, theta, X, layer=0)
+        H = block_hessians(spec, theta, X)[0]
         assert np.allclose(H, np.eye(2), atol=1e-12)
 
     def test_zero_activations_give_zero(self):
         spec = NetSpec((2, 2, 2))
-        H = block_hessian(spec, random_theta(spec, seed=1),
-                          np.zeros((3, 2)), layer=0)
+        H = block_hessians(spec, random_theta(spec, seed=1),
+                           np.zeros((3, 2)))[0]
         assert np.all(H == 0.0)
 
     def test_half_quadratic_equals_exact_layer_error(self):
@@ -124,8 +125,7 @@ class TestBlockHessian:
         theta = random_theta(spec, seed=2)
         X = np.random.default_rng(3).standard_normal((10, 4))
         rng = np.random.default_rng(4)
-        for layer in range(spec.n_layers):
-            H = block_hessian(spec, theta, X, layer)
+        for layer, H in enumerate(block_hessians(spec, theta, X)):
             A = forward(spec, theta, X).activations[layer]
             eta = rng.standard_normal(H.shape[0])
             exact = np.sum((A @ eta) ** 2) / X.shape[0]
@@ -144,7 +144,7 @@ class TestBlockHessian:
         def layer_error(w_row):
             return float(np.sum((A @ (w_row - w_star)) ** 2) / X.shape[0])
 
-        H = block_hessian(spec, theta, X, layer)
+        H = block_hessians(spec, theta, X)[layer]
         h = 1e-4
         k = w_star.shape[0]
         fd = np.empty((k, k))
@@ -163,9 +163,9 @@ class TestBlockHessian:
         train_ds, _ = blob_data
         spec, record = trained_net
         eigs = all_block_hessians(spec, record.theta_star, train_ds.X)
+        hessians = block_hessians(spec, record.theta_star, train_ds.X)
         assert len(eigs) == spec.n_layers
-        for layer, eig in enumerate(eigs):
-            H = block_hessian(spec, record.theta_star, train_ds.X, layer)
+        for eig, H in zip(eigs, hessians):
             assert eig.eigvals.min() >= -1e-8 * max(eig.eigvals.max(), 1e-30)
             recon = (eig.eigvecs * eig.eigvals) @ eig.eigvecs.T
             assert np.allclose(recon, H, atol=1e-10)
@@ -173,9 +173,28 @@ class TestBlockHessian:
 
     def test_layer_out_of_range(self):
         spec = NetSpec((2, 2, 2))
+        hessians = block_hessians(spec, random_theta(spec, seed=0),
+                                  np.zeros((1, 2)))
+        assert len(hessians) == spec.n_layers
         with pytest.raises(IndexError):
-            block_hessian(spec, random_theta(spec, seed=0),
-                          np.zeros((1, 2)), layer=2)
+            hessians[2]
+
+    def test_one_forward_for_every_layer(self, monkeypatch):
+        spec = NetSpec((4, 3, 3, 2))
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return forward(*args)
+
+        monkeypatch.setattr(curvature, "forward", counted)
+        all_block_hessians(spec, random_theta(spec, seed=0),
+                           np.ones((5, 4)))
+        assert len(calls) == 1
+
+
+# the loss `pbcert probe` runs with
+LOSS = settings("train")["loss"]
 
 
 class TestLandscapeProbe:
@@ -183,8 +202,9 @@ class TestLandscapeProbe:
         train_ds, _ = blob_data
         spec, record = trained_net
         probe = landscape_probe(spec, record.theta_star, train_ds, 3,
-                                np.array([-1.0, 0.0, 1.0]), [0.04], seed=1)
-        at_zero = loss("categorical",
+                                np.array([-1.0, 0.0, 1.0]), [0.04], seed=1,
+                                loss_kind=LOSS)
+        at_zero = loss(LOSS,
                        forward(spec, record.theta_star, train_ds.X).outputs,
                        train_ds.y)
         assert np.allclose(probe.losses[:, 1], at_zero, atol=1e-12)
@@ -193,7 +213,8 @@ class TestLandscapeProbe:
         train_ds, _ = blob_data
         spec, record = trained_net
         probe = landscape_probe(spec, record.theta_star, train_ds, 5,
-                                np.linspace(-1, 1, 5), [0.04], seed=2)
+                                np.linspace(-1, 1, 5), [0.04], seed=2,
+                                loss_kind=LOSS)
         norms = np.linalg.norm(probe.directions, axis=1)
         assert np.allclose(norms, 1.0, atol=1e-10)
 
@@ -202,7 +223,7 @@ class TestLandscapeProbe:
         theta = np.zeros(spec.n_params)
         probe = landscape_probe(
             spec, theta, None, 4, np.linspace(-3, 3, 11), [], seed=3,
-            loss_fn=lambda p: float(p @ p))
+            loss_kind=LOSS, loss_fn=lambda p: float(p @ p))
         assert np.all(probe.fit_r2 >= 1.0 - 1e-10)
 
     def test_bubble_radius_formula(self):
@@ -210,7 +231,7 @@ class TestLandscapeProbe:
         theta = np.zeros(10000)
         probe = landscape_probe(
             spec, theta, None, 1, np.array([-1.0, 0.0, 1.0]), [0.04], seed=4,
-            loss_fn=lambda p: float(p @ p))
+            loss_kind=LOSS, loss_fn=lambda p: float(p @ p))
         assert probe.bubble_radii[0.04] == pytest.approx(20.0, abs=1e-12)
 
 

@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from tests.conftest import settings
 from pbcert.data import (
     DataFormatError,
     Dataset,
@@ -228,6 +229,18 @@ class TestManifest:
         with pytest.raises(ManifestError, match="truncated"):
             load_params(path, spec)
 
+    @pytest.mark.parametrize("cut, problem", [
+        (6, "truncated header"), (12, "truncated header"),
+        (None, "trailing bytes")])
+    def test_malformed_arrays_rejected(self, tmp_path, cut, problem):
+        ds = synthetic_blobs(30, 4, 3, 2.0, seed=5)
+        path = tmp_path / "d.bin"
+        save_dataset(path, ds)
+        data = path.read_bytes()
+        path.write_bytes(data[:cut] if cut else data + bytes(800))
+        with pytest.raises(ManifestError, match=problem):
+            load_dataset(path, ds.k)
+
     def test_dataset_round_trip(self, tmp_path):
         ds = synthetic_blobs(30, 4, 3, 2.0, seed=5)
         save_dataset(tmp_path / "d.bin", ds)
@@ -238,7 +251,8 @@ class TestManifest:
     def test_train_record_round_trip(self, tmp_path, blob_data):
         train_ds, _ = blob_data
         spec = NetSpec((12, 6, 3))
-        record = train(spec, train_ds, TrainerConfig(epochs=1), seed=8)
+        config = TrainerConfig(**settings("train", epochs=1))
+        record = train(spec, train_ds, config, seed=8)
         save_train_record(tmp_path, record)
         loaded = load_train_record(tmp_path)
         assert loaded.spec == spec
@@ -249,8 +263,8 @@ class TestManifest:
 
     def test_tampered_parameters_rejected(self, tmp_path, blob_data):
         train_ds, _ = blob_data
-        record = train(NetSpec((12, 6, 3)), train_ds, TrainerConfig(epochs=1),
-                       seed=8)
+        config = TrainerConfig(**settings("train", epochs=1))
+        record = train(NetSpec((12, 6, 3)), train_ds, config, seed=8)
         save_train_record(tmp_path, record)
         path = tmp_path / "theta_star.bin"
         payload = bytearray(path.read_bytes())

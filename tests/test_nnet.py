@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tests.conftest import random_theta
+from tests.conftest import random_theta, settings
 from pbcert.gaussians import (
     BlockGaussian,
     DiagGaussian,
@@ -172,7 +172,8 @@ class TestZeroOneErrors:
         rng = np.random.default_rng(0)
         X = rng.standard_normal((_ROW_BLOCK + 452, 784))
         y = rng.integers(0, 2, X.shape[0])
-        posterior = DiagGaussian.isotropic(init_params(spec, seed=1), 1e-3)
+        posterior = DiagGaussian.isotropic(
+            init_params(spec, seed=1, gain=settings("train")["init_gain"]), 1e-3)
         m = self.G + 1
         thetas = [sample_gaussian(posterior, seed=j) for j in range(m)]
         W1 = [ParamIndex(spec).to_matrices(theta)[0] for theta in thetas]
@@ -276,7 +277,7 @@ class TestTrain:
     def test_deterministic(self, blob_data):
         train_ds, _ = blob_data
         spec = NetSpec((12, 8, 3))
-        config = TrainerConfig(epochs=2, batch_size=64)
+        config = TrainerConfig(**settings("train", epochs=2, batch_size=64))
         a = train(spec, train_ds, config, seed=3)
         b = train(spec, train_ds, config, seed=3)
         assert np.array_equal(a.theta_star, b.theta_star)
@@ -286,22 +287,25 @@ class TestTrain:
     def test_zero_epochs_returns_init(self, blob_data):
         train_ds, _ = blob_data
         spec = NetSpec((12, 8, 3))
-        record = train(spec, train_ds, TrainerConfig(epochs=0), seed=4)
+        config = settings("train", epochs=0)
+        record = train(spec, train_ds, TrainerConfig(**config), seed=4)
         assert np.array_equal(record.theta_star, record.theta0)
-        assert np.array_equal(record.theta0, init_params(spec, 4))
+        assert np.array_equal(record.theta0,
+                              init_params(spec, 4, config["init_gain"]))
 
     def test_zero_lr_is_noop(self, blob_data):
         train_ds, _ = blob_data
         spec = NetSpec((12, 8, 3))
-        config = TrainerConfig(epochs=2, lr=0.0, momentum=0.0)
+        config = TrainerConfig(**settings("train", epochs=2, lr=0.0,
+                                          momentum=0.0))
         record = train(spec, train_ds, config, seed=5)
         assert np.array_equal(record.theta_star, record.theta0)
 
     def test_adam_path(self, blob_data):
         train_ds, _ = blob_data
         spec = NetSpec((12, 8, 3))
-        config = TrainerConfig(optimizer="adam", epochs=3, lr=0.01,
-                               batch_size=64)
+        config = TrainerConfig(**settings("train", optimizer="adam", epochs=3,
+                                          lr=0.01, batch_size=64))
         record = train(spec, train_ds, config, seed=6)
         assert record.final_train_error < 0.1
 
@@ -309,15 +313,15 @@ class TestTrain:
         train_ds, _ = blob_data
         spec = NetSpec((12, 8, 3))
         with pytest.raises(ValueError):
-            train(spec, train_ds, TrainerConfig(optimizer="rprop", epochs=1),
-                  seed=0)
+            train(spec, train_ds, TrainerConfig(
+                **settings("train", optimizer="rprop", epochs=1)), seed=0)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_detected(self, blob_data):
         train_ds, _ = blob_data
         spec = NetSpec((12, 8, 3))
-        config = TrainerConfig(epochs=3, lr=1e12, loss="mse", momentum=0.0,
-                               decay=0.0)
+        config = TrainerConfig(**settings("train", epochs=3, lr=1e12,
+                                          loss="mse", momentum=0.0, decay=0.0))
         with pytest.raises(DivergenceError):
             train(spec, train_ds, config, seed=7)
 

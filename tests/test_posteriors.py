@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+from tests.conftest import settings
 from pbcert.certify import GridContext, build_posterior
-from pbcert.curvature import all_block_hessians, block_hessian
+from pbcert.curvature import all_block_hessians, block_hessians
 from pbcert.gaussians import kl_block
 from pbcert.nnet import NetSpec
 from pbcert.posteriors import (
@@ -17,6 +18,10 @@ from pbcert.posteriors import (
     vi_optimize_diag,
     vi_optimize_log_sigma,
 )
+
+# the step size and delta that `pbcert certify` runs vi-diag with
+VI_LR = settings("posterior")["vi_lr"]
+VI_DELTA = settings("bound")["delta"]
 
 
 def scalar_objective(sigma, h, beta, lam, dmu2, sigma_pi):
@@ -178,7 +183,7 @@ class TestVI:
 
         log_sigma = vi_optimize_log_sigma(grad_fn, theta_star, lam, kl_weight,
                                           epochs=5, steps_per_epoch=400,
-                                          seed=1)
+                                          seed=1, lr=VI_LR)
         expected = closed_form_posterior(h, kl_weight, lam)
         rel = np.abs(np.exp(log_sigma) - expected) / expected
         assert np.median(rel) < 0.05
@@ -187,13 +192,14 @@ class TestVI:
         theta_star = np.zeros(10)
         log_sigma = vi_optimize_log_sigma(
             lambda theta, epoch, step: np.zeros(10), theta_star, 0.3, 0.1,
-            epochs=2, steps_per_epoch=20, seed=2)
+            epochs=2, steps_per_epoch=20, seed=2, lr=VI_LR)
         assert np.allclose(np.exp(log_sigma), 0.3, atol=1e-12)
 
     def test_network_vi_deterministic(self, blob_data, trained_net):
         train_ds, _ = blob_data
         spec, record = trained_net
-        kwargs = dict(beta=2.0, lam=0.1, epochs=1, seed=5, batch_size=128)
+        kwargs = dict(beta=2.0, lam=0.1, epochs=1, seed=5, batch_size=128,
+                      lr=VI_LR, delta=VI_DELTA)
         a = vi_optimize_diag(spec, record.theta_star, record.theta0,
                              train_ds, **kwargs)
         b = vi_optimize_diag(spec, record.theta_star, record.theta0,
@@ -207,7 +213,8 @@ class TestVI:
         spec, record = trained_net
         result = vi_optimize_diag(spec, record.theta_star, record.theta0,
                                   train_ds, beta=0.001, lam=0.5, epochs=3,
-                                  seed=6, batch_size=64)
+                                  seed=6, batch_size=64, lr=VI_LR,
+                                  delta=VI_DELTA)
         sigma = result.posterior.variance
         assert np.all(sigma > 0)
         assert sigma.min() < 0.5
@@ -217,7 +224,8 @@ class TestVI:
         spec, record = trained_net
         with pytest.raises(ValueError):
             vi_optimize_diag(spec, record.theta_star, record.theta0,
-                             train_ds, beta=0.0, lam=0.1, epochs=1, seed=0)
+                             train_ds, beta=0.0, lam=0.1, epochs=1, seed=0,
+                             batch_size=100, lr=VI_LR, delta=VI_DELTA)
 
 
 class TestSkfac:
@@ -236,8 +244,8 @@ class TestSkfac:
         X = np.random.default_rng(20).standard_normal((6, 1))
         est = all_block_hessians(spec, theta, X)
         post = skfac_posterior(spec, theta, est, beta=0.3, lam=0.7)
-        for layer in range(spec.n_layers):
-            h = block_hessian(spec, theta, X, layer)[0, 0]
+        for layer, H in enumerate(block_hessians(spec, theta, X)):
+            h = H[0, 0]
             expected = closed_form_posterior(np.array([h]), 0.3, 0.7)[0]
             assert post.blocks[layer].cov[0, 0] == pytest.approx(
                 expected, rel=1e-12)
@@ -248,8 +256,8 @@ class TestSkfac:
         est = all_block_hessians(spec, record.theta_star, train_ds.X)
         beta, lam = 0.004, 0.08
         post = skfac_posterior(spec, record.theta_star, est, beta, lam)
-        for layer in range(spec.n_layers):
-            H = block_hessian(spec, record.theta_star, train_ds.X, layer)
+        hessians = block_hessians(spec, record.theta_star, train_ds.X)
+        for layer, H in enumerate(hessians):
             direct = beta * np.linalg.inv(H + (beta / lam) * np.eye(H.shape[0]))
             assert np.allclose(post.blocks[layer].cov, direct, atol=1e-10)
 
@@ -280,8 +288,7 @@ class TestSkfac:
         beta, lam = 0.002, 0.1
         post = skfac_posterior(spec, record.theta_star, est, beta, lam)
         counts = [rows for rows, _ in spec.layer_shapes]
-        hessians = [block_hessian(spec, record.theta_star, train_ds.X, layer)
-                    for layer in range(spec.n_layers)]
+        hessians = block_hessians(spec, record.theta_star, train_ds.X)
         full = quadratic_objective_block(
             hessians, [b.cov for b in post.blocks], counts,
             beta, lam, record.theta_star, record.theta0)
@@ -305,6 +312,7 @@ class TestSkfac:
         train_ds, _ = blob_data
         spec, record = trained_net
         bare = GridContext(spec=spec, theta_star=record.theta_star,
-                           theta0=record.theta0, data=train_ds)
+                           theta0=record.theta0, data=train_ds,
+                           **settings("grid"))
         with pytest.raises(ValueError, match="requires block Hessians"):
             build_posterior("skfac-block", 1.0, 0.1, bare, cell_seed=0)
