@@ -14,11 +14,13 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
 
+from pbcert.curvature import all_block_hessians, diag_fisher
 from pbcert.gaussians import (
     DiagGaussian,
     catoni_inv,
@@ -153,12 +155,23 @@ class GridContext:
     vi_epochs: int
     vi_batch_size: int
     vi_lr: float
-    fisher: np.ndarray = None          # diagonal Fisher, per weight
-    blocks: list = None                # LayerEig per layer
 
     @property
     def n(self) -> int:
         return np.asarray(self.data.X).shape[0]
+
+    # Curvature at theta_star, computed by the first cell that reads it; a
+    # computation that raises fails that cell and is retried by the next.
+    @cached_property
+    def fisher(self) -> np.ndarray:
+        """Diagonal Fisher, per weight."""
+        return diag_fisher(self.spec, self.theta_star, self.data.X,
+                           child_seed(self.seed, "fisher"))
+
+    @cached_property
+    def blocks(self) -> list:
+        """`LayerEig` of each layer's block Hessian."""
+        return all_block_hessians(self.spec, self.theta_star, self.data.X)
 
 
 def _isotropic(ctx: GridContext, lam: float, center: np.ndarray):
@@ -207,26 +220,25 @@ def _skfac_block(ctx, beta, lam, cell_seed):
 
 @dataclass(frozen=True)
 class Family:
-    """How a posterior family is built and what it needs.
+    """How a posterior family is built.
 
     `build(ctx, beta, lam, cell_seed)` returns (posterior, KL against the
-    family's prior).  A family whose prior depends on the training data has
-    `valid_prior` False: its results are a sanity ceiling, not a bound.
+    family's prior); a family reads the curvature it needs from `ctx`.  A
+    family whose prior depends on the training data has `valid_prior`
+    False: its results are a sanity ceiling, not a bound.
     """
 
     build: Callable
     valid_prior: bool = True
-    needs_fisher: bool = False
-    needs_blocks: bool = False
 
 
 FAMILIES = {
     "iso-zero": Family(_iso_zero),
     "iso-init": Family(_iso_init),
-    "closed-diag": Family(_closed_diag, needs_fisher=True),
-    "closed-joint": Family(_closed_joint, valid_prior=False, needs_fisher=True),
+    "closed-diag": Family(_closed_diag),
+    "closed-joint": Family(_closed_joint, valid_prior=False),
     "vi-diag": Family(_vi_diag),
-    "skfac-block": Family(_skfac_block, needs_blocks=True),
+    "skfac-block": Family(_skfac_block),
 }
 
 
@@ -236,10 +248,6 @@ def build_posterior(family: str, beta: float, lam: float, ctx: GridContext,
     entry = FAMILIES.get(family)
     if entry is None:
         raise ValueError(f"unknown family {family!r}")
-    if entry.needs_fisher and ctx.fisher is None:
-        raise ValueError(f"{family} requires a diagonal Fisher estimate")
-    if entry.needs_blocks and ctx.blocks is None:
-        raise ValueError(f"{family} requires block Hessians")
     posterior, kl = entry.build(ctx, beta, lam, cell_seed)
     return posterior, kl, entry.valid_prior
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from pbcert import certify as cert
 from pbcert.config import ConfigError, RunConfig, load_config
-from pbcert.curvature import all_block_hessians, diag_fisher, landscape_probe
+from pbcert.curvature import landscape_probe
 from pbcert.data import collapse_classes, load_cifar_bin, load_idx, synthetic_blobs
 from pbcert.manifest import (
     load_dataset,
@@ -111,7 +111,8 @@ def _load_run(run_dir):
 
 def _check_sweep(config: RunConfig) -> tuple:
     """Families and beta and lambda grids, after rejecting a bad family
-    list, an empty or unbuildable grid, m < 1, or delta, delta' not in (0, 1)."""
+    list, an empty or unbuildable grid, a beta <= 0, m < 1, or delta, delta'
+    not in (0, 1)."""
     families = config.get("posterior", "families")
     if not families:
         raise UsageError(f"posterior.families is empty"
@@ -128,6 +129,9 @@ def _check_sweep(config: RunConfig) -> tuple:
     if not all(grids):
         raise UsageError("posterior.beta_count and posterior.lambda_count "
                          "must be at least 1")
+    if min(grids[0]) <= 0:
+        raise UsageError("posterior.beta_min and posterior.beta_max must be "
+                         "positive")
     if config.get("bound", "m") < 1:
         raise UsageError("bound.m must be at least 1")
     for key in ("delta", "delta_prime"):
@@ -136,26 +140,12 @@ def _check_sweep(config: RunConfig) -> tuple:
     return (families, *grids)
 
 
-def _curvature_for(families, record, train_ds, seed):
-    """Fisher / block Hessians, computed on demand for the families in use."""
-    used = [cert.FAMILIES[family] for family in families]
-    fisher = blocks = None
-    if any(family.needs_fisher for family in used):
-        fisher = diag_fisher(record.spec, record.theta_star, train_ds.X,
-                             child_seed(seed, "fisher"))
-    if any(family.needs_blocks for family in used):
-        blocks = all_block_hessians(record.spec, record.theta_star, train_ds.X)
-    return fisher, blocks
-
-
 def cmd_certify(config: RunConfig, run_dir) -> None:
     families, beta_grid, lambda_grid = _check_sweep(config)
     record, train_ds, test_ds = _load_run(_resolve_out(run_dir))
-    fisher, blocks = _curvature_for(families, record, train_ds,
-                                    config.get("run", "seed"))
     ctx = cert.GridContext(
         spec=record.spec, theta_star=record.theta_star, theta0=record.theta0,
-        data=train_ds, fisher=fisher, blocks=blocks, **config.grid_settings)
+        data=train_ds, **config.grid_settings)
     all_certs = []
     fronts = {}
     failed = 0
@@ -222,7 +212,7 @@ def cmd_probe(config: RunConfig, run_dir) -> None:
                     config.get("probe", "t_points")),
         config.get("probe", "lambdas"),
         config.get("run", "seed"),
-        config.get("train", "loss"),
+        record.config.loss,
     )
     out_dir = _resolve_out(run_dir)
     cert.write_landscape_csv(out_dir / "landscape.csv", probe)

@@ -20,7 +20,6 @@ import numpy as np
 
 from pbcert.nnet import (
     NetSpec,
-    ParamIndex,
     forward,
     loss,
     one_hot,
@@ -74,13 +73,13 @@ def diag_fisher(spec: NetSpec, theta: np.ndarray, X: np.ndarray,
     delta = one_hot(sampled, k) - probs
     if not np.all(np.isfinite(delta)):
         raise FloatingPointError("non-finite gradient in Fisher accumulation")
-    weights = ParamIndex(spec).to_matrices(theta)
+    weights = spec.to_matrices(theta)
     per_layer = [None] * len(weights)
     for i in range(len(weights) - 1, -1, -1):
         per_layer[i] = (delta ** 2).T @ (fp.activations[i] ** 2)
         if i > 0:
             delta = (delta @ weights[i]) * (fp.preactivations[i - 1] > 0)
-    return ParamIndex(spec).to_vector(per_layer)
+    return spec.to_vector(per_layer)
 
 
 def block_hessians(spec: NetSpec, theta: np.ndarray, X: np.ndarray) -> list:
@@ -188,8 +187,7 @@ def error_propagation_check(spec: NetSpec, theta: np.ndarray, data,
 
     `layers` restricts which layers are perturbed (default: all).
     """
-    index = ParamIndex(spec)
-    clean_w = index.to_matrices(theta)
+    clean_w = spec.to_matrices(theta)
     X = np.asarray(data.X, dtype=np.float64)
     n = X.shape[0]
     A = _rect_forward(clean_w, X)

@@ -16,10 +16,12 @@ from pathlib import Path
 import numpy as np
 
 from pbcert.data import Dataset
-from pbcert.nnet import NetSpec, ParamIndex, TrainerConfig, TrainRecord
+from pbcert.nnet import NetSpec, TrainerConfig, TrainRecord
 
 PARAMS_MAGIC = b"PBW1"
 DATASET_MAGIC = b"PBD1"
+# stems of the run's .bin files whose sha256 meta.json records
+RUN_FILES = ("theta0", "theta_star", "train_data", "test_data")
 
 
 class ManifestError(ValueError):
@@ -63,7 +65,7 @@ def _read_arrays(path, magic: bytes, dtypes) -> list:
 
 
 def save_params(path, spec: NetSpec, theta: np.ndarray) -> None:
-    mats = ParamIndex(spec).to_matrices(theta)
+    mats = spec.to_matrices(theta)
     _write_arrays(path, PARAMS_MAGIC, [m.astype("<f8") for m in mats])
 
 
@@ -72,7 +74,7 @@ def load_params(path, spec: NetSpec) -> np.ndarray:
     expected = spec.layer_shapes
     if [tuple(m.shape) for m in mats] != [tuple(s) for s in expected]:
         raise ManifestError(f"{path}: shapes do not match net spec")
-    return ParamIndex(spec).to_vector(mats)
+    return spec.to_vector(mats)
 
 
 def save_dataset(path, dataset: Dataset) -> None:
@@ -81,7 +83,10 @@ def save_dataset(path, dataset: Dataset) -> None:
 
 
 def load_dataset(path, k: int) -> Dataset:
-    X, y = _read_arrays(path, DATASET_MAGIC, ["<f8", "<i8"])
+    arrays = _read_arrays(path, DATASET_MAGIC, ["<f8", "<i8"])
+    if len(arrays) != 2:
+        raise ManifestError(f"{path}: {len(arrays)} arrays, expected 2")
+    X, y = arrays
     return Dataset(X=X, y=y, k=k)
 
 
@@ -90,7 +95,9 @@ def file_digest(path) -> str:
 
 
 def save_train_record(out_dir, record: TrainRecord, extra: dict = None) -> Path:
-    """Persist a training run: theta0/theta_star binaries + metadata JSON."""
+    """Persist a training run: theta0/theta_star binaries + metadata JSON.
+    The run's dataset files must already be in out_dir: meta.json records
+    the sha256 of all four .bin files."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_params(out_dir / "theta0.bin", record.spec, record.theta0)
@@ -102,9 +109,9 @@ def save_train_record(out_dir, record: TrainRecord, extra: dict = None) -> Path:
         "epoch_losses": record.epoch_losses,
         "final_train_error": record.final_train_error,
         "final_test_error": record.final_test_error,
-        "theta0_sha256": file_digest(out_dir / "theta0.bin"),
-        "theta_star_sha256": file_digest(out_dir / "theta_star.bin"),
     }
+    meta.update((f"{name}_sha256", file_digest(out_dir / f"{name}.bin"))
+                for name in RUN_FILES)
     if extra:
         meta.update(extra)
     with open(out_dir / "meta.json", "w") as f:
@@ -114,12 +121,13 @@ def save_train_record(out_dir, record: TrainRecord, extra: dict = None) -> Path:
 
 
 def load_train_record(run_dir) -> TrainRecord:
-    """Read a run written by save_train_record; a parameter file whose sha256
-    differs from the one meta.json recorded raises ManifestError."""
+    """Read a run written by save_train_record; a parameter or data file
+    whose sha256 differs from the one meta.json recorded raises
+    ManifestError."""
     run_dir = Path(run_dir)
     with open(run_dir / "meta.json") as f:
         meta = json.load(f)
-    for name in ("theta0", "theta_star"):
+    for name in RUN_FILES:
         if file_digest(run_dir / f"{name}.bin") != meta.get(f"{name}_sha256"):
             raise ManifestError(f"{run_dir / f'{name}.bin'}: sha256 differs "
                                 f"from meta.json")

@@ -53,42 +53,20 @@ class NetSpec:
     def n_params(self) -> int:
         return sum(r * c for r, c in self.layer_shapes)
 
-
-class ParamIndex:
-    """Maps the flat parameter vector to per-layer matrices and per-neuron
-    slices.  Layout is neuron-major: layer 0 neuron 0 row first."""
-
-    def __init__(self, spec: NetSpec):
-        self.spec = spec
-        self._layer_offsets = []
-        offset = 0
-        for rows, cols in spec.layer_shapes:
-            self._layer_offsets.append(offset)
-            offset += rows * cols
-        self.n_params = offset
-
-    def layer_slice(self, layer: int) -> slice:
-        rows, cols = self.spec.layer_shapes[layer]
-        start = self._layer_offsets[layer]
-        return slice(start, start + rows * cols)
-
-    def neuron_slice(self, layer: int, neuron: int) -> slice:
-        rows, cols = self.spec.layer_shapes[layer]
-        if not (0 <= neuron < rows):
-            raise IndexError(f"neuron {neuron} out of range for layer {layer}")
-        start = self._layer_offsets[layer] + neuron * cols
-        return slice(start, start + cols)
-
-    def to_matrices(self, values: np.ndarray) -> list:
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != (self.n_params,):
+    def to_matrices(self, theta: np.ndarray) -> list:
+        """Per-layer weight matrices of the flat parameter vector theta.
+        Layout is neuron-major: layer 0 neuron 0 row first."""
+        theta = np.asarray(theta, dtype=np.float64)
+        if theta.shape != (self.n_params,):
             raise ShapeMismatchError(
-                f"expected {self.n_params} parameters, got {values.shape}"
+                f"expected {self.n_params} parameters, got {theta.shape}"
             )
-        return [
-            values[self.layer_slice(i)].reshape(shape)
-            for i, shape in enumerate(self.spec.layer_shapes)
-        ]
+        matrices = []
+        start = 0
+        for rows, cols in self.layer_shapes:
+            matrices.append(theta[start:start + rows * cols].reshape(rows, cols))
+            start += rows * cols
+        return matrices
 
     def to_vector(self, matrices) -> np.ndarray:
         return np.concatenate([np.asarray(w, dtype=np.float64).ravel() for w in matrices])
@@ -127,7 +105,7 @@ def _inputs(spec: NetSpec, X: np.ndarray) -> np.ndarray:
 
 def forward(spec: NetSpec, theta: np.ndarray, X: np.ndarray) -> ForwardPass:
     X = _inputs(spec, X)
-    weights = ParamIndex(spec).to_matrices(theta)
+    weights = spec.to_matrices(theta)
     activations = [X]
     preacts = []
     for i, W in enumerate(weights):
@@ -163,14 +141,13 @@ def zero_one_errors(spec: NetSpec, thetas, X: np.ndarray,
     y = np.asarray(y)
     if np.any(y < 0) or np.any(y >= spec.widths[-1]):
         raise ValueError(f"labels out of range [0, {spec.widths[-1]})")
-    index = ParamIndex(spec)
     h1 = spec.widths[1]
     n = X.shape[0]
     thetas = iter(thetas)
     wrong = []
     # one buffer for every first-layer block keeps the peak at one block
     buffer = np.empty(min(n, _ROW_BLOCK) * _DRAW_GROUP * h1)
-    while group := [index.to_matrices(theta)
+    while group := [spec.to_matrices(theta)
                     for theta in itertools.islice(thetas, _DRAW_GROUP)]:
         W1 = np.concatenate([weights[0] for weights in group])
         group_wrong = [0] * len(group)
@@ -236,13 +213,13 @@ def grad(spec: NetSpec, theta: np.ndarray, X: np.ndarray, y: np.ndarray,
         delta = (softmax(fp.outputs) - Y) / n
     else:
         delta = 2.0 * (fp.outputs - Y) / (k * n)
-    weights = ParamIndex(spec).to_matrices(theta)
+    weights = spec.to_matrices(theta)
     grads = [None] * len(weights)
     for i in range(len(weights) - 1, -1, -1):
         grads[i] = delta.T @ fp.activations[i]
         if i > 0:
             delta = (delta @ weights[i]) * (fp.preactivations[i - 1] > 0)
-    return ParamIndex(spec).to_vector(grads)
+    return spec.to_vector(grads)
 
 
 @dataclass(frozen=True)
@@ -280,7 +257,7 @@ def init_params(spec: NetSpec, seed: int, gain: float) -> np.ndarray:
         rng.standard_normal((rows, cols)) * (gain / np.sqrt(cols))
         for rows, cols in spec.layer_shapes
     ]
-    return ParamIndex(spec).to_vector(mats)
+    return spec.to_vector(mats)
 
 
 def train(spec: NetSpec, data, config: TrainerConfig, seed: int,

@@ -28,7 +28,7 @@ from pbcert.curvature import (
 )
 from pbcert.data import Dataset, synthetic_blobs
 from pbcert.gaussians import chernoff_gap
-from pbcert.nnet import NetSpec, ParamIndex, TrainerConfig, forward, train
+from pbcert.nnet import NetSpec, TrainerConfig, forward, train
 from pbcert.posteriors import (
     closed_form_posterior,
     joint_optimal_diag,
@@ -238,11 +238,10 @@ def test_criterion_7_curvature_correctness(capsys):
     rng = np.random.default_rng(107)
     theta = 0.7 * rng.standard_normal(spec.n_params)
     X = rng.standard_normal((8, 3))
-    index = ParamIndex(spec)
     worst_block = 0.0
     for layer, H in enumerate(block_hessians(spec, theta, X)):
         A = forward(spec, theta, X).activations[layer]
-        w_star = theta[index.neuron_slice(layer, 0)]
+        w_star = spec.to_matrices(theta)[layer][0]
 
         def layer_error(w_row):
             return float(np.sum((A @ (w_row - w_star)) ** 2) / X.shape[0])

@@ -21,7 +21,6 @@ from pbcert.certify import (
     write_certificates_csv,
     write_pareto_csv,
 )
-from pbcert.curvature import all_block_hessians, diag_fisher
 from pbcert.gaussians import DiagGaussian, catoni_inv
 from pbcert.nnet import forward, loss
 
@@ -175,11 +174,8 @@ class TestParetoFront:
 def ctx(blob_data, trained_net):
     train_ds, _ = blob_data
     spec, record = trained_net
-    fisher = diag_fisher(spec, record.theta_star, train_ds.X, seed=3)
-    blocks = all_block_hessians(spec, record.theta_star, train_ds.X)
     return GridContext(spec=spec, theta_star=record.theta_star,
-                       theta0=record.theta0, data=train_ds, fisher=fisher,
-                       blocks=blocks,
+                       theta0=record.theta0, data=train_ds,
                        **settings("grid", m=8, seed=5, vi_epochs=1))
 
 
@@ -198,21 +194,6 @@ class TestGridSearch:
         invalid = [name for name, entry in FAMILIES.items()
                    if not entry.valid_prior]
         assert invalid == ["closed-joint"]
-
-    def test_missing_curvature_fails_cells(self, blob_data, trained_net):
-        train_ds, _ = blob_data
-        spec, record = trained_net
-        bare = GridContext(spec=spec, theta_star=record.theta_star,
-                           theta0=record.theta0, data=train_ds,
-                           **settings("grid", m=4, seed=0))
-        for family, entry in FAMILIES.items():
-            if not (entry.needs_fisher or entry.needs_blocks):
-                continue
-            result = grid_search(family, [1.0], [0.1], bare)
-            assert result.certificates == []
-            (_, _, message), = result.failures
-            needed = "Fisher" if entry.needs_fisher else "block Hessians"
-            assert f"{family} requires" in message and needed in message
 
     def test_iso_kl_scales_inversely_with_lambda(self, ctx):
         result = grid_search("iso-init", [1.0], [0.05, 0.1, 0.2], ctx)
@@ -238,19 +219,14 @@ class TestGridSearch:
         assert ca.bound_value == cb.bound_value
         assert ca.seed == cb.seed
 
-    def test_failures_recorded_and_sweep_continues(self, blob_data,
-                                                   trained_net):
-        train_ds, _ = blob_data
-        spec, record = trained_net
-        bare = GridContext(spec=spec, theta_star=record.theta_star,
-                           theta0=record.theta0, data=train_ds,
-                           **settings("grid", m=4, seed=0))
-        result = grid_search("closed-diag", [1.0, 2.0], [0.1], bare)
-        assert result.certificates == []
-        assert len(result.failures) == 2
-        beta, lam, message = result.failures[0]
-        assert (beta, lam) == (1.0, 0.1)
-        assert "Fisher" in message
+    def test_failures_recorded_and_sweep_continues(self, ctx):
+        # the lambda < 0 column fails cell by cell; the next column certifies
+        result = grid_search("iso-init", [1.0, 2.0], [-0.1, 0.1], ctx)
+        assert [(beta, lam) for beta, lam, _ in result.failures] == [
+            (1.0, -0.1), (2.0, -0.1)]
+        assert "variance must be strictly positive" in result.failures[0][2]
+        assert [(c.beta, c.lam) for c in result.certificates] == [
+            (1.0, 0.1), (2.0, 0.1)]
 
     def test_unknown_family_fails_cells(self, ctx):
         result = grid_search("mystery", [1.0], [0.1], ctx)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pbcert import cli
+from pbcert import certify, cli
 from pbcert.certify import FAMILIES, GridContext
 from pbcert.cli import main
 from pbcert.config import SCHEMA, ConfigError, load_config
@@ -273,6 +273,8 @@ class TestCliPipeline:
             ("posterior.beta_count=0", "beta_count and posterior.lambda_count"),
             ("posterior.lambda_count=0", "beta_count and posterior.lambda_count"),
             ("posterior.lambda_min=0", "bad posterior grid: Geometric sequence"),
+            ("posterior.beta_min=0", "beta_min and posterior.beta_max must be positive"),
+            ("posterior.beta_min=-1", "beta_min and posterior.beta_max must be positive"),
             ("bound.m=0", "bound.m must be at least 1"),
             ("bound.delta=0", "bound.delta must lie in (0, 1)"),
             ("bound.delta_prime=1.5", "bound.delta_prime must lie in (0, 1)"),
@@ -289,8 +291,8 @@ class TestCliPipeline:
             raise RuntimeError("work done for a bad sweep")
 
         monkeypatch.setattr(cli, "load_train_record", refuse)
-        monkeypatch.setattr(cli, "diag_fisher", refuse)
-        monkeypatch.setattr(cli, "all_block_hessians", refuse)
+        monkeypatch.setattr(certify, "diag_fisher", refuse)
+        monkeypatch.setattr(certify, "all_block_hessians", refuse)
         code = main(["certify", "--config", str(small_config), "--run", str(out),
                      "--set", setting])
         assert code == 2
@@ -305,19 +307,69 @@ class TestCliPipeline:
                      "--out", str(out)]) == 0
         calls = []
 
-        def refuse(name):
+        def counted(name):
+            real = getattr(certify, name)
+
             def fn(*args, **kwargs):
                 calls.append(name)
-                raise RuntimeError(f"{name} called")
+                return real(*args, **kwargs)
             return fn
 
-        monkeypatch.setattr(cli, "diag_fisher", refuse("fisher"))
-        monkeypatch.setattr(cli, "all_block_hessians", refuse("blocks"))
+        for name in ("diag_fisher", "all_block_hessians"):
+            monkeypatch.setattr(certify, name, counted(name))
         args = ["certify", "--config", str(small_config), "--run", str(out)]
-        assert main([*args, "--set", "posterior.families=iso-zero,iso-init"]) == 0
-        assert calls == []
+        for families, expected in [
+                ("iso-zero,iso-init", []),
+                ("closed-diag,closed-joint", ["diag_fisher"]),
+                ("skfac-block", ["all_block_hessians"])]:
+            calls.clear()
+            assert main([*args, "--set", f"posterior.families={families}"]) == 0
+            assert calls == expected, families
+
+    def test_curvature_failure_fails_only_its_cells(
+            self, small_config, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(small_config),
+                     "--out", str(out)]) == 0
+
+        def broken(*args, **kwargs):
+            raise FloatingPointError("no Fisher today")
+
+        monkeypatch.setattr(certify, "diag_fisher", broken)
+        args = ["certify", "--config", str(small_config), "--run", str(out)]
+        assert main([*args, "--set", "posterior.families=iso-zero,closed-diag"]) == 0
+        err = capsys.readouterr().err
+        assert "certify: 4 of 8 cells failed" in err
+        assert "[closed-diag beta=1.0 lambda=0.031]: FloatingPointError" in err
         assert main([*args, "--set", "posterior.families=closed-diag"]) == 1
-        assert calls == ["fisher"]
+        assert "certify: 4 of 4 cells failed" in capsys.readouterr().err
+
+    def test_certify_refuses_tampered_data(self, small_config, tmp_path,
+                                           capsys):
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(small_config),
+                     "--out", str(out)]) == 0
+        path = out / "train_data.bin"
+        payload = bytearray(path.read_bytes())
+        payload[len(payload) // 2] ^= 0x01     # one bit of one feature
+        path.write_bytes(bytes(payload))
+        code = main(["certify", "--config", str(small_config),
+                     "--run", str(out)])
+        assert code == 1
+        assert "train_data.bin: sha256 differs" in capsys.readouterr().err
+        assert not (out / "certificates.csv").exists()
+
+    def test_probe_uses_the_loss_the_run_was_trained_with(self, small_config,
+                                                          tmp_path):
+        out = tmp_path / "run"
+        args = ["--config", str(small_config)]
+        assert main(["train", *args, "--out", str(out)]) == 0
+
+        def probe(*overrides):
+            assert main(["probe", *args, *overrides, "--run", str(out)]) == 0
+            return (out / "landscape.csv").read_bytes()
+
+        assert probe() == probe("--set", "train.loss=mse")
 
     def test_train_exit_code_on_missing_idx(self, tmp_path):
         config = tmp_path / "idx.ini"

@@ -15,7 +15,7 @@ from pbcert.curvature import (
     landscape_probe,
 )
 from pbcert.data import Dataset, synthetic_blobs
-from pbcert.nnet import NetSpec, ParamIndex, forward, loss, softmax
+from pbcert.nnet import NetSpec, forward, loss, softmax
 from pbcert.posteriors import joint_optimal_diag
 from pbcert.rng import child_seed
 
@@ -75,8 +75,7 @@ class TestDiagFisher:
         spec = NetSpec((3, 2, 2))
         theta = random_theta(spec, seed=2)
         est = diag_fisher(spec, theta, np.zeros((5, 3)), seed=0)
-        first = ParamIndex(spec).layer_slice(0)
-        assert np.all(est[first] == 0.0)
+        assert np.all(spec.to_matrices(est)[0] == 0.0)
 
     def test_duplication_doubles(self):
         spec = NetSpec((3, 4, 2))
@@ -137,9 +136,8 @@ class TestBlockHessian:
         theta = random_theta(spec, seed=5)
         X = np.random.default_rng(6).standard_normal((7, 3))
         layer, neuron = 1, 0
-        index = ParamIndex(spec)
         A = forward(spec, theta, X).activations[layer]
-        w_star = theta[index.neuron_slice(layer, neuron)]
+        w_star = spec.to_matrices(theta)[layer][neuron]
 
         def layer_error(w_row):
             return float(np.sum((A @ (w_row - w_star)) ** 2) / X.shape[0])

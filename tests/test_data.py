@@ -15,7 +15,9 @@ from pbcert.data import (
     synthetic_blobs,
 )
 from pbcert.manifest import (
+    DATASET_MAGIC,
     ManifestError,
+    _write_arrays,
     file_digest,
     load_dataset,
     load_params,
@@ -202,6 +204,12 @@ class TestBlobs:
             synthetic_blobs(0, 4, 2, 1.0, seed=0)
 
 
+def save_data_files(run_dir, dataset):
+    """The two dataset files whose digests save_train_record records."""
+    save_dataset(run_dir / "train_data.bin", dataset)
+    save_dataset(run_dir / "test_data.bin", dataset)
+
+
 class TestManifest:
     def test_params_round_trip(self, tmp_path):
         spec = NetSpec((4, 3, 2))
@@ -241,6 +249,14 @@ class TestManifest:
         with pytest.raises(ManifestError, match=problem):
             load_dataset(path, ds.k)
 
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_wrong_array_count_rejected(self, tmp_path, count):
+        ds = synthetic_blobs(30, 4, 3, 2.0, seed=5)
+        path = tmp_path / "d.bin"
+        _write_arrays(path, DATASET_MAGIC, [ds.X, ds.y, ds.y][:count])
+        with pytest.raises(ManifestError, match=f"{count} arrays, expected 2"):
+            load_dataset(path, ds.k)
+
     def test_dataset_round_trip(self, tmp_path):
         ds = synthetic_blobs(30, 4, 3, 2.0, seed=5)
         save_dataset(tmp_path / "d.bin", ds)
@@ -253,6 +269,7 @@ class TestManifest:
         spec = NetSpec((12, 6, 3))
         config = TrainerConfig(**settings("train", epochs=1))
         record = train(spec, train_ds, config, seed=8)
+        save_data_files(tmp_path, train_ds)
         save_train_record(tmp_path, record)
         loaded = load_train_record(tmp_path)
         assert loaded.spec == spec
@@ -265,6 +282,7 @@ class TestManifest:
         train_ds, _ = blob_data
         config = TrainerConfig(**settings("train", epochs=1))
         record = train(NetSpec((12, 6, 3)), train_ds, config, seed=8)
+        save_data_files(tmp_path, train_ds)
         save_train_record(tmp_path, record)
         path = tmp_path / "theta_star.bin"
         payload = bytearray(path.read_bytes())

@@ -17,7 +17,6 @@ from pbcert.nnet import (
     _ROW_BLOCK,
     DivergenceError,
     NetSpec,
-    ParamIndex,
     ShapeMismatchError,
     TrainerConfig,
     forward,
@@ -34,7 +33,7 @@ from pbcert.nnet import (
 
 def naive_forward(spec, theta, X):
     """Independent loop-based oracle for the forward pass."""
-    weights = ParamIndex(spec).to_matrices(theta)
+    weights = spec.to_matrices(theta)
     outputs = np.empty((X.shape[0], spec.widths[-1]))
     for s in range(X.shape[0]):
         a = X[s]
@@ -60,36 +59,31 @@ class TestNetSpec:
         assert spec.layer_shapes == [(3, 5), (2, 3)]
         assert spec.n_params == 15 + 6
 
-
-class TestParamIndex:
     def test_round_trip(self):
         spec = NetSpec((4, 3, 2))
         theta = random_theta(spec, seed=0)
-        index = ParamIndex(spec)
-        assert np.array_equal(index.to_vector(index.to_matrices(theta)), theta)
+        assert np.array_equal(spec.to_vector(spec.to_matrices(theta)), theta)
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ShapeMismatchError):
-            ParamIndex(NetSpec((4, 3, 2))).to_matrices(np.zeros(5))
+            NetSpec((4, 3, 2)).to_matrices(np.zeros(5))
 
-    def test_neuron_slice_layout(self):
+    def test_neuron_major_layout(self):
+        # layer 0's three rows of 4 weights, then layer 1's two rows of 3
         spec = NetSpec((4, 3, 2))
-        index = ParamIndex(spec)
         theta = np.arange(spec.n_params, dtype=float)
-        W0 = index.to_matrices(theta)[0]
+        W0, W1 = spec.to_matrices(theta)
         for neuron in range(3):
-            assert np.array_equal(theta[index.neuron_slice(0, neuron)],
-                                  W0[neuron])
-
-    def test_neuron_out_of_range(self):
-        with pytest.raises(IndexError):
-            ParamIndex(NetSpec((4, 3, 2))).neuron_slice(0, 3)
+            assert np.array_equal(W0[neuron], theta[4 * neuron:4 * neuron + 4])
+        for neuron in range(2):
+            assert np.array_equal(W1[neuron],
+                                  theta[12 + 3 * neuron:12 + 3 * neuron + 3])
 
 
 class TestForward:
     def test_identity_weights_rectify_input(self):
         spec = NetSpec((3, 3, 3))
-        theta = ParamIndex(spec).to_vector([np.eye(3), np.eye(3)])
+        theta = spec.to_vector([np.eye(3), np.eye(3)])
         X = np.array([[1.0, -2.0, 0.5], [-1.0, -1.0, 3.0]])
         assert np.array_equal(forward(spec, theta, X).outputs, relu(X))
 
@@ -107,14 +101,11 @@ class TestForward:
     def test_preactivation_neuron_alignment(self):
         spec = NetSpec((4, 3, 2))
         theta = random_theta(spec, seed=1)
-        index = ParamIndex(spec)
         X = np.random.default_rng(2).standard_normal((6, 4))
         fp = forward(spec, theta, X)
-        for layer in range(spec.n_layers):
+        for layer, W in enumerate(spec.to_matrices(theta)):
             A_prev = fp.activations[layer]
-            rows, _ = spec.layer_shapes[layer]
-            for neuron in range(rows):
-                w = theta[index.neuron_slice(layer, neuron)]
+            for neuron, w in enumerate(W):
                 assert np.allclose(fp.preactivations[layer][:, neuron],
                                    A_prev @ w, atol=1e-12)
 
@@ -176,7 +167,7 @@ class TestZeroOneErrors:
             init_params(spec, seed=1, gain=settings("train")["init_gain"]), 1e-3)
         m = self.G + 1
         thetas = [sample_gaussian(posterior, seed=j) for j in range(m)]
-        W1 = [ParamIndex(spec).to_matrices(theta)[0] for theta in thetas]
+        W1 = [spec.to_matrices(theta)[0] for theta in thetas]
         stacked = X[:_ROW_BLOCK] @ np.concatenate(W1[:self.G]).T
         for g, W in enumerate(W1[:self.G]):
             assert np.array_equal(stacked[:, g * 100:(g + 1) * 100],
@@ -328,5 +319,5 @@ class TestTrain:
     def test_init_scale_follows_gain(self):
         spec = NetSpec((100, 50, 10))
         theta = init_params(spec, seed=1, gain=2.0)
-        W0 = ParamIndex(spec).to_matrices(theta)[0]
+        W0 = spec.to_matrices(theta)[0]
         assert W0.std() == pytest.approx(2.0 / np.sqrt(100), rel=0.1)

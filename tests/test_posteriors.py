@@ -5,7 +5,6 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from tests.conftest import settings
-from pbcert.certify import GridContext, build_posterior
 from pbcert.curvature import all_block_hessians, block_hessians
 from pbcert.gaussians import kl_block
 from pbcert.nnet import NetSpec
@@ -307,12 +306,3 @@ class TestSkfac:
         est = all_block_hessians(spec, record.theta_star, train_ds.X)
         post = skfac_posterior(spec, record.theta_star, est, 0.01, 0.1)
         assert kl_block(post, record.theta0, 0.1) >= 0.0
-
-    def test_requires_block_hessians(self, blob_data, trained_net):
-        train_ds, _ = blob_data
-        spec, record = trained_net
-        bare = GridContext(spec=spec, theta_star=record.theta_star,
-                           theta0=record.theta0, data=train_ds,
-                           **settings("grid"))
-        with pytest.raises(ValueError, match="requires block Hessians"):
-            build_posterior("skfac-block", 1.0, 0.1, bare, cell_seed=0)
