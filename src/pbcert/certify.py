@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field, fields
-from functools import cached_property
 from types import SimpleNamespace
 from typing import Callable
 
@@ -138,6 +137,25 @@ def assemble_bound(family: str, risk_mc: float, kl_nats: float, beta: float,
     )
 
 
+def _computed_once(compute):
+    """A property computed by its first read.  The outcome is kept whether
+    the computation returned or raised, so a failure is raised again to
+    every later reader without computing it again."""
+    name = compute.__name__
+
+    def read(ctx):
+        if name not in ctx.__dict__:
+            try:
+                ctx.__dict__[name] = compute(ctx), None
+            except Exception as exc:   # noqa: BLE001 - kept for later reads
+                ctx.__dict__[name] = None, exc
+        value, exc = ctx.__dict__[name]
+        if exc is not None:
+            raise exc
+        return value
+    return property(read, doc=compute.__doc__)
+
+
 @dataclass
 class GridContext:
     """Everything a family needs to build posteriors and evaluate cells."""
@@ -161,14 +179,14 @@ class GridContext:
         return np.asarray(self.data.X).shape[0]
 
     # Curvature at theta_star, computed by the first cell that reads it; a
-    # computation that raises fails that cell and is retried by the next.
-    @cached_property
+    # computation that raises fails every cell that reads it.
+    @_computed_once
     def fisher(self) -> np.ndarray:
         """Diagonal Fisher, per weight."""
         return diag_fisher(self.spec, self.theta_star, self.data.X,
                            child_seed(self.seed, "fisher"))
 
-    @cached_property
+    @_computed_once
     def blocks(self) -> list:
         """`LayerEig` of each layer's block Hessian."""
         return all_block_hessians(self.spec, self.theta_star, self.data.X)

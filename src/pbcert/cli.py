@@ -19,13 +19,9 @@ from pbcert import certify as cert
 from pbcert.config import ConfigError, RunConfig, load_config
 from pbcert.curvature import landscape_probe
 from pbcert.data import collapse_classes, load_cifar_bin, load_idx, synthetic_blobs
-from pbcert.manifest import (
-    load_dataset,
-    load_train_record,
-    save_dataset,
-    save_train_record,
-)
-from pbcert.nnet import NetSpec, TrainerConfig, train
+from pbcert.gaussians import union_bound_nats
+from pbcert.manifest import load_train_record, save_train_record
+from pbcert.nnet import LOSS_KINDS, OPTIMIZERS, NetSpec, TrainerConfig, train
 from pbcert.plotting import risk_complexity_svg
 from pbcert.rng import child_seed
 
@@ -79,15 +75,21 @@ def _build_datasets(config: RunConfig):
 
 
 def cmd_train(config: RunConfig, out_dir) -> Path:
+    optimizer = config.get("train", "optimizer")
+    if optimizer not in OPTIMIZERS:
+        raise UsageError(f"unknown train.optimizer {optimizer!r}"
+                         f" (optimizers: {', '.join(OPTIMIZERS)})")
+    loss_kind = config.get("train", "loss")
+    if loss_kind not in LOSS_KINDS or loss_kind == "zero_one":
+        trainable = [kind for kind in LOSS_KINDS if kind != "zero_one"]
+        raise UsageError(f"train.loss {loss_kind!r} cannot be trained"
+                         f" (losses: {', '.join(trainable)})")
     train_ds, test_ds = _build_datasets(config)
     spec = NetSpec((train_ds.d, *config.get("net", "hidden"), train_ds.k))
     record = train(spec, train_ds, TrainerConfig(**config.values["train"]),
                    config.get("run", "seed"), test_data=test_ds)
     out_dir = _resolve_out(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    save_dataset(out_dir / "train_data.bin", train_ds)
-    save_dataset(out_dir / "test_data.bin", test_ds)
-    save_train_record(out_dir, record, extra={
+    save_train_record(out_dir, record, train_ds, test_ds, extra={
         "k": train_ds.k,
         "collapse": config.get("data", "collapse"),
         "data_source": config.get("data", "source"),
@@ -102,17 +104,13 @@ def _load_run(run_dir):
     run_dir = Path(run_dir)
     if not (run_dir / "meta.json").exists():
         raise UsageError(f"run manifest not found: {run_dir / 'meta.json'}")
-    record = load_train_record(run_dir)
-    k = record.spec.widths[-1]     # one output unit per class
-    train_ds = load_dataset(run_dir / "train_data.bin", k)
-    test_ds = load_dataset(run_dir / "test_data.bin", k)
-    return record, train_ds, test_ds
+    return load_train_record(run_dir)
 
 
 def _check_sweep(config: RunConfig) -> tuple:
     """Families and beta and lambda grids, after rejecting a bad family
-    list, an empty or unbuildable grid, a beta <= 0, m < 1, or delta, delta'
-    not in (0, 1)."""
+    list, an empty or unbuildable grid, a beta <= 0, m < 1, delta or delta'
+    not in (0, 1), or a lambda whose union-bound penalty has no value."""
     families = config.get("posterior", "families")
     if not families:
         raise UsageError(f"posterior.families is empty"
@@ -137,6 +135,13 @@ def _check_sweep(config: RunConfig) -> tuple:
     for key in ("delta", "delta_prime"):
         if not 0.0 < config.get("bound", key) < 1.0:
             raise UsageError(f"bound.{key} must lie in (0, 1)")
+    bound = config.values["bound"]
+    for lam in grids[1]:
+        try:
+            union_bound_nats(lam, bound["b"], bound["c"], bound["delta"])
+        except ValueError as exc:
+            raise UsageError(f"bad lambda grid for bound.b={bound['b']}, "
+                             f"bound.c={bound['c']}: {exc}") from exc
     return (families, *grids)
 
 

@@ -119,29 +119,20 @@ def _quadratic_fit(t: np.ndarray, values: np.ndarray):
 
 
 def landscape_probe(spec: NetSpec, theta: np.ndarray, data, n_directions: int,
-                    t_grid, lambdas, seed: int, loss_kind: str,
-                    loss_fn=None) -> LandscapeProbe:
+                    t_grid, lambdas, seed: int, loss_kind: str) -> LandscapeProbe:
     """Loss curves L(theta + t v) along random unit directions, with
-    per-direction least-squares quadratic fits.
-
-    `loss_fn(theta_vector)`, when given, replaces the network loss so
-    arbitrary analytic landscapes can be probed.
-    """
+    per-direction least-squares quadratic fits."""
     t_grid = np.asarray(t_grid, dtype=np.float64)
     rng = rng_for(seed, "landscape")
     d = theta.shape[0]
     directions = rng.standard_normal((n_directions, d))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-    if loss_fn is None:
-        X, y = np.asarray(data.X), np.asarray(data.y)
-
-        def loss_fn(point):
-            return loss(loss_kind, forward(spec, point, X).outputs, y)
-
+    X, y = np.asarray(data.X), np.asarray(data.y)
     losses = np.empty((n_directions, t_grid.shape[0]))
     for i in range(n_directions):
         for j, t in enumerate(t_grid):
-            losses[i, j] = loss_fn(theta + t * directions[i])
+            point = theta + t * directions[i]
+            losses[i, j] = loss(loss_kind, forward(spec, point, X).outputs, y)
     coeffs = np.empty((n_directions, 3))
     r2 = np.empty(n_directions)
     for i in range(n_directions):

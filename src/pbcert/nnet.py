@@ -16,6 +16,7 @@ import numpy as np
 from pbcert.rng import rng_for
 
 LOSS_KINDS = ("zero_one", "categorical", "mse")
+OPTIMIZERS = ("sgd", "adam")
 
 
 class ShapeMismatchError(ValueError):
@@ -225,7 +226,7 @@ def grad(spec: NetSpec, theta: np.ndarray, X: np.ndarray, y: np.ndarray,
 @dataclass(frozen=True)
 class TrainerConfig:
     # the [train] settings (defaults in config.SCHEMA), then Adam constants
-    optimizer: str                # "sgd" or "adam"
+    optimizer: str                # one of OPTIMIZERS
     lr: float
     momentum: float
     decay: float                  # lr_t = lr / (1 + decay * t)
@@ -263,6 +264,8 @@ def init_params(spec: NetSpec, seed: int, gain: float) -> np.ndarray:
 def train(spec: NetSpec, data, config: TrainerConfig, seed: int,
           test_data=None) -> TrainRecord:
     """Deterministic minibatch training; records theta0 before any update."""
+    if config.optimizer not in OPTIMIZERS:
+        raise ValueError(f"unknown optimizer {config.optimizer!r}")
     X, y = np.asarray(data.X, dtype=np.float64), np.asarray(data.y)
     theta0 = init_params(spec, seed, config.init_gain)
     theta = np.array(theta0)
@@ -283,14 +286,12 @@ def train(spec: NetSpec, data, config: TrainerConfig, seed: int,
             if config.optimizer == "sgd":
                 velocity = config.momentum * velocity - lr * g
                 theta = theta + velocity
-            elif config.optimizer == "adam":
+            else:   # adam
                 m1 = config.adam_beta1 * m1 + (1 - config.adam_beta1) * g
                 m2 = config.adam_beta2 * m2 + (1 - config.adam_beta2) * g * g
                 m1_hat = m1 / (1 - config.adam_beta1 ** step)
                 m2_hat = m2 / (1 - config.adam_beta2 ** step)
                 theta = theta - lr * m1_hat / (np.sqrt(m2_hat) + config.adam_eps)
-            else:
-                raise ValueError(f"unknown optimizer {config.optimizer!r}")
         epoch_loss = loss(config.loss, forward(spec, theta, X).outputs, y)
         if not np.isfinite(epoch_loss):
             raise DivergenceError(f"loss diverged at epoch {len(epoch_losses)}")

@@ -1,6 +1,8 @@
 """Run configuration, CLI subcommands, and SVG rendering."""
 
+import builtins
 import csv
+import io
 import re
 from dataclasses import MISSING, fields
 from pathlib import Path
@@ -17,6 +19,8 @@ from pbcert.plotting import risk_complexity_svg
 
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).parent.parent / "README.md"
+
+RUN_BINS = ("theta0.bin", "theta_star.bin", "train_data.bin", "test_data.bin")
 
 SMALL_CONFIG = """
 [data]
@@ -154,8 +158,7 @@ class TestCliPipeline:
         out = tmp_path / "run"
         assert main(["train", "--config", str(small_config),
                      "--out", str(out)]) == 0
-        for name in ("meta.json", "theta0.bin", "theta_star.bin",
-                     "train_data.bin", "test_data.bin"):
+        for name in ("meta.json", *RUN_BINS):
             assert (out / name).exists()
         assert "train_error" in capsys.readouterr().out
 
@@ -230,17 +233,24 @@ class TestCliPipeline:
                      "--run", str(tmp_path / "nowhere")])
         assert code == 2
 
-    def test_certify_exit_code_when_every_cell_fails(self, small_config,
-                                                     tmp_path, capsys):
+    def test_certify_exit_code_when_every_cell_fails(
+            self, small_config, tmp_path, capsys, monkeypatch):
         out = tmp_path / "run"
         assert main(["train", "--config", str(small_config),
                      "--out", str(out)]) == 0
-        # a negative lambda grid: every isotropic posterior is rejected
+        calls = []
+
+        def broken(*args, **kwargs):
+            calls.append(1)
+            raise FloatingPointError("no Fisher today")
+
+        # every closed-diag cell reads the Fisher, which is computed once
+        monkeypatch.setattr(certify, "diag_fisher", broken)
         code = main(["certify", "--config", str(small_config), "--run", str(out),
-                     "--set", "posterior.lambda_min=-0.3",
-                     "--set", "posterior.lambda_max=-0.031"])
+                     "--set", "posterior.families=closed-diag"])
         assert code == 1
-        assert "certify: 8 of 8 cells failed" in capsys.readouterr().err
+        assert "certify: 4 of 4 cells failed" in capsys.readouterr().err
+        assert len(calls) == 1
         assert not (out / "certificates.csv").exists()
 
     def test_retrain_in_place_uses_fresh_curvature(self, small_config,
@@ -278,6 +288,9 @@ class TestCliPipeline:
             ("bound.m=0", "bound.m must be at least 1"),
             ("bound.delta=0", "bound.delta must lie in (0, 1)"),
             ("bound.delta_prime=1.5", "bound.delta_prime must lie in (0, 1)"),
+            ("posterior.lambda_max=0.995", "lambda must be at most c exp(-1/b)"),
+            ("bound.c=0.01", "lambda must lie in (0, c); got lambda=0.031"),
+            ("bound.b=0", "b and c must be positive"),
         ]),
     ])
     def test_certify_rejects_bad_families_before_work(
@@ -344,20 +357,44 @@ class TestCliPipeline:
         assert main([*args, "--set", "posterior.families=closed-diag"]) == 1
         assert "certify: 4 of 4 cells failed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", RUN_BINS)
     def test_certify_refuses_tampered_data(self, small_config, tmp_path,
-                                           capsys):
+                                           capsys, name):
         out = tmp_path / "run"
         assert main(["train", "--config", str(small_config),
                      "--out", str(out)]) == 0
-        path = out / "train_data.bin"
+        path = out / name
         payload = bytearray(path.read_bytes())
-        payload[len(payload) // 2] ^= 0x01     # one bit of one feature
+        payload[len(payload) // 2] ^= 0x01     # one bit of one payload value
         path.write_bytes(bytes(payload))
         code = main(["certify", "--config", str(small_config),
                      "--run", str(out)])
         assert code == 1
-        assert "train_data.bin: sha256 differs" in capsys.readouterr().err
+        assert f"{name}: sha256 differs" in capsys.readouterr().err
         assert not (out / "certificates.csv").exists()
+
+    def test_each_run_file_is_read_once(self, small_config, tmp_path,
+                                        monkeypatch):
+        out = tmp_path / "run"
+        args = ["--config", str(small_config)]
+        opened = []
+
+        def counted(real):
+            def open_(file, mode="r", *rest, **kwargs):
+                opened.append((Path(str(file)).name, mode))
+                return real(file, mode, *rest, **kwargs)
+            return open_
+
+        monkeypatch.setattr(builtins, "open", counted(builtins.open))
+        monkeypatch.setattr(io, "open", counted(io.open))
+        assert main(["train", *args, "--out", str(out)]) == 0
+        bins = [(name, mode) for name, mode in opened if name in RUN_BINS]
+        assert sorted(bins) == sorted((name, "wb") for name in RUN_BINS)
+        for command in ("certify", "probe"):
+            opened.clear()
+            assert main([command, *args, "--run", str(out)]) == 0
+            bins = [(name, mode) for name, mode in opened if name in RUN_BINS]
+            assert sorted(bins) == sorted((name, "rb") for name in RUN_BINS)
 
     def test_probe_uses_the_loss_the_run_was_trained_with(self, small_config,
                                                           tmp_path):
@@ -370,6 +407,28 @@ class TestCliPipeline:
             return (out / "landscape.csv").read_bytes()
 
         assert probe() == probe("--set", "train.loss=mse")
+
+    @pytest.mark.parametrize("setting, message", [
+        pytest.param(setting, message, id=setting) for setting, message in [
+            ("train.optimizer=rmsprop",
+             "unknown train.optimizer 'rmsprop' (optimizers: sgd, adam)"),
+            ("train.loss=zero_one", "train.loss 'zero_one' cannot be trained "
+                                    "(losses: categorical, mse)"),
+            ("train.loss=hinge", "train.loss 'hinge' cannot be trained "
+                                 "(losses: categorical, mse)"),
+        ]])
+    def test_train_rejects_untrainable_settings_before_work(
+            self, small_config, tmp_path, capsys, monkeypatch, setting,
+            message):
+        def refuse(*args, **kwargs):
+            raise RuntimeError("datasets built for a bad trainer")
+
+        monkeypatch.setattr(cli, "_build_datasets", refuse)
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(small_config), "--out", str(out),
+                     "--set", setting]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_train_exit_code_on_missing_idx(self, tmp_path):
         config = tmp_path / "idx.ini"

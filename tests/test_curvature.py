@@ -217,20 +217,21 @@ class TestLandscapeProbe:
         assert np.allclose(norms, 1.0, atol=1e-10)
 
     def test_quadratic_toy_fits_exactly(self):
-        spec = NetSpec((2, 2, 2))
-        theta = np.zeros(spec.n_params)
-        probe = landscape_probe(
-            spec, theta, None, 4, np.linspace(-3, 3, 11), [], seed=3,
-            loss_kind=LOSS, loss_fn=lambda p: float(p @ p))
-        assert np.all(probe.fit_r2 >= 1.0 - 1e-10)
+        t = np.linspace(-3, 3, 11)
+        coeffs, r2 = curvature._quadratic_fit(t, 2.5 * t ** 2 - 0.5 * t + 1.0)
+        assert np.allclose(coeffs, [2.5, -0.5, 1.0], atol=1e-12)
+        assert r2 == pytest.approx(1.0, abs=1e-12)
 
-    def test_bubble_radius_formula(self):
-        spec = NetSpec((2, 2, 2))
-        theta = np.zeros(10000)
-        probe = landscape_probe(
-            spec, theta, None, 1, np.array([-1.0, 0.0, 1.0]), [0.04], seed=4,
-            loss_kind=LOSS, loss_fn=lambda p: float(p @ p))
-        assert probe.bubble_radii[0.04] == pytest.approx(20.0, abs=1e-12)
+    def test_bubble_radius_formula(self, blob_data):
+        train_ds, _ = blob_data
+        spec = NetSpec((12, 5, 3))
+        theta = random_theta(spec, seed=4)
+        probe = landscape_probe(spec, theta, train_ds, 1,
+                                np.array([-1.0, 0.0, 1.0]), [0.04, 0.5],
+                                seed=4, loss_kind=LOSS)
+        for lam in (0.04, 0.5):
+            assert probe.bubble_radii[lam] == pytest.approx(
+                np.sqrt(lam * spec.n_params), abs=1e-12)
 
 
 class TestErrorPropagation:

@@ -1,5 +1,6 @@
 """Dataset loaders, class collapsing, synthetic blobs, and run manifests."""
 
+import hashlib
 import struct
 
 import numpy as np
@@ -18,7 +19,6 @@ from pbcert.manifest import (
     DATASET_MAGIC,
     ManifestError,
     _write_arrays,
-    file_digest,
     load_dataset,
     load_params,
     load_train_record,
@@ -204,38 +204,42 @@ class TestBlobs:
             synthetic_blobs(0, 4, 2, 1.0, seed=0)
 
 
-def save_data_files(run_dir, dataset):
-    """The two dataset files whose digests save_train_record records."""
-    save_dataset(run_dir / "train_data.bin", dataset)
-    save_dataset(run_dir / "test_data.bin", dataset)
+def rewrite(path, data: bytes) -> str:
+    """Replace a file's bytes; returns their sha256, so a load reaches the
+    structural checks behind the digest check."""
+    path.write_bytes(data)
+    return hashlib.sha256(data).hexdigest()
 
 
 class TestManifest:
     def test_params_round_trip(self, tmp_path):
         spec = NetSpec((4, 3, 2))
         theta = np.random.default_rng(0).standard_normal(spec.n_params)
-        save_params(tmp_path / "w.bin", spec, theta)
-        assert np.array_equal(load_params(tmp_path / "w.bin", spec), theta)
+        digest = save_params(tmp_path / "w.bin", spec, theta)
+        assert digest == hashlib.sha256(
+            (tmp_path / "w.bin").read_bytes()).hexdigest()
+        assert np.array_equal(load_params(tmp_path / "w.bin", spec, digest),
+                              theta)
 
     def test_params_wrong_spec(self, tmp_path):
         spec = NetSpec((4, 3, 2))
-        save_params(tmp_path / "w.bin", spec, np.zeros(spec.n_params))
+        digest = save_params(tmp_path / "w.bin", spec, np.zeros(spec.n_params))
         with pytest.raises(ManifestError, match="spec"):
-            load_params(tmp_path / "w.bin", NetSpec((4, 4, 2)))
+            load_params(tmp_path / "w.bin", NetSpec((4, 4, 2)), digest)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"
-        path.write_bytes(b"XXXX" + bytes(16))
+        digest = rewrite(path, b"XXXX" + bytes(16))
         with pytest.raises(ManifestError, match="magic"):
-            load_params(path, NetSpec((2, 2, 2)))
+            load_params(path, NetSpec((2, 2, 2)), digest)
 
     def test_truncated_payload(self, tmp_path):
         spec = NetSpec((4, 3, 2))
         path = tmp_path / "w.bin"
         save_params(path, spec, np.zeros(spec.n_params))
-        path.write_bytes(path.read_bytes()[:-8])
+        digest = rewrite(path, path.read_bytes()[:-8])
         with pytest.raises(ManifestError, match="truncated"):
-            load_params(path, spec)
+            load_params(path, spec, digest)
 
     @pytest.mark.parametrize("cut, problem", [
         (6, "truncated header"), (12, "truncated header"),
@@ -245,56 +249,50 @@ class TestManifest:
         path = tmp_path / "d.bin"
         save_dataset(path, ds)
         data = path.read_bytes()
-        path.write_bytes(data[:cut] if cut else data + bytes(800))
+        digest = rewrite(path, data[:cut] if cut else data + bytes(800))
         with pytest.raises(ManifestError, match=problem):
-            load_dataset(path, ds.k)
+            load_dataset(path, ds.k, digest)
 
     @pytest.mark.parametrize("count", [1, 3])
     def test_wrong_array_count_rejected(self, tmp_path, count):
         ds = synthetic_blobs(30, 4, 3, 2.0, seed=5)
         path = tmp_path / "d.bin"
-        _write_arrays(path, DATASET_MAGIC, [ds.X, ds.y, ds.y][:count])
+        digest = _write_arrays(path, DATASET_MAGIC, [ds.X, ds.y, ds.y][:count])
         with pytest.raises(ManifestError, match=f"{count} arrays, expected 2"):
-            load_dataset(path, ds.k)
+            load_dataset(path, ds.k, digest)
 
     def test_dataset_round_trip(self, tmp_path):
         ds = synthetic_blobs(30, 4, 3, 2.0, seed=5)
-        save_dataset(tmp_path / "d.bin", ds)
-        loaded = load_dataset(tmp_path / "d.bin", ds.k)
+        digest = save_dataset(tmp_path / "d.bin", ds)
+        loaded = load_dataset(tmp_path / "d.bin", ds.k, digest)
         assert np.array_equal(loaded.X, ds.X)
         assert np.array_equal(loaded.y, ds.y)
 
     def test_train_record_round_trip(self, tmp_path, blob_data):
-        train_ds, _ = blob_data
+        train_ds, test_ds = blob_data
         spec = NetSpec((12, 6, 3))
         config = TrainerConfig(**settings("train", epochs=1))
         record = train(spec, train_ds, config, seed=8)
-        save_data_files(tmp_path, train_ds)
-        save_train_record(tmp_path, record)
-        loaded = load_train_record(tmp_path)
+        save_train_record(tmp_path, record, train_ds, test_ds)
+        loaded, loaded_train, loaded_test = load_train_record(tmp_path)
         assert loaded.spec == spec
         assert np.array_equal(loaded.theta_star, record.theta_star)
         assert np.array_equal(loaded.theta0, record.theta0)
         assert loaded.config == record.config
         assert loaded.epoch_losses == record.epoch_losses
+        for ds, back in ((train_ds, loaded_train), (test_ds, loaded_test)):
+            assert np.array_equal(back.X, ds.X)
+            assert np.array_equal(back.y, ds.y)
+            assert back.k == ds.k
 
     def test_tampered_parameters_rejected(self, tmp_path, blob_data):
-        train_ds, _ = blob_data
+        train_ds, test_ds = blob_data
         config = TrainerConfig(**settings("train", epochs=1))
         record = train(NetSpec((12, 6, 3)), train_ds, config, seed=8)
-        save_data_files(tmp_path, train_ds)
-        save_train_record(tmp_path, record)
+        save_train_record(tmp_path, record, train_ds, test_ds)
         path = tmp_path / "theta_star.bin"
         payload = bytearray(path.read_bytes())
         payload[-1] ^= 0x01
         path.write_bytes(bytes(payload))
         with pytest.raises(ManifestError, match="theta_star.bin"):
             load_train_record(tmp_path)
-
-    def test_digest_tracks_contents(self, tmp_path):
-        path = tmp_path / "f.bin"
-        path.write_bytes(b"payload")
-        before = file_digest(path)
-        assert file_digest(path) == before
-        path.write_bytes(b"payload2")
-        assert file_digest(path) != before
