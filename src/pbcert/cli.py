@@ -17,12 +17,13 @@ import numpy as np
 
 from pbcert import certify as cert
 from pbcert.config import ConfigError, RunConfig, load_config
-from pbcert.curvature import landscape_probe
+from pbcert.curvature import check_probe_settings, landscape_probe
 from pbcert.data import collapse_classes, load_cifar_bin, load_idx, synthetic_blobs
 from pbcert.gaussians import union_bound_nats
 from pbcert.manifest import load_train_record, save_train_record
 from pbcert.nnet import LOSS_KINDS, OPTIMIZERS, NetSpec, TrainerConfig, train
 from pbcert.plotting import risk_complexity_svg
+from pbcert.posteriors import check_vi_settings
 from pbcert.rng import child_seed
 
 
@@ -109,8 +110,9 @@ def _load_run(run_dir):
 
 def _check_sweep(config: RunConfig) -> tuple:
     """Families and beta and lambda grids, after rejecting a bad family
-    list, an empty or unbuildable grid, a beta <= 0, m < 1, delta or delta'
-    not in (0, 1), or a lambda whose union-bound penalty has no value."""
+    list, an empty or unbuildable grid, a beta <= 0, a VI schedule with no
+    descent step, m < 1, delta or delta' not in (0, 1), or a lambda whose
+    union-bound penalty has no value."""
     families = config.get("posterior", "families")
     if not families:
         raise UsageError(f"posterior.families is empty"
@@ -135,6 +137,12 @@ def _check_sweep(config: RunConfig) -> tuple:
     for key in ("delta", "delta_prime"):
         if not 0.0 < config.get("bound", key) < 1.0:
             raise UsageError(f"bound.{key} must lie in (0, 1)")
+    try:
+        check_vi_settings(config.get("posterior", "vi_epochs"),
+                          config.get("posterior", "vi_batch_size"),
+                          config.get("posterior", "vi_lr"))
+    except ValueError as exc:
+        raise UsageError(f"bad VI setting: posterior.{exc}") from exc
     bound = config.values["bound"]
     for lam in grids[1]:
         try:
@@ -209,16 +217,19 @@ def cmd_plot(csv_paths, out_path, log_x: bool, title: str) -> None:
 
 
 def cmd_probe(config: RunConfig, run_dir) -> None:
+    n_directions = config.get("probe", "n_directions")
+    lambdas = config.get("probe", "lambdas")
+    try:
+        t_grid = np.linspace(config.get("probe", "t_min"),
+                             config.get("probe", "t_max"),
+                             config.get("probe", "t_points"))
+        check_probe_settings(n_directions, t_grid, lambdas)
+    except ValueError as exc:
+        raise UsageError(f"bad probe setting: {exc}") from exc
     record, train_ds, _ = _load_run(_resolve_out(run_dir))
-    probe = landscape_probe(
-        record.spec, record.theta_star, train_ds,
-        config.get("probe", "n_directions"),
-        np.linspace(config.get("probe", "t_min"), config.get("probe", "t_max"),
-                    config.get("probe", "t_points")),
-        config.get("probe", "lambdas"),
-        config.get("run", "seed"),
-        record.config.loss,
-    )
+    probe = landscape_probe(record.spec, record.theta_star, train_ds,
+                            n_directions, t_grid, lambdas,
+                            config.get("run", "seed"), record.config.loss)
     out_dir = _resolve_out(run_dir)
     cert.write_landscape_csv(out_dir / "landscape.csv", probe)
     for i, r2 in enumerate(probe.fit_r2):

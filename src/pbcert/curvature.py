@@ -21,6 +21,7 @@ import numpy as np
 from pbcert.nnet import (
     NetSpec,
     forward,
+    later_layers,
     loss,
     one_hot,
     relu,
@@ -118,21 +119,55 @@ def _quadratic_fit(t: np.ndarray, values: np.ndarray):
     return coeffs, r2
 
 
+def check_probe_settings(n_directions: int, t_grid, lambdas) -> None:
+    """Reject a probe with no direction, fewer than 3 distinct t values (a
+    quadratic fit needs 3) or a lambda <= 0 (which has no bubble radius)."""
+    if n_directions < 1:
+        raise ValueError(f"n_directions must be at least 1; got {n_directions}")
+    distinct = len(set(np.asarray(t_grid).tolist()))
+    if distinct < 3:
+        raise ValueError(f"the t grid has {distinct} distinct values; "
+                         f"a quadratic fit needs at least 3")
+    for lam in lambdas:
+        if not lam > 0:
+            raise ValueError(f"every lambda must be positive; got {lam}")
+
+
 def landscape_probe(spec: NetSpec, theta: np.ndarray, data, n_directions: int,
                     t_grid, lambdas, seed: int, loss_kind: str) -> LandscapeProbe:
     """Loss curves L(theta + t v) along random unit directions, with
-    per-direction least-squares quadratic fits."""
+    per-direction least-squares quadratic fits.
+
+    The first layer is linear in t: X (W1 + t V1)' = S + t X V1'.  So S is
+    read from one forward pass at theta, X V1' is one product P per
+    direction, and each point runs only relu(S + t P), the later layers and
+    the loss.  The losses equal a forward pass per point up to rounding, and
+    at t = 0 those of `forward(spec, theta, X)` bit for bit.  S, P, the
+    point's first-layer activations and one later layer's take the place of
+    a forward pass's S1, A1, S2 and A2, so with h2 >= h1 (as on the desk
+    net) the probe holds no more than one forward pass.
+    """
     t_grid = np.asarray(t_grid, dtype=np.float64)
+    check_probe_settings(n_directions, t_grid, lambdas)
     rng = rng_for(seed, "landscape")
     d = theta.shape[0]
     directions = rng.standard_normal((n_directions, d))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-    X, y = np.asarray(data.X), np.asarray(data.y)
+    X, y = np.asarray(data.X, dtype=np.float64), np.asarray(data.y)
+    S = forward(spec, theta, X).preactivations[0]
+    P = np.empty_like(S)
+    A1 = np.empty_like(S)
+    later_star = spec.to_matrices(theta)[1:]
     losses = np.empty((n_directions, t_grid.shape[0]))
-    for i in range(n_directions):
+    for i, direction in enumerate(directions):
+        V = spec.to_matrices(direction)
+        np.matmul(X, V[0].T, out=P)
         for j, t in enumerate(t_grid):
-            point = theta + t * directions[i]
-            losses[i, j] = loss(loss_kind, forward(spec, point, X).outputs, y)
+            np.multiply(P, t, out=A1)
+            A1 += S
+            np.maximum(A1, 0.0, out=A1)
+            later = [W + t * dW for W, dW in zip(later_star, V[1:])]
+            losses[i, j] = loss(loss_kind, later_layers(A1, later), y)
     coeffs = np.empty((n_directions, 3))
     r2 = np.empty(n_directions)
     for i in range(n_directions):

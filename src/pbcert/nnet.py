@@ -116,6 +116,20 @@ def forward(spec: NetSpec, theta: np.ndarray, X: np.ndarray) -> ForwardPass:
     return ForwardPass(activations, preacts)
 
 
+def later_layers(A1: np.ndarray, weights) -> np.ndarray:
+    """Raw outputs of the layers after the first, given the first layer's
+    activations A1 and the weight matrices of the later layers.
+
+    Each hidden layer's rectifier runs in place on its fresh product, so
+    one activation array per layer is alive at a time; A1 is not written.
+    """
+    A = A1
+    for W in weights[:-1]:
+        A = A @ W.T
+        np.maximum(A, 0.0, out=A)
+    return A @ weights[-1].T
+
+
 # Draws whose first-layer weights share one product, and rows of X per
 # product.  At the desk shape (h1 = 100) one preactivation block is
 # 2048 x 800 float64 = 13 MB, against 63 MB for a 10k x 784 X.
@@ -160,10 +174,7 @@ def zero_one_errors(spec: NetSpec, thetas, X: np.ndarray,
             np.maximum(A1, 0.0, out=A1)
             labels = y[start:start + _ROW_BLOCK]
             for g, weights in enumerate(group):
-                A = A1[:, g * h1:(g + 1) * h1]
-                for W in weights[1:-1]:
-                    A = relu(A @ W.T)
-                outputs = A @ weights[-1].T
+                outputs = later_layers(A1[:, g * h1:(g + 1) * h1], weights[1:])
                 group_wrong[g] += int(np.count_nonzero(
                     np.argmax(outputs, axis=1) != labels))
         wrong.extend(group_wrong)

@@ -120,6 +120,17 @@ def quadratic_objective_block(hessians, block_covs, neuron_counts,
     return total
 
 
+def check_vi_settings(epochs: int, batch_size: int, lr: float) -> None:
+    """Reject a VI schedule that takes no step (fewer than 1 epoch or a
+    batch size below 1) or that climbs the surrogate (lr <= 0)."""
+    if epochs < 1:
+        raise ValueError(f"vi_epochs must be at least 1; got {epochs}")
+    if batch_size < 1:
+        raise ValueError(f"vi_batch_size must be at least 1; got {batch_size}")
+    if not lr > 0:
+        raise ValueError(f"vi_lr must be positive; got {lr}")
+
+
 @dataclass
 class VIResult:
     posterior: DiagGaussian
@@ -143,6 +154,8 @@ def vi_optimize_log_sigma(grad_fn, theta_star: np.ndarray, lam: float,
     spins through the rest of the step, and the result is then the same on
     every host.
     """
+    # steps_per_epoch is at least 1 exactly when the batch size is
+    check_vi_settings(epochs, steps_per_epoch, lr)
     d = theta_star.shape[0]
     log_sigma = np.full(d, np.log(lam))
     m1 = np.zeros(d)
@@ -175,9 +188,8 @@ def vi_optimize_log_sigma(grad_fn, theta_star: np.ndarray, lam: float,
                 if t > (1.0 - tail) * total:
                     tail_sum += log_sigma
                     tail_count += 1
-    if tail_count:
-        return tail_sum / tail_count
-    return log_sigma
+    # at least one step was taken, and the last one is always in the tail
+    return tail_sum / tail_count
 
 
 def vi_optimize_diag(spec: NetSpec, theta_star: np.ndarray,
@@ -194,6 +206,7 @@ def vi_optimize_diag(spec: NetSpec, theta_star: np.ndarray,
     """
     if lam <= 0 or beta <= 0:
         raise ValueError("beta and lambda must be positive")
+    check_vi_settings(epochs, batch_size, lr)
     X, y = np.asarray(data.X, dtype=np.float64), np.asarray(data.y)
     n = X.shape[0]
     d = theta_star.shape[0]

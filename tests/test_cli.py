@@ -291,6 +291,14 @@ class TestCliPipeline:
             ("posterior.lambda_max=0.995", "lambda must be at most c exp(-1/b)"),
             ("bound.c=0.01", "lambda must lie in (0, c); got lambda=0.031"),
             ("bound.b=0", "b and c must be positive"),
+            ("posterior.vi_epochs=0", "posterior.vi_epochs must be at least 1; got 0"),
+            ("posterior.vi_epochs=-1", "posterior.vi_epochs must be at least 1; got -1"),
+            ("posterior.vi_batch_size=0",
+             "posterior.vi_batch_size must be at least 1; got 0"),
+            ("posterior.vi_batch_size=-5",
+             "posterior.vi_batch_size must be at least 1; got -5"),
+            ("posterior.vi_lr=0", "posterior.vi_lr must be positive; got 0.0"),
+            ("posterior.vi_lr=-0.1", "posterior.vi_lr must be positive; got -0.1"),
         ]),
     ])
     def test_certify_rejects_bad_families_before_work(
@@ -312,6 +320,35 @@ class TestCliPipeline:
         assert message in capsys.readouterr().err
         assert not (out / "certificates.csv").exists()
         assert not (out / "pareto.csv").exists()
+
+    @pytest.mark.parametrize("setting, message", [
+        pytest.param(setting, message, id=setting) for setting, message in [
+            ("probe.n_directions=0", "n_directions must be at least 1; got 0"),
+            ("probe.n_directions=-1", "n_directions must be at least 1; got -1"),
+            ("probe.t_points=2", "the t grid has 2 distinct values"),
+            ("probe.t_points=0", "the t grid has 0 distinct values"),
+            ("probe.t_points=-1", "Number of samples, -1, must be non-negative"),
+            ("probe.t_max=-5", "the t grid has 1 distinct values"),
+            ("probe.lambdas=-0.1", "every lambda must be positive; got -0.1"),
+            ("probe.lambdas=0.04,0", "every lambda must be positive; got 0.0"),
+        ]
+    ])
+    def test_probe_rejects_bad_settings_before_loading(
+            self, small_config, tmp_path, capsys, monkeypatch, setting,
+            message):
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(small_config),
+                     "--out", str(out)]) == 0
+
+        def refuse(*args, **kwargs):
+            raise RuntimeError("run loaded for a bad probe")
+
+        monkeypatch.setattr(cli, "load_train_record", refuse)
+        code = main(["probe", "--config", str(small_config), "--run", str(out),
+                     "--set", setting])
+        assert code == 2
+        assert f"error: bad probe setting: {message}" in capsys.readouterr().err
+        assert not (out / "landscape.csv").exists()
 
     def test_certify_computes_only_the_curvature_in_use(
             self, small_config, tmp_path, monkeypatch):

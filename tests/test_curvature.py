@@ -1,6 +1,7 @@
 """Fisher and block-Hessian estimators, landscape probe, error propagation."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -199,13 +200,57 @@ class TestLandscapeProbe:
     def test_t_zero_equals_training_loss(self, blob_data, trained_net):
         train_ds, _ = blob_data
         spec, record = trained_net
-        probe = landscape_probe(spec, record.theta_star, train_ds, 3,
-                                np.array([-1.0, 0.0, 1.0]), [0.04], seed=1,
-                                loss_kind=LOSS)
-        at_zero = loss(LOSS,
-                       forward(spec, record.theta_star, train_ds.X).outputs,
-                       train_ds.y)
-        assert np.allclose(probe.losses[:, 1], at_zero, atol=1e-12)
+        outputs = forward(spec, record.theta_star, train_ds.X).outputs
+        for kind in ("categorical", "mse"):
+            probe = landscape_probe(spec, record.theta_star, train_ds, 3,
+                                    np.array([-1.0, 0.0, 1.0]), [0.04], seed=1,
+                                    loss_kind=kind)
+            assert np.all(probe.losses[:, 1] == loss(kind, outputs, train_ds.y))
+
+    @pytest.mark.parametrize("kind", ["categorical", "mse"])
+    @pytest.mark.parametrize("widths", [(12, 9, 3), (12, 9, 7, 3)])
+    @pytest.mark.parametrize("t_grid", [np.linspace(-4.0, 4.0, 5),
+                                        np.array([-3.0, -0.4, 0.7, 2.5])],
+                             ids=["with-zero", "without-zero"])
+    def test_equals_a_forward_pass_per_point(self, blob_data, kind, widths,
+                                             t_grid):
+        train_ds, _ = blob_data
+        spec = NetSpec(widths)
+        theta = random_theta(spec, seed=8)
+        probe = landscape_probe(spec, theta, train_ds, 2, t_grid, [0.04],
+                                seed=3, loss_kind=kind)
+        oracle = np.array([[loss(kind, forward(spec, theta + t * v,
+                                               train_ds.X).outputs, train_ds.y)
+                            for t in t_grid] for v in probe.directions])
+        assert np.allclose(probe.losses, oracle, rtol=1e-12, atol=0.0)
+
+    def test_peak_memory_is_one_forward_pass(self):
+        # the desk net's widths on fewer rows: S, P, A1 and the second
+        # layer's activations take the place of a forward pass's S1, A1, S2
+        # and A2, so one more n x h1 array (1.6 MB) would exceed the bound
+        rng = np.random.default_rng(9)
+        spec = NetSpec((784, 100, 100, 2))
+        data = Dataset(rng.random((2000, 784)), rng.integers(0, 2, 2000), 2)
+        theta = random_theta(spec, seed=9, scale=0.05)
+
+        def probe():
+            return landscape_probe(spec, theta, data, 2,
+                                   np.linspace(-2.0, 2.0, 11), [0.04], seed=1,
+                                   loss_kind=LOSS)
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        directions = probe().directions   # also imports what numpy loads lazily
+        forward_peak = peak(lambda: forward(spec, theta, data.X))
+        # beside the directions, one point's weights (0.7 MB) are allowed
+        allowed = forward_peak + directions.nbytes + theta.nbytes
+        assert peak(probe) <= allowed
 
     def test_directions_unit_norm(self, blob_data, trained_net):
         train_ds, _ = blob_data

@@ -221,10 +221,25 @@ class TestVI:
     def test_rejects_bad_arguments(self, blob_data, trained_net):
         train_ds, _ = blob_data
         spec, record = trained_net
-        with pytest.raises(ValueError):
-            vi_optimize_diag(spec, record.theta_star, record.theta0,
-                             train_ds, beta=0.0, lam=0.1, epochs=1, seed=0,
-                             batch_size=100, lr=VI_LR, delta=VI_DELTA)
+        good = dict(beta=1.0, lam=0.1, epochs=1, seed=0, batch_size=100,
+                    lr=VI_LR, delta=VI_DELTA)
+        for bad, message in [(dict(beta=0.0), "beta and lambda"),
+                             (dict(epochs=0), "vi_epochs must be at least 1"),
+                             (dict(batch_size=0), "vi_batch_size must be at least 1"),
+                             (dict(batch_size=-5), "vi_batch_size must be at least 1"),
+                             (dict(lr=0.0), "vi_lr must be positive"),
+                             (dict(lr=-0.1), "vi_lr must be positive")]:
+            with pytest.raises(ValueError, match=message):
+                vi_optimize_diag(spec, record.theta_star, record.theta0,
+                                 train_ds, **{**good, **bad})
+        for bad, message in [(dict(epochs=0), "vi_epochs must be at least 1"),
+                             (dict(steps_per_epoch=0), "must be at least 1"),
+                             (dict(lr=-0.1), "vi_lr must be positive")]:
+            with pytest.raises(ValueError, match=message):
+                vi_optimize_log_sigma(
+                    lambda theta, epoch, step: np.zeros(10), np.zeros(10),
+                    0.3, 0.1, **{**dict(epochs=2, steps_per_epoch=20, seed=2,
+                                        lr=VI_LR), **bad})
 
 
 class TestSkfac:
