@@ -182,9 +182,8 @@ class GridContext:
     # computation that raises fails every cell that reads it.
     @_computed_once
     def fisher(self) -> np.ndarray:
-        """Diagonal Fisher, per weight."""
-        return diag_fisher(self.spec, self.theta_star, self.data.X,
-                           child_seed(self.seed, "fisher"))
+        """Diagonal Fisher of the mean loss, per weight."""
+        return diag_fisher(self.spec, self.theta_star, self.data.X)
 
     @_computed_once
     def blocks(self) -> list:

@@ -20,8 +20,8 @@ from pbcert.config import ConfigError, RunConfig, load_config
 from pbcert.curvature import check_probe_settings, landscape_probe
 from pbcert.data import collapse_classes, load_cifar_bin, load_idx, synthetic_blobs
 from pbcert.gaussians import union_bound_nats
-from pbcert.manifest import load_train_record, save_train_record
-from pbcert.nnet import LOSS_KINDS, OPTIMIZERS, NetSpec, TrainerConfig, train
+from pbcert.manifest import load_test_data, load_train_record, save_train_record
+from pbcert.nnet import NetSpec, TrainerConfig, check_train_settings, train
 from pbcert.plotting import risk_complexity_svg
 from pbcert.posteriors import check_vi_settings
 from pbcert.rng import child_seed
@@ -76,19 +76,19 @@ def _build_datasets(config: RunConfig):
 
 
 def cmd_train(config: RunConfig, out_dir) -> Path:
-    optimizer = config.get("train", "optimizer")
-    if optimizer not in OPTIMIZERS:
-        raise UsageError(f"unknown train.optimizer {optimizer!r}"
-                         f" (optimizers: {', '.join(OPTIMIZERS)})")
-    loss_kind = config.get("train", "loss")
-    if loss_kind not in LOSS_KINDS or loss_kind == "zero_one":
-        trainable = [kind for kind in LOSS_KINDS if kind != "zero_one"]
-        raise UsageError(f"train.loss {loss_kind!r} cannot be trained"
-                         f" (losses: {', '.join(trainable)})")
+    trainer = TrainerConfig(**config.values["train"])
+    try:
+        check_train_settings(trainer)
+    except ValueError as exc:
+        raise UsageError(f"bad train setting: {exc}") from exc
+    hidden = config.get("net", "hidden")
+    if not hidden or min(hidden) < 1:
+        raise UsageError(f"net.hidden must list at least one width of at "
+                         f"least 1; got {hidden}")
     train_ds, test_ds = _build_datasets(config)
-    spec = NetSpec((train_ds.d, *config.get("net", "hidden"), train_ds.k))
-    record = train(spec, train_ds, TrainerConfig(**config.values["train"]),
-                   config.get("run", "seed"), test_data=test_ds)
+    spec = NetSpec((train_ds.d, *hidden, train_ds.k))
+    record = train(spec, train_ds, trainer, config.get("run", "seed"),
+                   test_data=test_ds)
     out_dir = _resolve_out(out_dir)
     save_train_record(out_dir, record, train_ds, test_ds, extra={
         "k": train_ds.k,
@@ -155,7 +155,9 @@ def _check_sweep(config: RunConfig) -> tuple:
 
 def cmd_certify(config: RunConfig, run_dir) -> None:
     families, beta_grid, lambda_grid = _check_sweep(config)
-    record, train_ds, test_ds = _load_run(_resolve_out(run_dir))
+    out_dir = _resolve_out(run_dir)
+    record, train_ds = _load_run(out_dir)
+    test_ds = load_test_data(out_dir)
     ctx = cert.GridContext(
         spec=record.spec, theta_star=record.theta_star, theta0=record.theta0,
         data=train_ds, **config.grid_settings)
@@ -178,7 +180,6 @@ def cmd_certify(config: RunConfig, run_dir) -> None:
         raise RuntimeError("no cell was certified")
     star = cert.reference_star(record, train_ds, test_ds)
     fronts["reference"] = [star]
-    out_dir = _resolve_out(run_dir)
     cert.write_certificates_csv(out_dir / "certificates.csv", all_certs)
     cert.write_pareto_csv(out_dir / "pareto.csv", fronts)
     n_nonvac = sum(1 for c in all_certs if c.bound_value < 1.0)
@@ -226,11 +227,11 @@ def cmd_probe(config: RunConfig, run_dir) -> None:
         check_probe_settings(n_directions, t_grid, lambdas)
     except ValueError as exc:
         raise UsageError(f"bad probe setting: {exc}") from exc
-    record, train_ds, _ = _load_run(_resolve_out(run_dir))
+    out_dir = _resolve_out(run_dir)
+    record, train_ds = _load_run(out_dir)
     probe = landscape_probe(record.spec, record.theta_star, train_ds,
                             n_directions, t_grid, lambdas,
                             config.get("run", "seed"), record.config.loss)
-    out_dir = _resolve_out(run_dir)
     cert.write_landscape_csv(out_dir / "landscape.csv", probe)
     for i, r2 in enumerate(probe.fit_r2):
         print(f"direction {i}: R^2 = {r2:.6f}")

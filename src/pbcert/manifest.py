@@ -129,17 +129,23 @@ def save_train_record(out_dir, record: TrainRecord, train_data: Dataset,
     return out_dir / "meta.json"
 
 
-def load_train_record(run_dir) -> tuple:
-    """(record, train data, test data) of a run written by
-    save_train_record; a .bin file whose sha256 differs from the one
-    meta.json recorded raises ManifestError."""
+def _open_run(run_dir) -> tuple:
+    """meta.json of a run, and a function that reads one of its .bin files
+    and checks it against the sha256 meta.json recorded."""
     run_dir = Path(run_dir)
     with open(run_dir / "meta.json") as f:
         meta = json.load(f)
 
     def load(name, load_fn, arg):
         return load_fn(run_dir / f"{name}.bin", arg, meta.get(f"{name}_sha256"))
+    return meta, load
 
+
+def load_train_record(run_dir) -> tuple:
+    """(record, train data) of a run written by save_train_record; a .bin
+    file whose sha256 differs from the one meta.json recorded raises
+    ManifestError.  The test set is read only by `load_test_data`."""
+    meta, load = _open_run(run_dir)
     spec = NetSpec(tuple(meta["widths"]))
     record = TrainRecord(
         spec=spec,
@@ -152,5 +158,10 @@ def load_train_record(run_dir) -> tuple:
         final_test_error=meta["final_test_error"],
     )
     k = spec.widths[-1]     # one output unit per class
-    return (record, load("train_data", load_dataset, k),
-            load("test_data", load_dataset, k))
+    return record, load("train_data", load_dataset, k)
+
+
+def load_test_data(run_dir) -> Dataset:
+    """The test set of a run, checked like the files load_train_record reads."""
+    meta, load = _open_run(run_dir)
+    return load("test_data", load_dataset, meta["widths"][-1])

@@ -250,6 +250,26 @@ class TrainerConfig:
     adam_eps: float = 1e-7
 
 
+def check_train_settings(config: TrainerConfig) -> None:
+    """Reject a trainer that trains nothing: an unknown optimizer, a loss
+    with no gradient, fewer than 1 epoch, a batch size below 1 (no step)
+    or an lr <= 0 (no descent)."""
+    if config.optimizer not in OPTIMIZERS:
+        raise ValueError(f"unknown train.optimizer {config.optimizer!r}"
+                         f" (optimizers: {', '.join(OPTIMIZERS)})")
+    if config.loss not in LOSS_KINDS or config.loss == "zero_one":
+        trainable = [kind for kind in LOSS_KINDS if kind != "zero_one"]
+        raise ValueError(f"train.loss {config.loss!r} cannot be trained"
+                         f" (losses: {', '.join(trainable)})")
+    if config.epochs < 1:
+        raise ValueError(f"train.epochs must be at least 1; got {config.epochs}")
+    if config.batch_size < 1:
+        raise ValueError(f"train.batch_size must be at least 1; "
+                         f"got {config.batch_size}")
+    if not config.lr > 0:
+        raise ValueError(f"train.lr must be positive; got {config.lr}")
+
+
 @dataclass
 class TrainRecord:
     spec: NetSpec
@@ -275,8 +295,7 @@ def init_params(spec: NetSpec, seed: int, gain: float) -> np.ndarray:
 def train(spec: NetSpec, data, config: TrainerConfig, seed: int,
           test_data=None) -> TrainRecord:
     """Deterministic minibatch training; records theta0 before any update."""
-    if config.optimizer not in OPTIMIZERS:
-        raise ValueError(f"unknown optimizer {config.optimizer!r}")
+    check_train_settings(config)
     X, y = np.asarray(data.X, dtype=np.float64), np.asarray(data.y)
     theta0 = init_params(spec, seed, config.init_gain)
     theta = np.array(theta0)

@@ -16,7 +16,8 @@ Families:
 The closed-form solvers take the quadratic-objective weight directly
 (the KL multiplier of 1/2 eta' H eta + beta KL).  Certificate assembly
 maps the bound's beta to this weight via 1/(beta n), which makes the
-quadratic objective the second-order expansion of the bound surrogate.
+quadratic objective the second-order expansion of the bound surrogate
+when H is the curvature of the mean loss, as every `curvature` estimate is.
 """
 
 from __future__ import annotations

@@ -1,11 +1,14 @@
-"""Shared fixtures: small trained networks and datasets."""
+"""Shared fixtures (small trained networks and datasets) and oracles."""
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from pbcert.config import load_config
 from pbcert.data import synthetic_blobs
-from pbcert.nnet import NetSpec, TrainerConfig, train
+from pbcert.nnet import NetSpec, TrainerConfig, forward, relu, softmax, train
+from pbcert.rng import rng_for
 
 
 def settings(section: str, **overrides) -> dict:
@@ -41,3 +44,119 @@ def trained_net(blob_data):
 def random_theta(spec: NetSpec, seed: int, scale: float = 0.7) -> np.ndarray:
     rng = np.random.default_rng(seed)
     return scale * rng.standard_normal(spec.n_params)
+
+
+def log_density(spec, theta, x, label):
+    logits = forward(spec, theta, x[None, :]).outputs[0]
+    shifted = logits - logits.max()
+    return float(shifted[label] - np.log(np.exp(shifted).sum()))
+
+
+def ggn_diag_oracle(spec, theta, X, step=1e-5):
+    """Diagonal of the generalised Gauss-Newton matrix of the mean
+    categorical loss, (1/n) sum_i sum_c p_c [d log p_c / d theta]^2, which
+    equals diag J'(diag p - p p')J, with each log-density gradient taken by
+    central differences."""
+    probs = softmax(forward(spec, theta, X).outputs)
+    oracle = np.zeros(spec.n_params)
+    for s, x in enumerate(X):
+        for c in range(probs.shape[1]):
+            for i in range(spec.n_params):
+                up, down = theta.copy(), theta.copy()
+                up[i] += step
+                down[i] -= step
+                g = (log_density(spec, up, x, c)
+                     - log_density(spec, down, x, c)) / (2 * step)
+                oracle[i] += probs[s, c] * g ** 2
+    return oracle / X.shape[0]
+
+
+@dataclass
+class ErrorPropagationTrial:
+    act_mse: np.ndarray          # per layer, single-layer perturbation
+    preact_mse: np.ndarray       # per layer, single-layer perturbation
+    accumulated: np.ndarray      # e~_i per layer, all layers perturbed
+    accumulation_rhs: np.ndarray
+    lipschitz_ok: bool           # act_mse <= preact_mse everywhere
+    accumulation_ok: bool        # e~ <= accumulated rhs everywhere
+
+
+@dataclass
+class ErrorPropagationReport:
+    trials: list
+    all_ok: bool
+
+
+def _rect_forward(weights, X):
+    A = [np.asarray(X, dtype=np.float64)]
+    for W in weights:
+        A.append(relu(A[-1] @ W.T))
+    return A
+
+
+def error_propagation_check(spec: NetSpec, theta: np.ndarray, data,
+                            scale: float, seed: int, n_trials: int = 1,
+                            layers=None) -> ErrorPropagationReport:
+    """Check rectifier error-propagation inequalities on bounded
+    perturbations ||W_i - W*_i||_F <= scale.
+
+    Uses the all-rectifier recurrence (the output layer is also passed
+    through the rectifier), matching the setting of the inequalities:
+      (a) per-layer activation MSE <= preactivation MSE,
+      (b) accumulated error e~_{i} <= sum of propagated per-layer errors.
+
+    `layers` restricts which layers are perturbed (default: all).
+    """
+    clean_w = spec.to_matrices(theta)
+    X = np.asarray(data.X, dtype=np.float64)
+    n = X.shape[0]
+    A = _rect_forward(clean_w, X)
+    rng = rng_for(seed, "error-prop")
+    trials = []
+    L = spec.n_layers
+    perturb = set(range(L)) if layers is None else set(layers)
+    for _ in range(n_trials):
+        perturbed_w = []
+        for i, W in enumerate(clean_w):
+            dW = rng.standard_normal(W.shape)
+            norm = np.linalg.norm(dW)
+            target = scale * rng.random()
+            if i not in perturb or norm == 0:
+                perturbed_w.append(W)
+            else:
+                perturbed_w.append(W + (dW / norm) * target)
+        # single-layer perturbations: hat quantities per layer
+        act_mse = np.empty(L)
+        preact_mse = np.empty(L)
+        e_hat = np.empty(L)      # un-squared, (1/sqrt(n)) ||A - A^||_F
+        for i in range(L):
+            S_clean = A[i] @ clean_w[i].T
+            S_hat = A[i] @ perturbed_w[i].T
+            A_hat = relu(S_hat)
+            act_mse[i] = np.sum((relu(S_clean) - A_hat) ** 2) / n
+            preact_mse[i] = np.sum((S_clean - S_hat) ** 2) / n
+            e_hat[i] = np.sqrt(act_mse[i])
+        # full perturbed forward: accumulated errors
+        A_tilde = _rect_forward(perturbed_w, X)
+        e_tilde = np.array([
+            np.linalg.norm(A[i + 1] - A_tilde[i + 1]) / np.sqrt(n)
+            for i in range(L)
+        ])
+        w_norms = np.array([np.linalg.norm(W) for W in perturbed_w])
+        rhs = np.empty(L)
+        for i in range(L):
+            total = e_hat[i]
+            for t in range(i):
+                total += np.prod(w_norms[t + 1:i + 1]) * e_hat[t]
+            rhs[i] = total
+        tol = 1e-9 * (1.0 + np.abs(rhs))
+        trials.append(ErrorPropagationTrial(
+            act_mse=act_mse, preact_mse=preact_mse,
+            accumulated=e_tilde, accumulation_rhs=rhs,
+            lipschitz_ok=bool(np.all(act_mse <= preact_mse + 1e-12)),
+            accumulation_ok=bool(np.all(e_tilde <= rhs + tol)),
+        ))
+    return ErrorPropagationReport(
+        trials=trials,
+        all_ok=all(t.lipschitz_ok and t.accumulation_ok for t in trials),
+    )

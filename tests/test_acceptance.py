@@ -23,7 +23,6 @@ from pbcert.curvature import (
     all_block_hessians,
     block_hessians,
     diag_fisher,
-    error_propagation_check,
     landscape_probe,
 )
 from pbcert.data import Dataset, synthetic_blobs
@@ -36,8 +35,7 @@ from pbcert.posteriors import (
     quadratic_objective_diag,
     vi_optimize_log_sigma,
 )
-from tests.conftest import settings
-from tests.test_curvature import log_density, sampled_labels
+from tests.conftest import error_propagation_check, ggn_diag_oracle, settings
 from tests.test_posteriors import joint_objective, scalar_objective
 
 
@@ -171,7 +169,7 @@ def test_criterion_5_quadratic_dominance(desk_run, capsys):
     start = time.time()
     spec, record, train_ds, _ = desk_run
     n = train_ds.n
-    h = diag_fisher(spec, record.theta_star, train_ds.X, seed=5)
+    h = diag_fisher(spec, record.theta_star, train_ds.X)
     blocks = all_block_hessians(spec, record.theta_star, train_ds.X)
     hessians = block_hessians(spec, record.theta_star, train_ds.X)
     improvements = []
@@ -260,28 +258,23 @@ def test_criterion_7_curvature_correctness(capsys):
                 worst_block = max(worst_block, abs(fd - H[i, j]))
     assert worst_block < 1e-5
 
-    # diagonal Fisher vs squared finite-difference log-density gradients
+    # diagonal Fisher vs the finite-difference GGN diagonal of the mean
+    # loss, for two and three classes
     X_small = rng.standard_normal((4, 3))
-    est = diag_fisher(spec, theta, X_small, seed=17)
-    labels = sampled_labels(17, spec, theta, X_small)
-    oracle = np.zeros(spec.n_params)
-    step = 1e-5
-    for s in range(X_small.shape[0]):
-        for i in range(spec.n_params):
-            up, down = theta.copy(), theta.copy()
-            up[i] += step
-            down[i] -= step
-            g = (log_density(spec, up, X_small[s], labels[s])
-                 - log_density(spec, down, X_small[s], labels[s])) / (2 * step)
-            oracle[i] += g ** 2
-    worst_fisher = float(np.max(np.abs(est - oracle)
-                                / np.maximum(oracle, 1e-8)))
+    worst_fisher = 0.0
+    for k in (2, 3):
+        spec_k = NetSpec((3, 4, k))
+        theta_k = 0.7 * rng.standard_normal(spec_k.n_params)
+        oracle = ggn_diag_oracle(spec_k, theta_k, X_small)
+        est = diag_fisher(spec_k, theta_k, X_small)
+        worst_fisher = max(worst_fisher, float(np.max(
+            np.abs(est - oracle) / np.maximum(oracle, 1e-8))))
     assert worst_fisher < 1e-5
     elapsed = time.time() - start
     assert elapsed < 60.0
     report(capsys, 7, elapsed,
            f"block Hessian FD error {worst_block:.2e}; "
-           f"Fisher FD relative error {worst_fisher:.2e}")
+           f"Fisher vs GGN FD relative error {worst_fisher:.2e} (k = 2, 3)")
 
 
 def test_criterion_8_landscape_probe(desk_run, capsys):

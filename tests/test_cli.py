@@ -427,11 +427,39 @@ class TestCliPipeline:
         assert main(["train", *args, "--out", str(out)]) == 0
         bins = [(name, mode) for name, mode in opened if name in RUN_BINS]
         assert sorted(bins) == sorted((name, "wb") for name in RUN_BINS)
-        for command in ("certify", "probe"):
+        # the probe has no use for the test set
+        probe_bins = tuple(name for name in RUN_BINS if name != "test_data.bin")
+        for command, names in (("certify", RUN_BINS), ("probe", probe_bins)):
             opened.clear()
             assert main([command, *args, "--run", str(out)]) == 0
             bins = [(name, mode) for name, mode in opened if name in RUN_BINS]
-            assert sorted(bins) == sorted((name, "rb") for name in RUN_BINS)
+            assert sorted(bins) == sorted((name, "rb") for name in names)
+
+    def test_probe_runs_without_the_test_set(self, small_config, tmp_path):
+        out = tmp_path / "run"
+        args = ["--config", str(small_config)]
+        assert main(["train", *args, "--out", str(out)]) == 0
+        (out / "test_data.bin").unlink()
+        assert main(["probe", *args, "--run", str(out)]) == 0
+        assert (out / "landscape.csv").exists()
+
+    def test_closed_diag_kl_does_not_depend_on_the_run_seed(self, small_config,
+                                                             tmp_path):
+        # the posterior is built from the exact Fisher at theta*: only the
+        # Monte-Carlo draws read the seed
+        out = tmp_path / "run"
+        args = ["--config", str(small_config)]
+        assert main(["train", *args, "--out", str(out)]) == 0
+
+        def certify_column(seed, column):
+            assert main(["certify", *args, "--run", str(out),
+                         "--set", "posterior.families=closed-diag",
+                         "--set", f"run.seed={seed}"]) == 0
+            with open(out / "certificates.csv", newline="") as f:
+                return [row[column] for row in csv.DictReader(f)]
+
+        assert certify_column(1, "seed") != certify_column(2, "seed")
+        assert certify_column(1, "kl_nats") == certify_column(2, "kl_nats")
 
     def test_probe_uses_the_loss_the_run_was_trained_with(self, small_config,
                                                           tmp_path):
@@ -453,6 +481,16 @@ class TestCliPipeline:
                                     "(losses: categorical, mse)"),
             ("train.loss=hinge", "train.loss 'hinge' cannot be trained "
                                  "(losses: categorical, mse)"),
+            ("train.epochs=0", "train.epochs must be at least 1; got 0"),
+            ("train.batch_size=0", "train.batch_size must be at least 1; got 0"),
+            ("train.batch_size=-5",
+             "train.batch_size must be at least 1; got -5"),
+            ("train.lr=0", "train.lr must be positive; got 0.0"),
+            ("train.lr=-0.1", "train.lr must be positive; got -0.1"),
+            ("net.hidden=", "net.hidden must list at least one width of at "
+                            "least 1; got []"),
+            ("net.hidden=8,0", "net.hidden must list at least one width of at "
+                               "least 1; got [8, 0]"),
         ]])
     def test_train_rejects_untrainable_settings_before_work(
             self, small_config, tmp_path, capsys, monkeypatch, setting,

@@ -21,6 +21,7 @@ from pbcert.manifest import (
     _write_arrays,
     load_dataset,
     load_params,
+    load_test_data,
     load_train_record,
     save_dataset,
     save_params,
@@ -274,7 +275,8 @@ class TestManifest:
         config = TrainerConfig(**settings("train", epochs=1))
         record = train(spec, train_ds, config, seed=8)
         save_train_record(tmp_path, record, train_ds, test_ds)
-        loaded, loaded_train, loaded_test = load_train_record(tmp_path)
+        loaded, loaded_train = load_train_record(tmp_path)
+        loaded_test = load_test_data(tmp_path)
         assert loaded.spec == spec
         assert np.array_equal(loaded.theta_star, record.theta_star)
         assert np.array_equal(loaded.theta0, record.theta0)

@@ -1,5 +1,6 @@
 """Forward pass, losses, backprop, indexing, and training dynamics."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -273,24 +274,27 @@ class TestTrain:
         b = train(spec, train_ds, config, seed=3)
         assert np.array_equal(a.theta_star, b.theta_star)
         assert np.array_equal(a.theta0, b.theta0)
+        # theta0 is the initialization, recorded before any update
+        assert np.array_equal(a.theta0, init_params(spec, 3, config.init_gain))
         assert a.epoch_losses == b.epoch_losses
 
-    def test_zero_epochs_returns_init(self, blob_data):
+    @pytest.mark.parametrize("setting, message", [
+        pytest.param({key: value}, message, id=f"{key}={value}")
+        for key, value, message in [
+            ("epochs", 0, "train.epochs must be at least 1; got 0"),
+            ("epochs", -1, "train.epochs must be at least 1; got -1"),
+            ("batch_size", 0, "train.batch_size must be at least 1; got 0"),
+            ("batch_size", -5, "train.batch_size must be at least 1; got -5"),
+            ("lr", 0.0, "train.lr must be positive; got 0.0"),
+            ("lr", -0.1, "train.lr must be positive; got -0.1"),
+            ("loss", "zero_one", "train.loss 'zero_one' cannot be trained"),
+        ]])
+    def test_rejects_settings_that_train_nothing(self, blob_data, setting,
+                                                 message):
         train_ds, _ = blob_data
-        spec = NetSpec((12, 8, 3))
-        config = settings("train", epochs=0)
-        record = train(spec, train_ds, TrainerConfig(**config), seed=4)
-        assert np.array_equal(record.theta_star, record.theta0)
-        assert np.array_equal(record.theta0,
-                              init_params(spec, 4, config["init_gain"]))
-
-    def test_zero_lr_is_noop(self, blob_data):
-        train_ds, _ = blob_data
-        spec = NetSpec((12, 8, 3))
-        config = TrainerConfig(**settings("train", epochs=2, lr=0.0,
-                                          momentum=0.0))
-        record = train(spec, train_ds, config, seed=5)
-        assert np.array_equal(record.theta_star, record.theta0)
+        config = TrainerConfig(**settings("train", **setting))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            train(NetSpec((12, 8, 3)), train_ds, config, seed=4)
 
     def test_adam_path(self, blob_data):
         train_ds, _ = blob_data
