@@ -4,12 +4,17 @@ Everything here is pure: identical inputs (including seeds) produce
 identical outputs, and the value types are immutable after construction.
 Variances are kept in log-domain internally so downstream optimizers can
 never push them nonpositive; the exposed values are plain variances.
+
+Both posterior types are diagonal: `DiagGaussian` in parameter coordinates,
+`BlockGaussian` in each layer's orthogonal basis, so one KL formula against
+the rotation-invariant prior N(theta0, lambda I) scores both, and no
+covariance is ever formed or factored.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,8 +25,19 @@ class DimensionMismatchError(ValueError):
     pass
 
 
-class NotPositiveDefiniteError(ValueError):
-    pass
+def _frozen_vectors(mean, log_variance):
+    """Read-only float64 mean and log-variance vectors of one shape, finite."""
+    mean = np.asarray(mean, dtype=np.float64)
+    logv = np.asarray(log_variance, dtype=np.float64)
+    if mean.shape != logv.shape or mean.ndim != 1:
+        raise DimensionMismatchError(
+            f"mean shape {mean.shape} != log_variance shape {logv.shape}"
+        )
+    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(logv))):
+        raise ValueError("non-finite parameters")
+    mean.setflags(write=False)
+    logv.setflags(write=False)
+    return mean, logv
 
 
 @dataclass(frozen=True)
@@ -32,16 +48,7 @@ class DiagGaussian:
     log_variance: np.ndarray
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=np.float64)
-        logv = np.asarray(self.log_variance, dtype=np.float64)
-        if mean.shape != logv.shape or mean.ndim != 1:
-            raise DimensionMismatchError(
-                f"mean shape {mean.shape} != log_variance shape {logv.shape}"
-            )
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(logv))):
-            raise ValueError("non-finite parameters")
-        mean.setflags(write=False)
-        logv.setflags(write=False)
+        mean, logv = _frozen_vectors(self.mean, self.log_variance)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "log_variance", logv)
 
@@ -67,53 +74,38 @@ class DiagGaussian:
 
 
 @dataclass(frozen=True)
-class GaussianBlock:
-    """Shared covariance for all neurons of one layer (fan_in x fan_in)."""
-
-    layer: int
-    neuron_count: int
-    cov: np.ndarray
-    chol: np.ndarray = field(repr=False, default=None)
-
-    def __post_init__(self):
-        cov = np.asarray(self.cov, dtype=np.float64)
-        if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-            raise DimensionMismatchError("block covariance must be square")
-        if not np.allclose(cov, cov.T, atol=1e-10):
-            raise NotPositiveDefiniteError("block covariance not symmetric")
-        try:
-            chol = np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError as exc:
-            raise NotPositiveDefiniteError("block covariance not PD") from exc
-        cov.setflags(write=False)
-        chol.setflags(write=False)
-        object.__setattr__(self, "cov", cov)
-        object.__setattr__(self, "chol", chol)
-
-    @property
-    def fan_in(self) -> int:
-        return self.cov.shape[0]
-
-
-@dataclass(frozen=True)
 class BlockGaussian:
-    """Block-diagonal Gaussian; one covariance block per layer, shared by
-    every neuron in that layer."""
+    """Gaussian whose covariance has one block per neuron, shared by every
+    neuron of a layer, held as a diagonal Gaussian in each layer's basis.
+
+    A layer of `count` neurons with fan-in k covers count * k coordinates of
+    `mean`, neuron by neuron.  Its block is U diag(s) U' for the orthogonal
+    k x k basis U in `bases`; `log_variance` holds log s over the same
+    coordinates as `mean`, repeated for every neuron of the layer.
+    """
 
     mean: np.ndarray
-    blocks: tuple
+    log_variance: np.ndarray
+    bases: tuple
+    neuron_counts: tuple
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=np.float64)
-        blocks = tuple(self.blocks)
-        total = sum(b.neuron_count * b.fan_in for b in blocks)
+        mean, logv = _frozen_vectors(self.mean, self.log_variance)
+        bases = tuple(np.asarray(U, dtype=np.float64) for U in self.bases)
+        counts = tuple(self.neuron_counts)
+        if len(bases) != len(counts) or any(
+                U.shape != (len(U), len(U)) for U in bases):
+            raise DimensionMismatchError("one square basis per layer needed")
+        total = sum(count * len(U) for count, U in zip(counts, bases))
         if total != mean.shape[0]:
             raise DimensionMismatchError(
-                f"blocks cover {total} parameters, mean has {mean.shape[0]}"
-            )
-        mean.setflags(write=False)
+                f"layers cover {total} parameters, mean has {mean.shape[0]}")
+        for U in bases:
+            U.setflags(write=False)
         object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "log_variance", logv)
+        object.__setattr__(self, "bases", bases)
+        object.__setattr__(self, "neuron_counts", counts)
 
     @property
     def dim(self) -> int:
@@ -131,24 +123,11 @@ def kl_diag(q: DiagGaussian, p: DiagGaussian) -> float:
 
 
 def kl_block(q: BlockGaussian, p_mean: np.ndarray, p_lambda: float) -> float:
-    """KL(q || N(p_mean, lambda I)) in nats, decomposed over (layer, neuron)."""
-    if p_lambda <= 0:
-        raise ValueError("p_lambda must be positive")
-    p_mean = np.asarray(p_mean, dtype=np.float64)
-    if p_mean.shape != q.mean.shape:
-        raise DimensionMismatchError("prior mean shape mismatch")
-    total = 0.0
-    offset = 0
-    for block in q.blocks:
-        k = block.fan_in
-        logdet = 2.0 * float(np.sum(np.log(np.diag(block.chol))))
-        tr = float(np.trace(block.cov))
-        per_block_const = tr / p_lambda - k + k * math.log(p_lambda) - logdet
-        for _ in range(block.neuron_count):
-            dmu = q.mean[offset:offset + k] - p_mean[offset:offset + k]
-            total += 0.5 * (per_block_const + float(dmu @ dmu) / p_lambda)
-            offset += k
-    return total
+    """KL(q || N(p_mean, lambda I)) in nats: the diagonal KL of q's basis
+    log-variances, since the prior and the mean gap's length are unchanged
+    by each layer's rotation."""
+    return kl_diag(DiagGaussian(q.mean, q.log_variance),
+                   DiagGaussian.isotropic(p_mean, p_lambda))
 
 
 def catoni_inv(beta: float, x: float) -> float:
@@ -195,23 +174,20 @@ def union_bound_nats(lam: float, b: float, c: float, delta: float) -> float:
 def sample_gaussian(dist, seed: int) -> np.ndarray:
     """Draw one parameter vector from a DiagGaussian or BlockGaussian.
 
-    Deterministic given the seed.  Block factors (Cholesky) are computed
-    once per layer at construction; one (neurons x k) @ chol^T product per
-    layer applies them to every neuron's noise at once.
+    Deterministic given the seed.  A BlockGaussian draw is the diagonal
+    draw rotated into parameter coordinates by one (neurons x k) @ U'
+    product per layer.
     """
     if not isinstance(dist, (DiagGaussian, BlockGaussian)):
         raise TypeError(f"unsupported distribution type {type(dist)!r}")
     rng = rng_for(seed, "sample")
     z = rng.standard_normal(dist.dim)
-    if isinstance(dist, DiagGaussian):
-        return dist.mean + np.exp(0.5 * dist.log_variance) * z
+    noise = np.exp(0.5 * dist.log_variance) * z
     if isinstance(dist, BlockGaussian):
-        out = np.array(dist.mean)
         offset = 0
-        for block in dist.blocks:
-            size = block.neuron_count * block.fan_in
-            noise = z[offset:offset + size].reshape(block.neuron_count, -1)
-            out[offset:offset + size] += (noise @ block.chol.T).ravel()
+        for count, U in zip(dist.neuron_counts, dist.bases):
+            size = count * U.shape[0]
+            noise[offset:offset + size] = (
+                noise[offset:offset + size].reshape(count, -1) @ U.T).ravel()
             offset += size
-        return out
-    raise TypeError(f"unsupported distribution type {type(dist)!r}")
+    return dist.mean + noise

@@ -252,8 +252,9 @@ class TrainerConfig:
 
 def check_train_settings(config: TrainerConfig) -> None:
     """Reject a trainer that trains nothing: an unknown optimizer, a loss
-    with no gradient, fewer than 1 epoch, a batch size below 1 (no step)
-    or an lr <= 0 (no descent)."""
+    with no gradient, fewer than 1 epoch, a batch size below 1 (no step),
+    an lr <= 0 (no descent), a decay < 0 (lr/(1 + decay t) has a pole) or
+    an init gain of 0 (all weights and gradients 0); a negative gain trains."""
     if config.optimizer not in OPTIMIZERS:
         raise ValueError(f"unknown train.optimizer {config.optimizer!r}"
                          f" (optimizers: {', '.join(OPTIMIZERS)})")
@@ -268,6 +269,10 @@ def check_train_settings(config: TrainerConfig) -> None:
                          f"got {config.batch_size}")
     if not config.lr > 0:
         raise ValueError(f"train.lr must be positive; got {config.lr}")
+    if not config.decay >= 0:
+        raise ValueError(f"train.decay must be at least 0; got {config.decay}")
+    if config.init_gain == 0:
+        raise ValueError("train.init_gain must not be 0")
 
 
 @dataclass

@@ -11,7 +11,8 @@ Families:
   vi-diag               diagonal posterior optimized by stochastic
                         reparameterized gradients of the bound surrogate
   skfac-block           per-neuron block posterior built from the shared
-                        layer activation Hessians
+                        layer activation Hessians, held in each layer
+                        Hessian's eigenbasis, where it is diagonal
 
 The closed-form solvers take the quadratic-objective weight directly
 (the KL multiplier of 1/2 eta' H eta + beta KL).  Certificate assembly
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from pbcert.blas import single_threaded
-from pbcert.gaussians import BlockGaussian, DiagGaussian, GaussianBlock, kl_diag
+from pbcert.gaussians import BlockGaussian, DiagGaussian, kl_diag
 from pbcert.nnet import NetSpec, forward, grad as nnet_grad, loss as nnet_loss
 from pbcert.rng import rng_for
 
@@ -82,43 +83,6 @@ def joint_optimal_diag(h, beta: float, lam: float, mu_rho,
     sigma_pi = 2.0 * beta / (lam * (root - h))
     return JointOptimalResult(sigma_rho=sigma_rho, sigma_pi=sigma_pi,
                               n_floored=int(degenerate.sum()))
-
-
-def quadratic_objective_diag(h, sigma_rho, beta: float, lam: float,
-                             mu_rho, mu_pi, sigma_pi=None) -> float:
-    """Developed quadratic objective 1/2 sum(h sigma) + beta KL for
-    diagonal posterior and prior N(mu_pi, lambda sigma_pi)."""
-    h = np.asarray(h, dtype=np.float64)
-    sigma_rho = np.asarray(sigma_rho, dtype=np.float64)
-    sigma_pi = np.ones_like(h) if sigma_pi is None else np.asarray(sigma_pi)
-    q = DiagGaussian.from_variance(mu_rho, sigma_rho)
-    p = DiagGaussian.from_variance(mu_pi, lam * sigma_pi)
-    return float(0.5 * np.sum(h * sigma_rho) + beta * kl_diag(q, p))
-
-
-def quadratic_objective_block(hessians, block_covs, neuron_counts,
-                              beta: float, lam: float, mu_rho, mu_pi) -> float:
-    """Blockwise quadratic objective against an isotropic prior.
-
-    sum over (layer, neuron) of 1/2 tr(H_i Sigma_i) + beta KL(block || N(., lambda I)).
-    """
-    mu_rho = np.asarray(mu_rho, dtype=np.float64)
-    mu_pi = np.asarray(mu_pi, dtype=np.float64)
-    total = 0.0
-    offset = 0
-    for H, cov, count in zip(hessians, block_covs, neuron_counts):
-        k = H.shape[0]
-        sign, logdet = np.linalg.slogdet(cov)
-        if sign <= 0:
-            raise ValueError("block covariance must be PD")
-        quad = 0.5 * float(np.trace(H @ cov))
-        kl_const = 0.5 * (float(np.trace(cov)) / lam - k
-                          + k * np.log(lam) - logdet)
-        for _ in range(count):
-            dmu = mu_rho[offset:offset + k] - mu_pi[offset:offset + k]
-            total += quad + beta * (kl_const + 0.5 * float(dmu @ dmu) / lam)
-            offset += k
-    return total
 
 
 def check_vi_settings(epochs: int, batch_size: int, lr: float) -> None:
@@ -243,15 +207,19 @@ def skfac_posterior(spec: NetSpec, theta_star: np.ndarray, curvature: list,
 
     `curvature` holds each layer Hessian's eigendecomposition (`LayerEig`,
     from `curvature.all_block_hessians`).  Each block covariance is
-    beta * (H_i + (beta/lambda) I)^-1, assembled from the eigendecomposition
-    so sweeping lambda costs one diagonal rescale per layer rather than a
-    fresh inversion.
+    beta * (H_i + (beta/lambda) I)^-1 = U diag(s) U', with the eigenvectors
+    U and s = beta / (eigvals + beta/lambda); the posterior keeps that form,
+    so sweeping lambda costs one vector of variances per layer.
     """
-    blocks = []
-    for layer, eig in enumerate(curvature):
-        scaled = beta / (eig.eigvals + beta / lam)
-        cov = (eig.eigvecs * scaled) @ eig.eigvecs.T
-        cov = 0.5 * (cov + cov.T)
-        rows, _ = spec.layer_shapes[layer]
-        blocks.append(GaussianBlock(layer=layer, neuron_count=rows, cov=cov))
-    return BlockGaussian(mean=theta_star, blocks=tuple(blocks))
+    if beta <= 0 or lam <= 0:
+        raise ValueError("beta and lambda must be positive")
+    log_variance = []
+    for layer, (eig, (rows, _)) in enumerate(zip(curvature, spec.layer_shapes)):
+        precision = eig.eigvals + beta / lam
+        if not np.all(precision > 0):
+            raise ValueError(f"layer {layer} has an eigenvalue at or below "
+                             f"-beta/lambda, so a variance is not positive")
+        log_variance.append(np.tile(np.log(beta / precision), rows))
+    return BlockGaussian(theta_star, np.concatenate(log_variance),
+                         tuple(eig.eigvecs for eig in curvature),
+                         tuple(rows for rows, _ in spec.layer_shapes))

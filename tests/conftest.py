@@ -7,6 +7,7 @@ import pytest
 
 from pbcert.config import load_config
 from pbcert.data import synthetic_blobs
+from pbcert.gaussians import BlockGaussian, DiagGaussian, kl_diag
 from pbcert.nnet import NetSpec, TrainerConfig, forward, relu, softmax, train
 from pbcert.rng import rng_for
 
@@ -69,6 +70,69 @@ def ggn_diag_oracle(spec, theta, X, step=1e-5):
                      - log_density(spec, down, x, c)) / (2 * step)
                 oracle[i] += probs[s, c] * g ** 2
     return oracle / X.shape[0]
+
+
+def random_block_gaussian(layer_shapes, mean, seed: int,
+                          scale: float = 0.02) -> BlockGaussian:
+    """A BlockGaussian over `layer_shapes` ((neurons, fan_in) per layer)
+    with a random orthogonal basis per layer (QR of a Gaussian matrix) and
+    random basis variances in [scale/2, 2 scale]."""
+    rng = np.random.default_rng(seed)
+    bases, log_variance = [], []
+    for rows, cols in layer_shapes:
+        bases.append(np.linalg.qr(rng.standard_normal((cols, cols)))[0])
+        s = scale * np.exp(rng.uniform(np.log(0.5), np.log(2.0), cols))
+        log_variance.append(np.tile(np.log(s), rows))
+    return BlockGaussian(mean, np.concatenate(log_variance), tuple(bases),
+                         tuple(rows for rows, _ in layer_shapes))
+
+
+def block_covariances(q: BlockGaussian) -> list:
+    """Each layer's dense block covariance U diag(s) U', read from the
+    basis variances of the layer's first neuron."""
+    covs = []
+    offset = 0
+    for count, U in zip(q.neuron_counts, q.bases):
+        s = np.exp(q.log_variance[offset:offset + U.shape[0]])
+        covs.append((U * s) @ U.T)
+        offset += count * U.shape[0]
+    return covs
+
+
+def quadratic_objective_diag(h, sigma_rho, beta: float, lam: float,
+                             mu_rho, mu_pi, sigma_pi=None) -> float:
+    """Developed quadratic objective 1/2 sum(h sigma) + beta KL for
+    diagonal posterior and prior N(mu_pi, lambda sigma_pi)."""
+    h = np.asarray(h, dtype=np.float64)
+    sigma_rho = np.asarray(sigma_rho, dtype=np.float64)
+    sigma_pi = np.ones_like(h) if sigma_pi is None else np.asarray(sigma_pi)
+    q = DiagGaussian.from_variance(mu_rho, sigma_rho)
+    p = DiagGaussian.from_variance(mu_pi, lam * sigma_pi)
+    return float(0.5 * np.sum(h * sigma_rho) + beta * kl_diag(q, p))
+
+
+def quadratic_objective_block(hessians, block_covs, neuron_counts,
+                              beta: float, lam: float, mu_rho, mu_pi) -> float:
+    """Blockwise quadratic objective against an isotropic prior: the sum
+    over (layer, neuron) of 1/2 tr(H_i Sigma_i) + beta KL(block ||
+    N(., lambda I)), with dense per-layer covariances Sigma_i."""
+    mu_rho = np.asarray(mu_rho, dtype=np.float64)
+    mu_pi = np.asarray(mu_pi, dtype=np.float64)
+    total = 0.0
+    offset = 0
+    for H, cov, count in zip(hessians, block_covs, neuron_counts):
+        k = H.shape[0]
+        sign, logdet = np.linalg.slogdet(cov)
+        if sign <= 0:
+            raise ValueError("block covariance must be PD")
+        quad = 0.5 * float(np.trace(H @ cov))
+        kl_const = 0.5 * (float(np.trace(cov)) / lam - k
+                          + k * np.log(lam) - logdet)
+        for _ in range(count):
+            dmu = mu_rho[offset:offset + k] - mu_pi[offset:offset + k]
+            total += quad + beta * (kl_const + 0.5 * float(dmu @ dmu) / lam)
+            offset += k
+    return total
 
 
 @dataclass

@@ -31,11 +31,17 @@ from pbcert.nnet import NetSpec, TrainerConfig, forward, train
 from pbcert.posteriors import (
     closed_form_posterior,
     joint_optimal_diag,
-    quadratic_objective_block,
-    quadratic_objective_diag,
+    skfac_posterior,
     vi_optimize_log_sigma,
 )
-from tests.conftest import error_propagation_check, ggn_diag_oracle, settings
+from tests.conftest import (
+    block_covariances,
+    error_propagation_check,
+    ggn_diag_oracle,
+    quadratic_objective_block,
+    quadratic_objective_diag,
+    settings,
+)
 from tests.test_posteriors import joint_objective, scalar_objective
 
 
@@ -183,10 +189,9 @@ def test_criterion_5_quadratic_dominance(desk_run, capsys):
             record.theta_star, record.theta0)
         assert diag_best <= iso
         counts = [rows for rows, _ in spec.layer_shapes]
-        from pbcert.posteriors import skfac_posterior
         post = skfac_posterior(spec, record.theta_star, blocks, beta_obj, lam)
         block_best = quadratic_objective_block(
-            hessians, [b.cov for b in post.blocks], counts,
+            hessians, block_covariances(post), counts,
             beta_obj, lam, record.theta_star, record.theta0)
         diag_restricted = quadratic_objective_block(
             hessians,

@@ -487,6 +487,8 @@ class TestCliPipeline:
              "train.batch_size must be at least 1; got -5"),
             ("train.lr=0", "train.lr must be positive; got 0.0"),
             ("train.lr=-0.1", "train.lr must be positive; got -0.1"),
+            ("train.decay=-0.1", "train.decay must be at least 0; got -0.1"),
+            ("train.init_gain=0", "train.init_gain must not be 0"),
             ("net.hidden=", "net.hidden must list at least one width of at "
                             "least 1; got []"),
             ("net.hidden=8,0", "net.hidden must list at least one width of at "

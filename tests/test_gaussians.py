@@ -6,14 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, stats
+from scipy import integrate, linalg, stats
 
 from pbcert.gaussians import (
     BlockGaussian,
     DiagGaussian,
     DimensionMismatchError,
-    GaussianBlock,
-    NotPositiveDefiniteError,
     catoni_inv,
     chernoff_gap,
     kl_block,
@@ -22,6 +20,7 @@ from pbcert.gaussians import (
     union_bound_nats,
 )
 from pbcert.rng import rng_for
+from tests.conftest import block_covariances, random_block_gaussian
 
 
 def kl_1d_numeric(mq, vq, mp, vp) -> float:
@@ -115,25 +114,26 @@ class TestKLDiag:
         assert kl_diag(q, p) >= -1e-12
 
 
-class TestKLBlock:
-    def _block_gaussian(self, mean, covs, counts):
-        blocks = tuple(
-            GaussianBlock(layer=i, neuron_count=counts[i], cov=covs[i])
-            for i in range(len(covs))
-        )
-        return BlockGaussian(mean=np.asarray(mean, dtype=float), blocks=blocks)
+def dense_covariance(q: BlockGaussian) -> np.ndarray:
+    """q's whole covariance: one copy of its layer's block per neuron."""
+    return linalg.block_diag(*[cov for cov, count in zip(
+        block_covariances(q), q.neuron_counts) for _ in range(count)])
 
+
+class TestKLBlock:
     def test_isotropic_block_matches_prior_is_zero(self):
-        mean = np.zeros(4)
-        q = self._block_gaussian(mean, [0.7 * np.eye(2)], [2])
-        assert kl_block(q, mean, 0.7) == pytest.approx(0.0, abs=1e-12)
+        q = random_block_gaussian([(2, 3)], np.zeros(6), seed=1)
+        q = BlockGaussian(q.mean, np.full(6, math.log(0.7)), q.bases,
+                          q.neuron_counts)
+        assert kl_block(q, q.mean, 0.7) == pytest.approx(0.0, abs=1e-12)
 
     def test_one_by_one_blocks_match_diag(self):
         rng = np.random.default_rng(8)
         mean = rng.normal(size=3)
         variances = np.exp(rng.uniform(-1, 1, size=3))
-        q_block = self._block_gaussian(
-            mean, [np.array([[v]]) for v in variances], [1, 1, 1])
+        q_block = BlockGaussian(mean, np.log(variances),
+                                (np.ones((1, 1)), -np.ones((1, 1)),
+                                 np.ones((1, 1))), (1, 1, 1))
         q_diag = DiagGaussian.from_variance(mean, variances)
         prior_mean = rng.normal(size=3)
         lam = 0.4
@@ -142,27 +142,49 @@ class TestKLBlock:
             expected, abs=1e-12)
 
     def test_full_block_value(self):
-        cov = np.array([[2.0, 0.0], [0.0, 2.0]])
-        q = self._block_gaussian(np.zeros(2), [cov], [1])
+        q = random_block_gaussian([(1, 2)], np.zeros(2), seed=2)
+        q = BlockGaussian(q.mean, np.full(2, math.log(2.0)), q.bases, (1,))
         assert kl_block(q, np.zeros(2), 1.0) == pytest.approx(
             1.0 - math.log(2.0), abs=1e-12)
 
-    def test_not_pd_rejected(self):
-        with pytest.raises(NotPositiveDefiniteError):
-            GaussianBlock(layer=0, neuron_count=1,
-                          cov=np.array([[1.0, 2.0], [2.0, 1.0]]))
-
-    def test_asymmetric_rejected(self):
-        with pytest.raises(NotPositiveDefiniteError):
-            GaussianBlock(layer=0, neuron_count=1,
-                          cov=np.array([[1.0, 0.5], [0.0, 1.0]]))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_dense_covariance_formula(self, seed):
+        """KL(N(mu, Sigma) || N(mu0, lambda I)) with the slogdet and trace of
+        the whole block-diagonal Sigma, one U diag(s) U' block per neuron."""
+        shapes = [(4, 3), (3, 4), (2, 3)]
+        d = sum(rows * cols for rows, cols in shapes)
+        rng = np.random.default_rng(seed)
+        q = random_block_gaussian(shapes, rng.normal(size=d), seed=seed,
+                                  scale=0.3)
+        prior_mean = rng.normal(size=d)
+        lam = 0.5
+        cov = dense_covariance(q)
+        sign, logdet = np.linalg.slogdet(cov)
+        assert sign > 0
+        gap = q.mean - prior_mean
+        expected = 0.5 * (np.trace(cov) / lam + gap @ gap / lam - d
+                          + d * math.log(lam) - logdet)
+        assert kl_block(q, prior_mean, lam) == pytest.approx(expected,
+                                                             rel=1e-9)
 
     def test_block_coverage_mismatch(self):
+        q = random_block_gaussian([(2, 2)], np.zeros(4), seed=3)
         with pytest.raises(DimensionMismatchError):
-            self._block_gaussian(np.zeros(5), [np.eye(2)], [2])
+            BlockGaussian(np.zeros(5), np.zeros(5), q.bases, q.neuron_counts)
+
+    def test_one_square_basis_per_layer(self):
+        with pytest.raises(DimensionMismatchError):
+            BlockGaussian(np.zeros(4), np.zeros(4), (np.eye(2),), (1, 1))
+        with pytest.raises(DimensionMismatchError):
+            BlockGaussian(np.zeros(4), np.zeros(4), (np.ones((2, 4)),), (1,))
+
+    def test_non_finite_log_variance_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            BlockGaussian(np.zeros(2), np.array([0.0, -np.inf]),
+                          (np.eye(2),), (1,))
 
     def test_nonpositive_prior_scale(self):
-        q = self._block_gaussian(np.zeros(2), [np.eye(2)], [1])
+        q = random_block_gaussian([(1, 2)], np.zeros(2), seed=4)
         with pytest.raises(ValueError):
             kl_block(q, np.zeros(2), 0.0)
 
@@ -275,34 +297,32 @@ class TestSampling:
         assert np.allclose(draws.var(axis=0), var, rtol=0.1)
 
     def test_block_covariance_moments(self):
-        cov = np.array([[1.0, 0.6], [0.6, 1.0]])
-        block = GaussianBlock(layer=0, neuron_count=2, cov=cov)
-        dist = BlockGaussian(mean=np.zeros(4), blocks=(block,))
-        draws = np.array([sample_gaussian(dist, seed=s) for s in range(8000)])
+        q = random_block_gaussian([(2, 3)], np.zeros(6), seed=5, scale=1.0)
+        cov = block_covariances(q)[0]
+        draws = np.array([sample_gaussian(q, seed=s) for s in range(8000)])
         for neuron in range(2):
-            emp = np.cov(draws[:, 2 * neuron:2 * neuron + 2].T)
-            assert np.allclose(emp, cov, atol=0.08)
+            emp = np.cov(draws[:, 3 * neuron:3 * neuron + 3].T)
+            np.testing.assert_allclose(emp, cov, atol=0.1)
         # neurons are independent of each other
-        cross = np.cov(draws[:, 0], draws[:, 2])[0, 1]
-        assert abs(cross) < 0.05
+        cross = np.cov(draws.T)[:3, 3:]
+        assert np.all(np.abs(cross) < 0.06)
 
     def test_block_matches_per_neuron_reference(self):
+        """Each neuron's weights are mean + U (sqrt(s) * z) for its own
+        slice z of the seed's normal draw."""
         rng = np.random.default_rng(4)
-        blocks = []
-        for layer, (neurons, k) in enumerate([(20, 30), (5, 20)]):
-            A = rng.standard_normal((k, k))
-            blocks.append(GaussianBlock(layer=layer, neuron_count=neurons,
-                                        cov=A @ A.T / k + np.eye(k)))
+        shapes = [(20, 30), (5, 20)]
         mean = rng.standard_normal(20 * 30 + 5 * 20)
-        dist = BlockGaussian(mean=mean, blocks=tuple(blocks))
+        dist = random_block_gaussian(shapes, mean, seed=4)
         for seed in range(5):
             z = rng_for(seed, "sample").standard_normal(dist.dim)
+            scale = np.exp(0.5 * dist.log_variance)
             reference = np.array(mean)
             offset = 0
-            for block in blocks:
-                for _ in range(block.neuron_count):
-                    k = block.fan_in
-                    reference[offset:offset + k] += block.chol @ z[offset:offset + k]
+            for (neurons, k), U in zip(shapes, dist.bases):
+                for _ in range(neurons):
+                    part = slice(offset, offset + k)
+                    reference[part] += U @ (scale[part] * z[part])
                     offset += k
             # one product per layer sums each entry in another order
             np.testing.assert_allclose(sample_gaussian(dist, seed), reference,

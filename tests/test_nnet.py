@@ -6,13 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tests.conftest import random_theta, settings
-from pbcert.gaussians import (
-    BlockGaussian,
-    DiagGaussian,
-    GaussianBlock,
-    sample_gaussian,
-)
+from tests.conftest import random_block_gaussian, random_theta, settings
+from pbcert.gaussians import DiagGaussian, sample_gaussian
 from pbcert.nnet import (
     _DRAW_GROUP,
     _ROW_BLOCK,
@@ -116,17 +111,6 @@ class TestForward:
             forward(spec, random_theta(spec, seed=0), np.zeros((2, 5)))
 
 
-def block_posterior(spec, mean, seed):
-    """A BlockGaussian with one random positive-definite block per layer."""
-    rng = np.random.default_rng(seed)
-    blocks = []
-    for layer, (rows, cols) in enumerate(spec.layer_shapes):
-        A = rng.standard_normal((cols, cols))
-        blocks.append(GaussianBlock(layer=layer, neuron_count=rows,
-                                    cov=0.02 * (A @ A.T / cols + np.eye(cols))))
-    return BlockGaussian(mean=mean, blocks=tuple(blocks))
-
-
 def per_draw_errors(spec, posterior, m, X, y):
     """Reference: one forward pass per posterior draw."""
     return np.array([
@@ -152,7 +136,8 @@ class TestZeroOneErrors:
         if family == "diag":
             posterior = DiagGaussian.isotropic(mean, 0.3)
         else:
-            posterior = block_posterior(spec, mean, seed=m)
+            posterior = random_block_gaussian(spec.layer_shapes, mean,
+                                              seed=m)
         draws = (sample_gaussian(posterior, seed=j) for j in range(m))
         errors = zero_one_errors(spec, draws, X, y)
         assert np.array_equal(errors, per_draw_errors(spec, posterior, m, X, y))
@@ -288,6 +273,8 @@ class TestTrain:
             ("lr", 0.0, "train.lr must be positive; got 0.0"),
             ("lr", -0.1, "train.lr must be positive; got -0.1"),
             ("loss", "zero_one", "train.loss 'zero_one' cannot be trained"),
+            ("decay", -0.1, "train.decay must be at least 0; got -0.1"),
+            ("init_gain", 0.0, "train.init_gain must not be 0"),
         ]])
     def test_rejects_settings_that_train_nothing(self, blob_data, setting,
                                                  message):
@@ -295,6 +282,13 @@ class TestTrain:
         config = TrainerConfig(**settings("train", **setting))
         with pytest.raises(ValueError, match=re.escape(message)):
             train(NetSpec((12, 8, 3)), train_ds, config, seed=4)
+
+    def test_negative_gain_and_zero_decay_train(self, blob_data):
+        train_ds, _ = blob_data
+        config = TrainerConfig(**settings("train", init_gain=-1.0, decay=0.0,
+                                          epochs=3, batch_size=64, lr=0.05))
+        record = train(NetSpec((12, 8, 3)), train_ds, config, seed=4)
+        assert record.final_train_error < 0.1
 
     def test_adam_path(self, blob_data):
         train_ds, _ = blob_data

@@ -4,15 +4,18 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from tests.conftest import settings
-from pbcert.curvature import all_block_hessians, block_hessians
+from tests.conftest import (
+    block_covariances,
+    quadratic_objective_block,
+    quadratic_objective_diag,
+    settings,
+)
+from pbcert.curvature import LayerEig, all_block_hessians, block_hessians
 from pbcert.gaussians import kl_block
 from pbcert.nnet import NetSpec
 from pbcert.posteriors import (
     closed_form_posterior,
     joint_optimal_diag,
-    quadratic_objective_block,
-    quadratic_objective_diag,
     skfac_posterior,
     vi_optimize_diag,
     vi_optimize_log_sigma,
@@ -249,8 +252,8 @@ class TestSkfac:
                                  np.zeros((3, spec.widths[0])))
         # only the first layer has zero activations; check it directly
         post = skfac_posterior(spec, record.theta_star, est, beta=0.5, lam=0.2)
-        assert np.allclose(post.blocks[0].cov, 0.2 * np.eye(spec.widths[0]),
-                           atol=1e-12)
+        assert np.allclose(block_covariances(post)[0],
+                           0.2 * np.eye(spec.widths[0]), atol=1e-12)
 
     def test_one_wide_layers_reduce_to_diagonal_formula(self):
         spec = NetSpec((1, 1, 2))
@@ -258,11 +261,11 @@ class TestSkfac:
         X = np.random.default_rng(20).standard_normal((6, 1))
         est = all_block_hessians(spec, theta, X)
         post = skfac_posterior(spec, theta, est, beta=0.3, lam=0.7)
+        covs = block_covariances(post)
         for layer, H in enumerate(block_hessians(spec, theta, X)):
             h = H[0, 0]
             expected = closed_form_posterior(np.array([h]), 0.3, 0.7)[0]
-            assert post.blocks[layer].cov[0, 0] == pytest.approx(
-                expected, rel=1e-12)
+            assert covs[layer][0, 0] == pytest.approx(expected, rel=1e-12)
 
     def test_matches_direct_inverse(self, blob_data, trained_net):
         train_ds, _ = blob_data
@@ -271,9 +274,17 @@ class TestSkfac:
         beta, lam = 0.004, 0.08
         post = skfac_posterior(spec, record.theta_star, est, beta, lam)
         hessians = block_hessians(spec, record.theta_star, train_ds.X)
+        covs = block_covariances(post)
         for layer, H in enumerate(hessians):
             direct = beta * np.linalg.inv(H + (beta / lam) * np.eye(H.shape[0]))
-            assert np.allclose(post.blocks[layer].cov, direct, atol=1e-10)
+            np.testing.assert_allclose(covs[layer], direct, rtol=0,
+                                       atol=1e-10)
+            # every neuron of the layer carries the same basis variances
+            rows, k = spec.layer_shapes[layer]
+            offset = sum(r * c for r, c in spec.layer_shapes[:layer])
+            per_neuron = post.log_variance[offset:offset + rows * k]
+            assert np.array_equal(per_neuron.reshape(rows, k),
+                                  np.tile(per_neuron[:k], (rows, 1)))
 
     def test_random_probes_confirm_optimality(self):
         rng = np.random.default_rng(21)
@@ -304,7 +315,7 @@ class TestSkfac:
         counts = [rows for rows, _ in spec.layer_shapes]
         hessians = block_hessians(spec, record.theta_star, train_ds.X)
         full = quadratic_objective_block(
-            hessians, [b.cov for b in post.blocks], counts,
+            hessians, block_covariances(post), counts,
             beta, lam, record.theta_star, record.theta0)
         diag_covs = [
             np.diag(closed_form_posterior(np.diag(H), beta, lam))
@@ -319,5 +330,37 @@ class TestSkfac:
         train_ds, _ = blob_data
         spec, record = trained_net
         est = all_block_hessians(spec, record.theta_star, train_ds.X)
-        post = skfac_posterior(spec, record.theta_star, est, 0.01, 0.1)
-        assert kl_block(post, record.theta0, 0.1) >= 0.0
+        counts = [rows for rows, _ in spec.layer_shapes]
+        for beta, lam in [(0.01, 0.1), (1.0 / train_ds.n, 0.001)]:
+            post = skfac_posterior(spec, record.theta_star, est, beta, lam)
+            covs = block_covariances(post)
+            # with zero Hessians and beta 1 the block objective is the KL
+            # summed from each neuron's dense covariance (slogdet, trace)
+            dense = quadratic_objective_block(
+                [np.zeros_like(cov) for cov in covs], covs, counts, 1.0, lam,
+                record.theta_star, record.theta0)
+            kl = kl_block(post, record.theta0, lam)
+            assert kl > 0.0
+            assert kl == pytest.approx(dense, rel=1e-9)
+
+    @pytest.mark.parametrize("below", [0.0, 1e-3])
+    def test_rejects_eigenvalue_at_or_below_minus_beta_over_lambda(self,
+                                                                   below):
+        spec = NetSpec((2, 2, 2))
+        beta, lam = 0.5, 0.25
+        fine = LayerEig(eigvals=np.array([1.0, 0.0]), eigvecs=np.eye(2))
+        bad = LayerEig(eigvals=np.array([1.0, -beta / lam - below]),
+                       eigvecs=np.eye(2))
+        theta = np.zeros(spec.n_params)
+        skfac_posterior(spec, theta, [fine, fine], beta, lam)
+        with pytest.raises(ValueError, match="layer 1 has an eigenvalue"):
+            skfac_posterior(spec, theta, [fine, bad], beta, lam)
+
+    @pytest.mark.parametrize("beta, lam", [(0.0, 0.1), (0.1, 0.0),
+                                           (-0.1, 0.1)])
+    def test_rejects_nonpositive_beta_or_lambda(self, beta, lam):
+        spec = NetSpec((2, 2, 2))
+        fine = LayerEig(eigvals=np.array([1.0, 0.0]), eigvecs=np.eye(2))
+        with pytest.raises(ValueError, match="must be positive"):
+            skfac_posterior(spec, np.zeros(spec.n_params), [fine, fine],
+                            beta, lam)
