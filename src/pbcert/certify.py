@@ -352,14 +352,9 @@ def reference_star(record, train_data, test_data) -> ParetoPoint:
     of the ideal-bound marker, labeled as such in outputs."""
     if test_data is None:
         raise ValueError("test split required for the reference star")
-    train_err = loss("zero_one",
-                     forward(record.spec, record.theta_star,
-                             np.asarray(train_data.X)).outputs,
-                     np.asarray(train_data.y))
-    test_err = loss("zero_one",
-                    forward(record.spec, record.theta_star,
-                            np.asarray(test_data.X)).outputs,
-                    np.asarray(test_data.y))
+    train_err, test_err = (
+        loss("zero_one", forward(record.spec, record.theta_star, ds.X).outputs,
+             ds.y) for ds in (train_data, test_data))
     return ParetoPoint(x=train_err, y=max(0.0, test_err - train_err),
                        family="reference", seed=record.seed)
 

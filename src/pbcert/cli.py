@@ -1,8 +1,9 @@
 """Command-line surface: train, certify, plot, probe.
 
-Exit codes: 0 success, 1 runtime failure, 2 usage error (bad flags,
-unreadable config, missing input paths).  The environment variable
-PBCERT_OUTPUT_ROOT, when set, is prepended to relative output paths.
+Exit codes: 0 success, 1 runtime failure (a malformed data or run file
+too), 2 usage error (bad flags, unreadable config, missing input paths, a
+setting that cannot run).  The environment variable PBCERT_OUTPUT_ROOT,
+when set, is prepended to relative output paths.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import numpy as np
 from pbcert import certify as cert
 from pbcert.config import ConfigError, RunConfig, load_config
 from pbcert.curvature import check_probe_settings, landscape_probe
-from pbcert.data import collapse_classes, load_cifar_bin, load_idx, synthetic_blobs
+from pbcert.data import COLLAPSE_SIZES, collapse_classes, load_cifar_bin
+from pbcert.data import load_idx, synthetic_blobs
 from pbcert.gaussians import union_bound_nats
 from pbcert.manifest import load_test_data, load_train_record, save_train_record
 from pbcert.nnet import NetSpec, TrainerConfig, check_train_settings, train
@@ -44,12 +46,11 @@ def _build_datasets(config: RunConfig):
     source = get("data", "source")
     seed = get("run", "seed")
     if source == "blobs":
-        train_ds = synthetic_blobs(get("data", "n"), get("data", "d"),
-                                   get("data", "k"), get("data", "separation"),
-                                   child_seed(seed, "data"), split="train")
-        test_ds = synthetic_blobs(get("data", "test_n"), get("data", "d"),
-                                  get("data", "k"), get("data", "separation"),
-                                  child_seed(seed, "data"), split="test")
+        train_ds, test_ds = (
+            synthetic_blobs(get("data", size), get("data", "d"), get("data", "k"),
+                            get("data", "separation"), child_seed(seed, "data"),
+                            split=split)
+            for size, split in (("n", "train"), ("test_n", "test")))
     elif source == "idx":
         for key in ("images", "labels", "test_images", "test_labels"):
             path = get("data", key)
@@ -70,9 +71,27 @@ def _build_datasets(config: RunConfig):
         raise ConfigError(f"unknown data source {source!r}")
     collapse = get("data", "collapse")
     if collapse:
-        train_ds = collapse_classes(train_ds, collapse)
-        test_ds = collapse_classes(test_ds, collapse)
+        try:
+            train_ds = collapse_classes(train_ds, collapse)
+            test_ds = collapse_classes(test_ds, collapse)
+        except ValueError as exc:
+            raise UsageError(f"bad data.collapse: {exc}") from exc
     return train_ds, test_ds
+
+
+def _check_data(config: RunConfig) -> None:
+    """Reject [data] that builds no dataset: a collapse to other than 2 or 5
+    classes, or for blobs a size below 1 or a collapse of k != 10 classes."""
+    data = config.values["data"]
+    if data["collapse"] not in (0, *COLLAPSE_SIZES):
+        raise UsageError(f"data.collapse must be 0 or one of {COLLAPSE_SIZES}; "
+                         f"got {data['collapse']}")
+    if data["source"] == "blobs":
+        for key in ("n", "test_n", "d", "k"):
+            if data[key] < 1:
+                raise UsageError(f"data.{key} must be at least 1; got {data[key]}")
+        if data["collapse"] and data["k"] != 10:
+            raise UsageError(f"data.collapse needs data.k = 10; got {data['k']}")
 
 
 def cmd_train(config: RunConfig, out_dir) -> Path:
@@ -85,6 +104,7 @@ def cmd_train(config: RunConfig, out_dir) -> Path:
     if not hidden or min(hidden) < 1:
         raise UsageError(f"net.hidden must list at least one width of at "
                          f"least 1; got {hidden}")
+    _check_data(config)
     train_ds, test_ds = _build_datasets(config)
     spec = NetSpec((train_ds.d, *hidden, train_ds.k))
     record = train(spec, train_ds, trainer, config.get("run", "seed"),

@@ -18,6 +18,7 @@ from pbcert.rng import rng_for
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 CIFAR_RECORD_BYTES = 3073
+COLLAPSE_SIZES = (2, 5)     # class counts that 10 classes collapse to
 
 
 class DataFormatError(ValueError):
@@ -103,8 +104,8 @@ def collapse_classes(dataset: Dataset, k_new: int) -> Dataset:
     """Merge 10 classes into contiguous aggregates: floor(y/5) or floor(y/2)."""
     if dataset.k != 10:
         raise ValueError(f"collapse requires 10 classes, dataset has {dataset.k}")
-    if k_new not in (2, 5):
-        raise ValueError(f"k_new must be 2 or 5, got {k_new}")
+    if k_new not in COLLAPSE_SIZES:
+        raise ValueError(f"k_new must be one of {COLLAPSE_SIZES}, got {k_new}")
     divisor = 10 // k_new
     return replace(dataset, y=dataset.y // divisor, k=k_new)
 

@@ -6,9 +6,9 @@ Variances are kept in log-domain internally so downstream optimizers can
 never push them nonpositive; the exposed values are plain variances.
 
 Both posterior types are diagonal: `DiagGaussian` in parameter coordinates,
-`BlockGaussian` in each layer's orthogonal basis, so one KL formula against
-the rotation-invariant prior N(theta0, lambda I) scores both, and no
-covariance is ever formed or factored.
+`BlockGaussian` in the orthogonal basis of each layer of its `NetSpec`, so
+one KL formula against the rotation-invariant prior N(theta0, lambda I)
+scores both, and no covariance is ever formed or factored.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from pbcert.nnet import NetSpec
 from pbcert.rng import rng_for
 
 
@@ -25,19 +26,20 @@ class DimensionMismatchError(ValueError):
     pass
 
 
-def _frozen_vectors(mean, log_variance):
-    """Read-only float64 mean and log-variance vectors of one shape, finite."""
-    mean = np.asarray(mean, dtype=np.float64)
-    logv = np.asarray(log_variance, dtype=np.float64)
+def _freeze_vectors(dist) -> None:
+    """Set a frozen dist's mean and log_variance to read-only float64
+    vectors, after checking that they are finite and of one shape."""
+    mean = np.asarray(dist.mean, dtype=np.float64)
+    logv = np.asarray(dist.log_variance, dtype=np.float64)
     if mean.shape != logv.shape or mean.ndim != 1:
         raise DimensionMismatchError(
             f"mean shape {mean.shape} != log_variance shape {logv.shape}"
         )
     if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(logv))):
         raise ValueError("non-finite parameters")
-    mean.setflags(write=False)
-    logv.setflags(write=False)
-    return mean, logv
+    for name, vector in (("mean", mean), ("log_variance", logv)):
+        vector.setflags(write=False)
+        object.__setattr__(dist, name, vector)
 
 
 @dataclass(frozen=True)
@@ -48,9 +50,7 @@ class DiagGaussian:
     log_variance: np.ndarray
 
     def __post_init__(self):
-        mean, logv = _frozen_vectors(self.mean, self.log_variance)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "log_variance", logv)
+        _freeze_vectors(self)
 
     @classmethod
     def from_variance(cls, mean, variance) -> "DiagGaussian":
@@ -78,34 +78,29 @@ class BlockGaussian:
     """Gaussian whose covariance has one block per neuron, shared by every
     neuron of a layer, held as a diagonal Gaussian in each layer's basis.
 
-    A layer of `count` neurons with fan-in k covers count * k coordinates of
-    `mean`, neuron by neuron.  Its block is U diag(s) U' for the orthogonal
-    k x k basis U in `bases`; `log_variance` holds log s over the same
-    coordinates as `mean`, repeated for every neuron of the layer.
+    `spec` lays out `mean` and `log_variance`: the block of a layer with
+    fan-in k is U diag(s) U' for the orthogonal k x k basis U in `bases`,
+    and each neuron's row of the layer's `log_variance` matrix holds log s.
     """
 
     mean: np.ndarray
     log_variance: np.ndarray
     bases: tuple
-    neuron_counts: tuple
+    spec: NetSpec
 
     def __post_init__(self):
-        mean, logv = _frozen_vectors(self.mean, self.log_variance)
+        _freeze_vectors(self)
         bases = tuple(np.asarray(U, dtype=np.float64) for U in self.bases)
-        counts = tuple(self.neuron_counts)
-        if len(bases) != len(counts) or any(
-                U.shape != (len(U), len(U)) for U in bases):
-            raise DimensionMismatchError("one square basis per layer needed")
-        total = sum(count * len(U) for count, U in zip(counts, bases))
-        if total != mean.shape[0]:
+        fan_ins = [k for _, k in self.spec.layer_shapes]
+        if [U.shape for U in bases] != [(k, k) for k in fan_ins]:
             raise DimensionMismatchError(
-                f"layers cover {total} parameters, mean has {mean.shape[0]}")
+                "one fan_in x fan_in basis per layer of the spec needed")
+        if self.dim != self.spec.n_params:
+            raise DimensionMismatchError(
+                f"spec has {self.spec.n_params} parameters, mean has {self.dim}")
         for U in bases:
             U.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "log_variance", logv)
         object.__setattr__(self, "bases", bases)
-        object.__setattr__(self, "neuron_counts", counts)
 
     @property
     def dim(self) -> int:
@@ -176,7 +171,7 @@ def sample_gaussian(dist, seed: int) -> np.ndarray:
 
     Deterministic given the seed.  A BlockGaussian draw is the diagonal
     draw rotated into parameter coordinates by one (neurons x k) @ U'
-    product per layer.
+    product per layer of its spec.
     """
     if not isinstance(dist, (DiagGaussian, BlockGaussian)):
         raise TypeError(f"unsupported distribution type {type(dist)!r}")
@@ -184,10 +179,6 @@ def sample_gaussian(dist, seed: int) -> np.ndarray:
     z = rng.standard_normal(dist.dim)
     noise = np.exp(0.5 * dist.log_variance) * z
     if isinstance(dist, BlockGaussian):
-        offset = 0
-        for count, U in zip(dist.neuron_counts, dist.bases):
-            size = count * U.shape[0]
-            noise[offset:offset + size] = (
-                noise[offset:offset + size].reshape(count, -1) @ U.T).ravel()
-            offset += size
+        noise = dist.spec.to_vector([N @ U.T for N, U in zip(
+            dist.spec.to_matrices(noise), dist.bases)])
     return dist.mean + noise

@@ -80,8 +80,7 @@ def save_params(path, spec: NetSpec, theta: np.ndarray) -> str:
 
 def load_params(path, spec: NetSpec, sha256: str) -> np.ndarray:
     mats = _read_arrays(path, PARAMS_MAGIC, ["<f8"], sha256)
-    expected = spec.layer_shapes
-    if [tuple(m.shape) for m in mats] != [tuple(s) for s in expected]:
+    if [m.shape for m in mats] != spec.layer_shapes:
         raise ManifestError(f"{path}: shapes do not match net spec")
     return spec.to_vector(mats)
 

@@ -196,18 +196,14 @@ def loss(kind: str, outputs: np.ndarray, labels: np.ndarray) -> float:
         raise ValueError(f"unknown loss kind {kind!r}")
     outputs = np.asarray(outputs, dtype=np.float64)
     k = outputs.shape[1]
+    Y = one_hot(labels, k)      # rejects labels outside [0, k)
     if kind == "zero_one":
-        labels = np.asarray(labels)
-        if np.any(labels < 0) or np.any(labels >= k):
-            raise ValueError(f"labels out of range [0, {k})")
-        return float(np.mean(np.argmax(outputs, axis=1) != labels))
+        return float(np.mean(np.argmax(outputs, axis=1) != np.asarray(labels)))
     if kind == "categorical":
-        Y = one_hot(labels, k)
         shifted = outputs - outputs.max(axis=1, keepdims=True)
         log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
         return float(-np.mean(np.sum(Y * log_probs, axis=1)))
     # mse on raw outputs against one-hot targets, averaged over classes
-    Y = one_hot(labels, k)
     return float(np.mean(np.sum((outputs - Y) ** 2, axis=1) / k))
 
 
@@ -253,7 +249,8 @@ class TrainerConfig:
 def check_train_settings(config: TrainerConfig) -> None:
     """Reject a trainer that trains nothing: an unknown optimizer, a loss
     with no gradient, fewer than 1 epoch, a batch size below 1 (no step),
-    an lr <= 0 (no descent), a decay < 0 (lr/(1 + decay t) has a pole) or
+    an lr <= 0 (no descent), a decay < 0 (lr/(1 + decay t) has a pole), a
+    momentum outside [0, 1] (the velocity grows or flips sign each step) or
     an init gain of 0 (all weights and gradients 0); a negative gain trains."""
     if config.optimizer not in OPTIMIZERS:
         raise ValueError(f"unknown train.optimizer {config.optimizer!r}"
@@ -271,6 +268,9 @@ def check_train_settings(config: TrainerConfig) -> None:
         raise ValueError(f"train.lr must be positive; got {config.lr}")
     if not config.decay >= 0:
         raise ValueError(f"train.decay must be at least 0; got {config.decay}")
+    if not 0.0 <= config.momentum <= 1.0:
+        raise ValueError(f"train.momentum must lie in [0, 1]; "
+                         f"got {config.momentum}")
     if config.init_gain == 0:
         raise ValueError("train.init_gain must not be 0")
 
@@ -332,12 +332,8 @@ def train(spec: NetSpec, data, config: TrainerConfig, seed: int,
             raise DivergenceError(f"loss diverged at epoch {len(epoch_losses)}")
         epoch_losses.append(epoch_loss)
     train_err = loss("zero_one", forward(spec, theta, X).outputs, y)
-    test_err = None
-    if test_data is not None:
-        test_err = loss(
-            "zero_one", forward(spec, theta, np.asarray(test_data.X)).outputs,
-            np.asarray(test_data.y),
-        )
+    test_err = None if test_data is None else loss(
+        "zero_one", forward(spec, theta, test_data.X).outputs, test_data.y)
     return TrainRecord(
         spec=spec, config=config, seed=seed, theta0=theta0, theta_star=theta,
         epoch_losses=epoch_losses, final_train_error=train_err,

@@ -10,9 +10,9 @@ Families:
                         ceiling only
   vi-diag               diagonal posterior optimized by stochastic
                         reparameterized gradients of the bound surrogate
-  skfac-block           per-neuron block posterior built from the shared
-                        layer activation Hessians, held in each layer
-                        Hessian's eigenbasis, where it is diagonal
+  skfac-block           per-neuron block posterior: the closed form on the
+                        eigenvalues of the shared layer activation Hessians,
+                        held in their eigenbasis
 
 The closed-form solvers take the quadratic-objective weight directly
 (the KL multiplier of 1/2 eta' H eta + beta KL).  Certificate assembly
@@ -39,8 +39,9 @@ DELTA_MU_FLOOR = 1e-16
 def closed_form_posterior(h, beta: float, lam: float, prior_var=None):
     """Curvature-matched variances: beta / (h + (beta/lambda) / sigma_pi).
 
-    `h` is a diagonal curvature vector; `prior_var` (sigma_pi) defaults to
-    ones (prior covariance lambda I).
+    `h` is a curvature vector (a diagonal Fisher, or a layer Hessian's
+    eigenvalues); `prior_var` (sigma_pi) defaults to ones (prior covariance
+    lambda I).  A variance that would not be positive is rejected.
     """
     if beta <= 0 or lam <= 0:
         raise ValueError("beta and lambda must be positive")
@@ -50,7 +51,11 @@ def closed_form_posterior(h, beta: float, lam: float, prior_var=None):
     prior_var = np.ones_like(h) if prior_var is None else np.asarray(prior_var)
     if np.any(prior_var <= 0):
         raise ValueError("prior variance must be positive")
-    return beta / (h + (beta / lam) / prior_var)
+    precision = h + (beta / lam) / prior_var
+    if not np.all(precision > 0):
+        raise ValueError("a curvature at or below -(beta/lambda)/sigma_pi "
+                         "has no positive variance")
+    return beta / precision
 
 
 @dataclass
@@ -208,18 +213,10 @@ def skfac_posterior(spec: NetSpec, theta_star: np.ndarray, curvature: list,
     `curvature` holds each layer Hessian's eigendecomposition (`LayerEig`,
     from `curvature.all_block_hessians`).  Each block covariance is
     beta * (H_i + (beta/lambda) I)^-1 = U diag(s) U', with the eigenvectors
-    U and s = beta / (eigvals + beta/lambda); the posterior keeps that form,
-    so sweeping lambda costs one vector of variances per layer.
+    U and s = closed_form_posterior(eigvals) for every neuron; the posterior
+    keeps that form, so sweeping lambda costs one vector per layer.
     """
-    if beta <= 0 or lam <= 0:
-        raise ValueError("beta and lambda must be positive")
-    log_variance = []
-    for layer, (eig, (rows, _)) in enumerate(zip(curvature, spec.layer_shapes)):
-        precision = eig.eigvals + beta / lam
-        if not np.all(precision > 0):
-            raise ValueError(f"layer {layer} has an eigenvalue at or below "
-                             f"-beta/lambda, so a variance is not positive")
-        log_variance.append(np.tile(np.log(beta / precision), rows))
-    return BlockGaussian(theta_star, np.concatenate(log_variance),
-                         tuple(eig.eigvecs for eig in curvature),
-                         tuple(rows for rows, _ in spec.layer_shapes))
+    variances = [np.tile(closed_form_posterior(eig.eigvals, beta, lam), (rows, 1))
+                 for eig, (rows, _) in zip(curvature, spec.layer_shapes)]
+    return BlockGaussian(theta_star, np.log(spec.to_vector(variances)),
+                         tuple(eig.eigvecs for eig in curvature), spec)

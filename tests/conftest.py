@@ -1,5 +1,6 @@
 """Shared fixtures (small trained networks and datasets) and oracles."""
 
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,21 @@ def settings(section: str, **overrides) -> dict:
     if unknown:
         raise KeyError(f"not {section} settings: {sorted(unknown)}")
     return {**values, **overrides}
+
+
+def write_idx_pair(tmp_path, pixels, labels, rows=2, cols=2,
+                   image_magic=0x803, label_magic=0x801, truncate=0):
+    """IDX image and label files in `tmp_path`; `truncate` drops that many
+    bytes from the end of the images."""
+    n = len(labels)
+    images_path = tmp_path / "images.idx"
+    labels_path = tmp_path / "labels.idx"
+    body = struct.pack(">iiii", image_magic, n, rows, cols) + bytes(pixels)
+    if truncate:
+        body = body[:-truncate]
+    images_path.write_bytes(body)
+    labels_path.write_bytes(struct.pack(">ii", label_magic, n) + bytes(labels))
+    return images_path, labels_path
 
 
 @pytest.fixture(scope="session")
@@ -72,31 +88,26 @@ def ggn_diag_oracle(spec, theta, X, step=1e-5):
     return oracle / X.shape[0]
 
 
-def random_block_gaussian(layer_shapes, mean, seed: int,
+def random_block_gaussian(spec: NetSpec, mean, seed: int,
                           scale: float = 0.02) -> BlockGaussian:
-    """A BlockGaussian over `layer_shapes` ((neurons, fan_in) per layer)
-    with a random orthogonal basis per layer (QR of a Gaussian matrix) and
-    random basis variances in [scale/2, 2 scale]."""
+    """A BlockGaussian over `spec` with a random orthogonal basis per layer
+    (QR of a Gaussian matrix) and random basis variances in
+    [scale/2, 2 scale]."""
     rng = np.random.default_rng(seed)
-    bases, log_variance = [], []
-    for rows, cols in layer_shapes:
+    bases, variances = [], []
+    for rows, cols in spec.layer_shapes:
         bases.append(np.linalg.qr(rng.standard_normal((cols, cols)))[0])
         s = scale * np.exp(rng.uniform(np.log(0.5), np.log(2.0), cols))
-        log_variance.append(np.tile(np.log(s), rows))
-    return BlockGaussian(mean, np.concatenate(log_variance), tuple(bases),
-                         tuple(rows for rows, _ in layer_shapes))
+        variances.append(np.tile(s, (rows, 1)))
+    return BlockGaussian(mean, np.log(spec.to_vector(variances)),
+                         tuple(bases), spec)
 
 
 def block_covariances(q: BlockGaussian) -> list:
     """Each layer's dense block covariance U diag(s) U', read from the
     basis variances of the layer's first neuron."""
-    covs = []
-    offset = 0
-    for count, U in zip(q.neuron_counts, q.bases):
-        s = np.exp(q.log_variance[offset:offset + U.shape[0]])
-        covs.append((U * s) @ U.T)
-        offset += count * U.shape[0]
-    return covs
+    return [(U * np.exp(logv[0])) @ U.T for logv, U in
+            zip(q.spec.to_matrices(q.log_variance), q.bases)]
 
 
 def quadratic_objective_diag(h, sigma_rho, beta: float, lam: float,
@@ -111,16 +122,15 @@ def quadratic_objective_diag(h, sigma_rho, beta: float, lam: float,
     return float(0.5 * np.sum(h * sigma_rho) + beta * kl_diag(q, p))
 
 
-def quadratic_objective_block(hessians, block_covs, neuron_counts,
+def quadratic_objective_block(hessians, block_covs, spec: NetSpec,
                               beta: float, lam: float, mu_rho, mu_pi) -> float:
     """Blockwise quadratic objective against an isotropic prior: the sum
     over (layer, neuron) of 1/2 tr(H_i Sigma_i) + beta KL(block ||
     N(., lambda I)), with dense per-layer covariances Sigma_i."""
-    mu_rho = np.asarray(mu_rho, dtype=np.float64)
-    mu_pi = np.asarray(mu_pi, dtype=np.float64)
+    gaps = spec.to_matrices(np.asarray(mu_rho, dtype=np.float64)
+                            - np.asarray(mu_pi, dtype=np.float64))
     total = 0.0
-    offset = 0
-    for H, cov, count in zip(hessians, block_covs, neuron_counts):
+    for H, cov, gap in zip(hessians, block_covs, gaps):
         k = H.shape[0]
         sign, logdet = np.linalg.slogdet(cov)
         if sign <= 0:
@@ -128,10 +138,8 @@ def quadratic_objective_block(hessians, block_covs, neuron_counts,
         quad = 0.5 * float(np.trace(H @ cov))
         kl_const = 0.5 * (float(np.trace(cov)) / lam - k
                           + k * np.log(lam) - logdet)
-        for _ in range(count):
-            dmu = mu_rho[offset:offset + k] - mu_pi[offset:offset + k]
+        for dmu in gap:
             total += quad + beta * (kl_const + 0.5 * float(dmu @ dmu) / lam)
-            offset += k
     return total
 
 

@@ -188,16 +188,15 @@ def test_criterion_5_quadratic_dominance(desk_run, capsys):
             h, np.full(h.shape, lam), beta_obj, lam,
             record.theta_star, record.theta0)
         assert diag_best <= iso
-        counts = [rows for rows, _ in spec.layer_shapes]
         post = skfac_posterior(spec, record.theta_star, blocks, beta_obj, lam)
         block_best = quadratic_objective_block(
-            hessians, block_covariances(post), counts,
+            hessians, block_covariances(post), spec,
             beta_obj, lam, record.theta_star, record.theta0)
         diag_restricted = quadratic_objective_block(
             hessians,
             [np.diag(closed_form_posterior(np.diag(H), beta_obj, lam))
              for H in hessians],
-            counts, beta_obj, lam, record.theta_star, record.theta0)
+            spec, beta_obj, lam, record.theta_star, record.theta0)
         assert block_best <= diag_restricted
         improvements.append(
             (100 * (iso - diag_best) / iso,

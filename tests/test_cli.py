@@ -16,6 +16,7 @@ from pbcert.cli import main
 from pbcert.config import SCHEMA, ConfigError, load_config
 from pbcert.nnet import TrainerConfig
 from pbcert.plotting import risk_complexity_svg
+from tests.conftest import write_idx_pair
 
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).parent.parent / "README.md"
@@ -489,10 +490,24 @@ class TestCliPipeline:
             ("train.lr=-0.1", "train.lr must be positive; got -0.1"),
             ("train.decay=-0.1", "train.decay must be at least 0; got -0.1"),
             ("train.init_gain=0", "train.init_gain must not be 0"),
+            ("train.momentum=1.5",
+             "train.momentum must lie in [0, 1]; got 1.5"),
+            ("train.momentum=-0.5",
+             "train.momentum must lie in [0, 1]; got -0.5"),
             ("net.hidden=", "net.hidden must list at least one width of at "
                             "least 1; got []"),
             ("net.hidden=8,0", "net.hidden must list at least one width of at "
                                "least 1; got [8, 0]"),
+            ("data.n=0", "data.n must be at least 1; got 0"),
+            ("data.n=-3", "data.n must be at least 1; got -3"),
+            ("data.test_n=0", "data.test_n must be at least 1; got 0"),
+            ("data.d=0", "data.d must be at least 1; got 0"),
+            ("data.k=0", "data.k must be at least 1; got 0"),
+            ("data.collapse=3",
+             "data.collapse must be 0 or one of (2, 5); got 3"),
+            ("data.collapse=-2",
+             "data.collapse must be 0 or one of (2, 5); got -2"),
+            ("data.collapse=2", "data.collapse needs data.k = 10; got 2"),
         ]])
     def test_train_rejects_untrainable_settings_before_work(
             self, small_config, tmp_path, capsys, monkeypatch, setting,
@@ -506,6 +521,28 @@ class TestCliPipeline:
                      "--set", setting]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("classes, truncate, code, message", [
+        (4, 0, 2, "bad data.collapse: collapse requires 10 classes"),
+        (10, 3, 1, "truncated file while reading image data"),
+        (10, 0, 0, ""),
+    ], ids=["four-classes", "truncated", "ten-classes"])
+    def test_train_collapses_a_loaded_dataset_of_ten_classes(
+            self, small_config, tmp_path, capsys, classes, truncate, code,
+            message):
+        overrides = ["data.source=idx", "data.collapse=2"]
+        labels = [c for c in range(classes) for _ in range(3)]
+        for split, prefix in (("train", ""), ("test", "test_")):
+            (tmp_path / split).mkdir()
+            images, label_file = write_idx_pair(
+                tmp_path / split, range(4 * len(labels)), labels,
+                truncate=truncate if split == "train" else 0)
+            overrides += [f"data.{prefix}images={images}",
+                          f"data.{prefix}labels={label_file}"]
+        args = [arg for override in overrides for arg in ("--set", override)]
+        assert main(["train", "--config", str(small_config),
+                     "--out", str(tmp_path / "run"), *args]) == code
+        assert message in capsys.readouterr().err
 
     def test_train_exit_code_on_missing_idx(self, tmp_path):
         config = tmp_path / "idx.ini"

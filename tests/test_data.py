@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from tests.conftest import settings
+from tests.conftest import settings, write_idx_pair
 from pbcert.data import (
     DataFormatError,
     Dataset,
@@ -28,19 +28,6 @@ from pbcert.manifest import (
     save_train_record,
 )
 from pbcert.nnet import NetSpec, TrainerConfig, train
-
-
-def write_idx_pair(tmp_path, pixels, labels, rows=2, cols=2,
-                   image_magic=0x803, label_magic=0x801, truncate=0):
-    n = len(labels)
-    images_path = tmp_path / "images.idx"
-    labels_path = tmp_path / "labels.idx"
-    body = struct.pack(">iiii", image_magic, n, rows, cols) + bytes(pixels)
-    if truncate:
-        body = body[:-truncate]
-    images_path.write_bytes(body)
-    labels_path.write_bytes(struct.pack(">ii", label_magic, n) + bytes(labels))
-    return images_path, labels_path
 
 
 class TestIdx:

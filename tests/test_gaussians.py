@@ -19,6 +19,7 @@ from pbcert.gaussians import (
     sample_gaussian,
     union_bound_nats,
 )
+from pbcert.nnet import NetSpec
 from pbcert.rng import rng_for
 from tests.conftest import block_covariances, random_block_gaussian
 
@@ -116,15 +117,16 @@ class TestKLDiag:
 
 def dense_covariance(q: BlockGaussian) -> np.ndarray:
     """q's whole covariance: one copy of its layer's block per neuron."""
-    return linalg.block_diag(*[cov for cov, count in zip(
-        block_covariances(q), q.neuron_counts) for _ in range(count)])
+    return linalg.block_diag(*[cov for cov, (rows, _) in zip(
+        block_covariances(q), q.spec.layer_shapes) for _ in range(rows)])
 
 
 class TestKLBlock:
     def test_isotropic_block_matches_prior_is_zero(self):
-        q = random_block_gaussian([(2, 3)], np.zeros(6), seed=1)
-        q = BlockGaussian(q.mean, np.full(6, math.log(0.7)), q.bases,
-                          q.neuron_counts)
+        spec = NetSpec((3, 2, 1))
+        q = random_block_gaussian(spec, np.zeros(spec.n_params), seed=1)
+        q = BlockGaussian(q.mean, np.full(q.dim, math.log(0.7)), q.bases,
+                          q.spec)
         assert kl_block(q, q.mean, 0.7) == pytest.approx(0.0, abs=1e-12)
 
     def test_one_by_one_blocks_match_diag(self):
@@ -133,7 +135,7 @@ class TestKLBlock:
         variances = np.exp(rng.uniform(-1, 1, size=3))
         q_block = BlockGaussian(mean, np.log(variances),
                                 (np.ones((1, 1)), -np.ones((1, 1)),
-                                 np.ones((1, 1))), (1, 1, 1))
+                                 np.ones((1, 1))), NetSpec((1, 1, 1, 1)))
         q_diag = DiagGaussian.from_variance(mean, variances)
         prior_mean = rng.normal(size=3)
         lam = 0.4
@@ -142,19 +144,20 @@ class TestKLBlock:
             expected, abs=1e-12)
 
     def test_full_block_value(self):
-        q = random_block_gaussian([(1, 2)], np.zeros(2), seed=2)
-        q = BlockGaussian(q.mean, np.full(2, math.log(2.0)), q.bases, (1,))
-        assert kl_block(q, np.zeros(2), 1.0) == pytest.approx(
-            1.0 - math.log(2.0), abs=1e-12)
+        spec = NetSpec((2, 1, 1))
+        q = random_block_gaussian(spec, np.zeros(3), seed=2)
+        q = BlockGaussian(q.mean, np.full(3, math.log(2.0)), q.bases, spec)
+        assert kl_block(q, np.zeros(3), 1.0) == pytest.approx(
+            1.5 * (1.0 - math.log(2.0)), abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_dense_covariance_formula(self, seed):
         """KL(N(mu, Sigma) || N(mu0, lambda I)) with the slogdet and trace of
         the whole block-diagonal Sigma, one U diag(s) U' block per neuron."""
-        shapes = [(4, 3), (3, 4), (2, 3)]
-        d = sum(rows * cols for rows, cols in shapes)
+        spec = NetSpec((3, 4, 3, 2))
+        d = spec.n_params
         rng = np.random.default_rng(seed)
-        q = random_block_gaussian(shapes, rng.normal(size=d), seed=seed,
+        q = random_block_gaussian(spec, rng.normal(size=d), seed=seed,
                                   scale=0.3)
         prior_mean = rng.normal(size=d)
         lam = 0.5
@@ -168,25 +171,32 @@ class TestKLBlock:
                                                              rel=1e-9)
 
     def test_block_coverage_mismatch(self):
-        q = random_block_gaussian([(2, 2)], np.zeros(4), seed=3)
-        with pytest.raises(DimensionMismatchError):
-            BlockGaussian(np.zeros(5), np.zeros(5), q.bases, q.neuron_counts)
+        spec = NetSpec((2, 2, 1))
+        q = random_block_gaussian(spec, np.zeros(spec.n_params), seed=3)
+        BlockGaussian(np.zeros(6), np.zeros(6), q.bases, spec)
+        for d in (5, 7):
+            with pytest.raises(DimensionMismatchError, match="parameters"):
+                BlockGaussian(np.zeros(d), np.zeros(d), q.bases, spec)
 
     def test_one_square_basis_per_layer(self):
-        with pytest.raises(DimensionMismatchError):
-            BlockGaussian(np.zeros(4), np.zeros(4), (np.eye(2),), (1, 1))
-        with pytest.raises(DimensionMismatchError):
-            BlockGaussian(np.zeros(4), np.zeros(4), (np.ones((2, 4)),), (1,))
+        spec = NetSpec((2, 1, 1))
+        BlockGaussian(np.zeros(3), np.zeros(3), (np.eye(2), np.eye(1)), spec)
+        for bases in [(np.eye(2),),                       # a layer short
+                      (np.eye(2), np.eye(1), np.eye(1)),  # a layer over
+                      (np.ones((2, 1)), np.eye(1)),       # not square
+                      (np.eye(1), np.eye(2))]:            # not fan_in wide
+            with pytest.raises(DimensionMismatchError, match="basis"):
+                BlockGaussian(np.zeros(3), np.zeros(3), bases, spec)
 
     def test_non_finite_log_variance_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
-            BlockGaussian(np.zeros(2), np.array([0.0, -np.inf]),
-                          (np.eye(2),), (1,))
+            BlockGaussian(np.zeros(3), np.array([0.0, -np.inf, 0.0]),
+                          (np.eye(2), np.eye(1)), NetSpec((2, 1, 1)))
 
     def test_nonpositive_prior_scale(self):
-        q = random_block_gaussian([(1, 2)], np.zeros(2), seed=4)
+        q = random_block_gaussian(NetSpec((2, 1, 1)), np.zeros(3), seed=4)
         with pytest.raises(ValueError):
-            kl_block(q, np.zeros(2), 0.0)
+            kl_block(q, np.zeros(3), 0.0)
 
 
 class TestCatoniInv:
@@ -297,29 +307,31 @@ class TestSampling:
         assert np.allclose(draws.var(axis=0), var, rtol=0.1)
 
     def test_block_covariance_moments(self):
-        q = random_block_gaussian([(2, 3)], np.zeros(6), seed=5, scale=1.0)
+        spec = NetSpec((3, 2, 1))
+        q = random_block_gaussian(spec, np.zeros(spec.n_params), seed=5,
+                                  scale=1.0)
         cov = block_covariances(q)[0]
         draws = np.array([sample_gaussian(q, seed=s) for s in range(8000)])
         for neuron in range(2):
             emp = np.cov(draws[:, 3 * neuron:3 * neuron + 3].T)
             np.testing.assert_allclose(emp, cov, atol=0.1)
         # neurons are independent of each other
-        cross = np.cov(draws.T)[:3, 3:]
+        cross = np.cov(draws.T)[:3, 3:6]
         assert np.all(np.abs(cross) < 0.06)
 
     def test_block_matches_per_neuron_reference(self):
         """Each neuron's weights are mean + U (sqrt(s) * z) for its own
         slice z of the seed's normal draw."""
         rng = np.random.default_rng(4)
-        shapes = [(20, 30), (5, 20)]
-        mean = rng.standard_normal(20 * 30 + 5 * 20)
-        dist = random_block_gaussian(shapes, mean, seed=4)
+        spec = NetSpec((30, 20, 5))
+        mean = rng.standard_normal(spec.n_params)
+        dist = random_block_gaussian(spec, mean, seed=4)
         for seed in range(5):
             z = rng_for(seed, "sample").standard_normal(dist.dim)
             scale = np.exp(0.5 * dist.log_variance)
             reference = np.array(mean)
             offset = 0
-            for (neurons, k), U in zip(shapes, dist.bases):
+            for (neurons, k), U in zip(spec.layer_shapes, dist.bases):
                 for _ in range(neurons):
                     part = slice(offset, offset + k)
                     reference[part] += U @ (scale[part] * z[part])

@@ -136,7 +136,7 @@ class TestZeroOneErrors:
         if family == "diag":
             posterior = DiagGaussian.isotropic(mean, 0.3)
         else:
-            posterior = random_block_gaussian(spec.layer_shapes, mean,
+            posterior = random_block_gaussian(spec, mean,
                                               seed=m)
         draws = (sample_gaussian(posterior, seed=j) for j in range(m))
         errors = zero_one_errors(spec, draws, X, y)
@@ -275,6 +275,8 @@ class TestTrain:
             ("loss", "zero_one", "train.loss 'zero_one' cannot be trained"),
             ("decay", -0.1, "train.decay must be at least 0; got -0.1"),
             ("init_gain", 0.0, "train.init_gain must not be 0"),
+            ("momentum", 1.5, "train.momentum must lie in [0, 1]; got 1.5"),
+            ("momentum", -0.5, "train.momentum must lie in [0, 1]; got -0.5"),
         ]])
     def test_rejects_settings_that_train_nothing(self, blob_data, setting,
                                                  message):
@@ -286,6 +288,14 @@ class TestTrain:
     def test_negative_gain_and_zero_decay_train(self, blob_data):
         train_ds, _ = blob_data
         config = TrainerConfig(**settings("train", init_gain=-1.0, decay=0.0,
+                                          epochs=3, batch_size=64, lr=0.05))
+        record = train(NetSpec((12, 8, 3)), train_ds, config, seed=4)
+        assert record.final_train_error < 0.1
+
+    @pytest.mark.parametrize("momentum", [0.0, 1.0])
+    def test_momentum_at_either_end_trains(self, blob_data, momentum):
+        train_ds, _ = blob_data
+        config = TrainerConfig(**settings("train", momentum=momentum,
                                           epochs=3, batch_size=64, lr=0.05))
         record = train(NetSpec((12, 8, 3)), train_ds, config, seed=4)
         assert record.final_train_error < 0.1

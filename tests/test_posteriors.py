@@ -87,6 +87,19 @@ class TestClosedForm:
         with pytest.raises(ValueError):
             closed_form_posterior(np.ones((2, 2, 2)), beta=1.0, lam=1.0)
 
+    @pytest.mark.parametrize("below", [0.0, 1e-3])
+    def test_rejects_curvature_with_no_positive_variance(self, below):
+        """h + (beta/lambda)/sigma_pi <= 0 has no positive variance."""
+        beta, lam = 0.5, 0.25
+        with pytest.raises(ValueError, match="has no positive variance"):
+            closed_form_posterior(np.array([1.0, -beta / lam - below]),
+                                  beta, lam)
+        with pytest.raises(ValueError, match="has no positive variance"):
+            closed_form_posterior(np.array([-beta / lam / 4.0 - below]), beta,
+                                  lam, prior_var=np.array([4.0]))
+        assert np.all(closed_form_posterior(
+            np.array([-0.99 * beta / lam]), beta, lam) > 0)
+
 
 class TestJointOptimal:
     def test_golden_ratio_instance(self):
@@ -280,11 +293,9 @@ class TestSkfac:
             np.testing.assert_allclose(covs[layer], direct, rtol=0,
                                        atol=1e-10)
             # every neuron of the layer carries the same basis variances
-            rows, k = spec.layer_shapes[layer]
-            offset = sum(r * c for r, c in spec.layer_shapes[:layer])
-            per_neuron = post.log_variance[offset:offset + rows * k]
-            assert np.array_equal(per_neuron.reshape(rows, k),
-                                  np.tile(per_neuron[:k], (rows, 1)))
+            per_neuron = spec.to_matrices(post.log_variance)[layer]
+            assert np.array_equal(per_neuron,
+                                  np.tile(per_neuron[0], (len(per_neuron), 1)))
 
     def test_random_probes_confirm_optimality(self):
         rng = np.random.default_rng(21)
@@ -312,17 +323,16 @@ class TestSkfac:
         est = all_block_hessians(spec, record.theta_star, train_ds.X)
         beta, lam = 0.002, 0.1
         post = skfac_posterior(spec, record.theta_star, est, beta, lam)
-        counts = [rows for rows, _ in spec.layer_shapes]
         hessians = block_hessians(spec, record.theta_star, train_ds.X)
         full = quadratic_objective_block(
-            hessians, block_covariances(post), counts,
+            hessians, block_covariances(post), spec,
             beta, lam, record.theta_star, record.theta0)
         diag_covs = [
             np.diag(closed_form_posterior(np.diag(H), beta, lam))
             for H in hessians
         ]
         restricted = quadratic_objective_block(
-            hessians, diag_covs, counts, beta, lam,
+            hessians, diag_covs, spec, beta, lam,
             record.theta_star, record.theta0)
         assert full <= restricted + 1e-10 * abs(restricted)
 
@@ -330,14 +340,13 @@ class TestSkfac:
         train_ds, _ = blob_data
         spec, record = trained_net
         est = all_block_hessians(spec, record.theta_star, train_ds.X)
-        counts = [rows for rows, _ in spec.layer_shapes]
         for beta, lam in [(0.01, 0.1), (1.0 / train_ds.n, 0.001)]:
             post = skfac_posterior(spec, record.theta_star, est, beta, lam)
             covs = block_covariances(post)
             # with zero Hessians and beta 1 the block objective is the KL
             # summed from each neuron's dense covariance (slogdet, trace)
             dense = quadratic_objective_block(
-                [np.zeros_like(cov) for cov in covs], covs, counts, 1.0, lam,
+                [np.zeros_like(cov) for cov in covs], covs, spec, 1.0, lam,
                 record.theta_star, record.theta0)
             kl = kl_block(post, record.theta0, lam)
             assert kl > 0.0
@@ -353,8 +362,22 @@ class TestSkfac:
                        eigvecs=np.eye(2))
         theta = np.zeros(spec.n_params)
         skfac_posterior(spec, theta, [fine, fine], beta, lam)
-        with pytest.raises(ValueError, match="layer 1 has an eigenvalue"):
+        with pytest.raises(ValueError, match="has no positive variance"):
             skfac_posterior(spec, theta, [fine, bad], beta, lam)
+
+    def test_variances_are_the_closed_form_on_each_layer(self, blob_data,
+                                                         trained_net):
+        """Each neuron's log-variances are log of `closed_form_posterior` on
+        its layer Hessian's eigenvalues, bit for bit."""
+        train_ds, _ = blob_data
+        spec, record = trained_net
+        est = all_block_hessians(spec, record.theta_star, train_ds.X)
+        for beta, lam in [(0.004, 0.08), (1.0 / train_ds.n, 0.001)]:
+            post = skfac_posterior(spec, record.theta_star, est, beta, lam)
+            for eig, logv in zip(est, spec.to_matrices(post.log_variance)):
+                expected = np.log(closed_form_posterior(eig.eigvals, beta, lam))
+                for row in logv:
+                    assert np.array_equal(row, expected)
 
     @pytest.mark.parametrize("beta, lam", [(0.0, 0.1), (0.1, 0.0),
                                            (-0.1, 0.1)])
