@@ -1,26 +1,28 @@
-"""Thread count of the OpenBLAS that numpy links, for loops too small to split.
+"""Thread count of the OpenBLAS that numpy links: every command runs on one.
 
-A VI step multiplies one 100-row mini-batch in `nnet.grad`, then draws the
-next noise vector and runs the Adam update on the main thread alone.  The
-product wakes OpenBLAS's worker thread, which busy-waits through the rest
-of the step, so the loop burned two CPUs for the wall time of one.
-Measured on a 2-vCPU host (OpenBLAS 0.3.31, 784-100-100-2 net, 88.6k
-parameters), per step:
+OpenBLAS wakes a worker thread for each product large enough to split, and
+the worker then busy-waits for about 0.1 s.  A loop that mixes products
+with Python work (an SGD step, a VI step, a Monte-Carlo row block, a probe
+point) therefore burned two CPUs for the wall time of one.  So `cli.main`
+runs every command under `single_threaded()`.  The one loop where the
+second core paid for itself, the row blocks of `nnet.zero_one_errors`,
+runs on a thread pool instead: one worker per usable CPU, each on one BLAS
+thread.  Measured on a 2-vCPU host (OpenBLAS 0.3.31), desk-mc inputs
+(784-100-100-2 net, n = 10k), one fresh process per command, median of
+five runs, two BLAS threads -> one:
 
-    nnet.grad on 2 threads   1.25 ms wall, 2.45 ms CPU
-    nnet.grad on 1 thread    1.58 ms wall, 1.71 ms CPU
-    noise and Adam update    4.7 ms on one core (the worker spinning)
+    command   CPU (s)       wall (s)
+    train     4.18 -> 2.89  2.16 -> 2.77
+    certify   5.82 -> 4.86  3.05 -> 3.09
+    probe     1.04 -> 0.92  0.62 -> 0.80
 
-Pinning the step loop to one thread cut desk-vi `pbcert certify` CPU time
-from 24.9 s to 15.0 s (median of ten pairs), while its wall time went from
-12.7 s to 13.5 s, inside the 11% run-to-run spread.  Large products
-(10k-row forwards, Monte-Carlo draws, Fisher, block Hessians, training)
-keep the default thread count, because there the second thread does halve
-the wall time.
+On desk-vi inputs `certify` went from 11.52 to 9.16 s of CPU time and from
+10.32 to 8.82 s of wall time (median of 3).
 
-A 1-thread and a multi-thread product can differ in the last bits, so a
-loop run under `single_threaded()` also gives the same bytes on every host,
-whatever its core count.
+A 1-thread and a multi-thread product with an inner dimension of 400 or
+more can differ in the last bits.  On one thread the sums no longer depend
+on the core count, so for a fixed BLAS build a run writes the same bytes on
+every host.
 """
 
 from __future__ import annotations
@@ -77,17 +79,18 @@ def openblas_thread_controls():
 def single_threaded():
     """Run the block on one BLAS thread; restore the previous count on exit.
 
-    The count is process-wide, so a thread running BLAS concurrently is
-    pinned too.  Does nothing when no OpenBLAS control is found.
+    Yields True when it pinned the count, False when no OpenBLAS control
+    was found and it did nothing.  The count is process-wide, so a thread
+    running BLAS concurrently is pinned too.
     """
     controls = openblas_thread_controls()
     if controls is None:
-        yield
+        yield False
         return
     set_threads, get_threads = controls
     previous = get_threads()
     set_threads(1)
     try:
-        yield
+        yield True
     finally:
         set_threads(previous)

@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 runtime failure (a malformed data or run file
 too), 2 usage error (bad flags, unreadable config, missing input paths, a
 setting that cannot run).  The environment variable PBCERT_OUTPUT_ROOT,
-when set, is prepended to relative output paths.
+when set, is prepended to relative output paths.  Every command runs on
+one BLAS thread (see `pbcert.blas`).
 """
 
 from __future__ import annotations
@@ -12,11 +13,13 @@ import argparse
 import csv
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from pbcert import certify as cert
+from pbcert.blas import single_threaded
 from pbcert.config import ConfigError, RunConfig, load_config
 from pbcert.curvature import check_probe_settings, landscape_probe
 from pbcert.data import COLLAPSE_SIZES, collapse_classes, load_cifar_bin
@@ -59,6 +62,9 @@ def _build_datasets(config: RunConfig):
                                  f"data.{key}={path!r}")
         train_ds = load_idx(get("data", "images"), get("data", "labels"))
         test_ds = load_idx(get("data", "test_images"), get("data", "test_labels"))
+        # a split that lacks the largest label still has every class
+        k = 1 + max(int(ds.y.max()) for ds in (train_ds, test_ds))
+        train_ds, test_ds = (replace(ds, k=k) for ds in (train_ds, test_ds))
     elif source == "cifar":
         batches = get("data", "batches").split(":")
         test_batches = get("data", "test_batches").split(":")
@@ -298,25 +304,27 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        if args.command == "plot":
-            cmd_plot(args.csvs, args.out, args.log_x, args.title)
+    with single_threaded():
+        try:
+            if args.command == "plot":
+                cmd_plot(args.csvs, args.out, args.log_x, args.title)
+                return 0
+            config = load_config(args.config, args.overrides)
+            if args.command == "train":
+                out = args.out or config.get("run", "output")
+                cmd_train(config, out)
+            elif args.command == "certify":
+                cmd_certify(config, args.run)
+            elif args.command == "probe":
+                cmd_probe(config, args.run)
             return 0
-        config = load_config(args.config, args.overrides)
-        if args.command == "train":
-            out = args.out or config.get("run", "output")
-            cmd_train(config, out)
-        elif args.command == "certify":
-            cmd_certify(config, args.run)
-        elif args.command == "probe":
-            cmd_probe(config, args.run)
-        return 0
-    except (UsageError, ConfigError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:   # noqa: BLE001
-        print(f"runtime failure: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        except (UsageError, ConfigError, FileNotFoundError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except Exception as exc:   # noqa: BLE001
+            print(f"runtime failure: {type(exc).__name__}: {exc}",
+                  file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,9 +29,10 @@ class DimensionMismatchError(ValueError):
 
 def _freeze_vectors(dist) -> None:
     """Set a frozen dist's mean and log_variance to read-only float64
-    vectors, after checking that they are finite and of one shape."""
-    mean = np.asarray(dist.mean, dtype=np.float64)
-    logv = np.asarray(dist.log_variance, dtype=np.float64)
+    copies, after checking that they are finite and of one shape; the
+    caller's arrays stay writeable."""
+    mean = np.array(dist.mean, dtype=np.float64)
+    logv = np.array(dist.log_variance, dtype=np.float64)
     if mean.shape != logv.shape or mean.ndim != 1:
         raise DimensionMismatchError(
             f"mean shape {mean.shape} != log_variance shape {logv.shape}"
@@ -42,8 +44,23 @@ def _freeze_vectors(dist) -> None:
         object.__setattr__(dist, name, vector)
 
 
+class _Diagonal:
+    """What both posterior types share: a diagonal Gaussian in some basis."""
+
+    @cached_property
+    def std(self) -> np.ndarray:
+        """exp(log_variance / 2), computed once, since every draw scales by it."""
+        std = np.exp(0.5 * self.log_variance)
+        std.setflags(write=False)
+        return std
+
+    @property
+    def dim(self) -> int:
+        return self.mean.shape[0]
+
+
 @dataclass(frozen=True)
-class DiagGaussian:
+class DiagGaussian(_Diagonal):
     """Gaussian with diagonal covariance, parameterized by log-variance."""
 
     mean: np.ndarray
@@ -68,13 +85,9 @@ class DiagGaussian:
     def variance(self) -> np.ndarray:
         return np.exp(self.log_variance)
 
-    @property
-    def dim(self) -> int:
-        return self.mean.shape[0]
-
 
 @dataclass(frozen=True)
-class BlockGaussian:
+class BlockGaussian(_Diagonal):
     """Gaussian whose covariance has one block per neuron, shared by every
     neuron of a layer, held as a diagonal Gaussian in each layer's basis.
 
@@ -90,7 +103,7 @@ class BlockGaussian:
 
     def __post_init__(self):
         _freeze_vectors(self)
-        bases = tuple(np.asarray(U, dtype=np.float64) for U in self.bases)
+        bases = tuple(np.array(U, dtype=np.float64) for U in self.bases)
         fan_ins = [k for _, k in self.spec.layer_shapes]
         if [U.shape for U in bases] != [(k, k) for k in fan_ins]:
             raise DimensionMismatchError(
@@ -101,10 +114,6 @@ class BlockGaussian:
         for U in bases:
             U.setflags(write=False)
         object.__setattr__(self, "bases", bases)
-
-    @property
-    def dim(self) -> int:
-        return self.mean.shape[0]
 
 
 def kl_diag(q: DiagGaussian, p: DiagGaussian) -> float:
@@ -177,7 +186,7 @@ def sample_gaussian(dist, seed: int) -> np.ndarray:
         raise TypeError(f"unsupported distribution type {type(dist)!r}")
     rng = rng_for(seed, "sample")
     z = rng.standard_normal(dist.dim)
-    noise = np.exp(0.5 * dist.log_variance) * z
+    noise = dist.std * z
     if isinstance(dist, BlockGaussian):
         noise = dist.spec.to_vector([N @ U.T for N, U in zip(
             dist.spec.to_matrices(noise), dist.bases)])

@@ -9,10 +9,13 @@ the initialization, which later serves as a data-independent prior center.
 from __future__ import annotations
 
 import itertools
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from pbcert.blas import single_threaded
 from pbcert.rng import rng_for
 
 LOSS_KINDS = ("zero_one", "categorical", "mse")
@@ -132,25 +135,34 @@ def later_layers(A1: np.ndarray, weights) -> np.ndarray:
 
 # Draws whose first-layer weights share one product, and rows of X per
 # product.  At the desk shape (h1 = 100) one preactivation block is
-# 2048 x 800 float64 = 13 MB, against 63 MB for a 10k x 784 X.
+# 1024 x 800 float64 = 6.6 MB, against 63 MB for a 10k x 784 X.
 _DRAW_GROUP = 8
-_ROW_BLOCK = 2048
+_ROW_BLOCK = 1024
 
 
 def zero_one_errors(spec: NetSpec, thetas, X: np.ndarray,
                     y: np.ndarray) -> np.ndarray:
     """01-error on (X, y) of each parameter vector the iterable `thetas` yields.
 
-    Equals `loss("zero_one", forward(spec, theta, X).outputs, y)` per theta
-    bit for bit, for a fixed BLAS build, at a fraction of the cost when X is
-    large: the first-layer weights of up to _DRAW_GROUP thetas are stacked
-    into one (G*h1 x d) matrix, so each row block of X passes through BLAS
-    once per group instead of once per theta.  Each theta's later layers run
-    on its column slice of the block.  Every entry of a product is the same
+    The first-layer weights of up to _DRAW_GROUP thetas are stacked into one
+    (G*h1 x d) matrix, so each row block of X passes through BLAS once per
+    group instead of once per theta, and each theta's later layers run on
+    its column slice of the block.  The row blocks are split over a thread
+    pool, one worker per CPU this process may use, each with its own
+    preactivation buffer; the per-theta error counts are summed as integers.
+    The function runs on one BLAS thread (`blas.single_threaded`); where no
+    OpenBLAS control is found, the pool has one worker, so a BLAS that
+    threads its own products is not oversubscribed.
+
+    Under one BLAS thread the result equals
+    `loss("zero_one", forward(spec, theta, X).outputs, y)` per theta bit for
+    bit, for a fixed BLAS build: every entry of a product is the same
     length-d dot product in both layouts, and OpenBLAS sums it in an order
-    that does not depend on the row or column count; the tests pin this on
-    the desk shape.  `thetas` is read one group at a time, so a generator of
-    posterior draws is never held in memory whole.
+    that depends neither on the row count (from 17 rows up) nor on the
+    column count.  So neither the grouping nor the number of workers
+    changes a byte; the tests pin this on the desk shape.  `thetas` is read
+    one group at a time on the calling thread, so a generator of posterior
+    draws is never held in memory whole.
     """
     X = _inputs(spec, X)
     y = np.asarray(y)
@@ -158,26 +170,38 @@ def zero_one_errors(spec: NetSpec, thetas, X: np.ndarray,
         raise ValueError(f"labels out of range [0, {spec.widths[-1]})")
     h1 = spec.widths[1]
     n = X.shape[0]
+    starts = range(0, n, _ROW_BLOCK)
     thetas = iter(thetas)
     wrong = []
-    # one buffer for every first-layer block keeps the peak at one block
-    buffer = np.empty(min(n, _ROW_BLOCK) * _DRAW_GROUP * h1)
-    while group := [spec.to_matrices(theta)
-                    for theta in itertools.islice(thetas, _DRAW_GROUP)]:
-        W1 = np.concatenate([weights[0] for weights in group])
-        group_wrong = [0] * len(group)
-        for start in range(0, n, _ROW_BLOCK):
-            X_block = X[start:start + _ROW_BLOCK]
-            A1 = buffer[:X_block.shape[0] * W1.shape[0]].reshape(
-                X_block.shape[0], W1.shape[0])
-            np.matmul(X_block, W1.T, out=A1)
-            np.maximum(A1, 0.0, out=A1)
-            labels = y[start:start + _ROW_BLOCK]
-            for g, weights in enumerate(group):
-                outputs = later_layers(A1[:, g * h1:(g + 1) * h1], weights[1:])
-                group_wrong[g] += int(np.count_nonzero(
-                    np.argmax(outputs, axis=1) != labels))
-        wrong.extend(group_wrong)
+    with single_threaded() as pinned:
+        workers = min(len(os.sched_getaffinity(0)) if pinned else 1, len(starts))
+        # one buffer per worker keeps the peak at one block a worker
+        buffers = [np.empty(min(n, _ROW_BLOCK) * _DRAW_GROUP * h1)
+                   for _ in range(workers)]
+
+        def count_wrong(worker, group, W1):
+            """Errors of each theta of `group` on the row blocks of `worker`."""
+            counts = [0] * len(group)
+            for start in starts[worker::workers]:
+                X_block = X[start:start + _ROW_BLOCK]
+                A1 = buffers[worker][:X_block.shape[0] * W1.shape[0]].reshape(
+                    X_block.shape[0], W1.shape[0])
+                np.matmul(X_block, W1.T, out=A1)
+                np.maximum(A1, 0.0, out=A1)
+                labels = y[start:start + _ROW_BLOCK]
+                for g, weights in enumerate(group):
+                    outputs = later_layers(A1[:, g * h1:(g + 1) * h1], weights[1:])
+                    counts[g] += int(np.count_nonzero(
+                        np.argmax(outputs, axis=1) != labels))
+            return counts
+
+        with ThreadPoolExecutor(workers) as pool:
+            while group := [spec.to_matrices(theta)
+                            for theta in itertools.islice(thetas, _DRAW_GROUP)]:
+                W1 = np.concatenate([weights[0] for weights in group])
+                counts = pool.map(count_wrong, range(workers),
+                                  [group] * workers, [W1] * workers)
+                wrong.extend(map(sum, zip(*counts)))
     return np.array(wrong, dtype=np.float64) / n
 
 

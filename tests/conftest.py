@@ -6,11 +6,31 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from pbcert.blas import openblas_thread_controls
 from pbcert.config import load_config
 from pbcert.data import synthetic_blobs
 from pbcert.gaussians import BlockGaussian, DiagGaussian, kl_diag
 from pbcert.nnet import NetSpec, TrainerConfig, forward, relu, softmax, train
 from pbcert.rng import rng_for
+
+
+BLAS_CONTROLS = openblas_thread_controls()
+
+
+@pytest.fixture(autouse=True)
+def blas_thread_count_restored():
+    """Fail a test that leaves the process's BLAS thread count changed: a
+    leaked pin would change the bits of every later test."""
+    if BLAS_CONTROLS is None:
+        yield
+        return
+    set_threads, get_threads = BLAS_CONTROLS
+    before = get_threads()
+    yield
+    after = get_threads()
+    if after != before:
+        set_threads(before)
+        pytest.fail(f"BLAS thread count left at {after}, was {before}")
 
 
 def settings(section: str, **overrides) -> dict:

@@ -1,10 +1,11 @@
-"""BLAS thread pinning: restore on exit, no-op without OpenBLAS, VI bytes."""
+"""BLAS thread pinning: restore on exit, no-op without OpenBLAS, every CLI
+command on one thread, and bytes that do not depend on the thread count."""
 
 import numpy as np
 import pytest
 
 from tests.conftest import random_theta, settings
-from pbcert import blas
+from pbcert import blas, cli
 from pbcert.data import Dataset
 from pbcert.nnet import NetSpec
 from pbcert.posteriors import vi_optimize_diag
@@ -28,8 +29,8 @@ def two_threads():
 
 @needs_openblas
 def test_pins_one_thread_and_restores(two_threads):
-    with blas.single_threaded():
-        assert two_threads() == 1
+    with blas.single_threaded() as pinned:
+        assert pinned and two_threads() == 1
     assert two_threads() == 2
 
 
@@ -48,8 +49,8 @@ def test_no_op_without_openblas(monkeypatch, paths):
     assert blas.openblas_thread_controls() is None
     before = CONTROLS[1]() if CONTROLS else None
     ran = False
-    with blas.single_threaded():
-        ran = True
+    with blas.single_threaded() as pinned:
+        ran = not pinned
         if CONTROLS:
             assert CONTROLS[1]() == before
     assert ran
@@ -71,3 +72,65 @@ def test_vi_bytes_do_not_depend_on_caller_thread_count():
         pinned = vi_optimize_diag(spec, theta_star, theta0, data, **kwargs)
     assert (free.posterior.log_variance.tobytes()
             == pinned.posterior.log_variance.tobytes())
+
+
+@needs_openblas
+@pytest.mark.parametrize("failure, code", [
+    (None, 0), (RuntimeError("boom"), 1), (cli.UsageError("bad"), 2)])
+def test_cli_runs_on_one_thread_and_restores(monkeypatch, tmp_path,
+                                             two_threads, failure, code):
+    seen = []
+
+    def plot(*args):
+        seen.append(two_threads())
+        if failure is not None:
+            raise failure
+
+    monkeypatch.setattr(cli, "cmd_plot", plot)
+    assert cli.main(["plot", "a.csv", "--out", str(tmp_path / "a.svg")]) == code
+    assert seen == [1]
+    assert two_threads() == 2
+
+
+# An input width of 400 and 64 hidden units: products of that inner
+# dimension differ in the last bits between 1 and 2 BLAS threads, so an
+# unpinned run's theta* would depend on the caller's thread count.
+CORE_COUNT_CONFIG = """
+[data]
+n = 400
+test_n = 100
+d = 400
+k = 2
+separation = 5.0
+
+[net]
+hidden = 64
+
+[train]
+epochs = 2
+batch_size = 64
+
+[posterior]
+families = iso-init
+beta_count = 1
+lambda_count = 2
+
+[bound]
+m = 5
+"""
+
+
+@pytest.mark.skipif(CONTROLS is None or CONTROLS[1]() < 2,
+                    reason="only one BLAS thread available")
+def test_run_bytes_do_not_depend_on_caller_thread_count(tmp_path, two_threads):
+    config = tmp_path / "run.ini"
+    config.write_text(CORE_COUNT_CONFIG)
+    outputs = {}
+    for threads in (1, 2):
+        CONTROLS[0](threads)
+        run = str(tmp_path / f"run{threads}")
+        assert cli.main(["train", "--config", str(config), "--out", run]) == 0
+        assert cli.main(["certify", "--config", str(config), "--run", run]) == 0
+        outputs[threads] = [(tmp_path / f"run{threads}" / name).read_bytes()
+                            for name in ("theta_star.bin", "certificates.csv")]
+    assert outputs[1] == outputs[2]

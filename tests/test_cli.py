@@ -522,17 +522,22 @@ class TestCliPipeline:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("classes, truncate, code, message", [
-        (4, 0, 2, "bad data.collapse: collapse requires 10 classes"),
-        (10, 3, 1, "truncated file while reading image data"),
-        (10, 0, 0, ""),
-    ], ids=["four-classes", "truncated", "ten-classes"])
+    @pytest.mark.parametrize("classes, test_classes, truncate, code, message", [
+        (4, 4, 0, 2, "bad data.collapse: collapse requires 10 classes"),
+        (10, 10, 3, 1, "truncated file while reading image data"),
+        (10, 10, 0, 0, ""),
+        (10, 9, 0, 0, ""),
+    ], ids=["four-classes", "truncated", "ten-classes",
+            "test-split-lacks-a-class"])
     def test_train_collapses_a_loaded_dataset_of_ten_classes(
-            self, small_config, tmp_path, capsys, classes, truncate, code,
-            message):
+            self, small_config, tmp_path, capsys, classes, test_classes,
+            truncate, code, message):
+        """k counts the labels of both splits, so a test split without the
+        last class still collapses."""
         overrides = ["data.source=idx", "data.collapse=2"]
-        labels = [c for c in range(classes) for _ in range(3)]
         for split, prefix in (("train", ""), ("test", "test_")):
+            n_classes = classes if split == "train" else test_classes
+            labels = [c for c in range(n_classes) for _ in range(3)]
             (tmp_path / split).mkdir()
             images, label_file = write_idx_pair(
                 tmp_path / split, range(4 * len(labels)), labels,

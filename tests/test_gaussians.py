@@ -55,6 +55,16 @@ class TestDiagGaussian:
         with pytest.raises(ValueError):
             g.mean[0] = 1.0
 
+    def test_callers_arrays_stay_writeable(self):
+        theta = np.zeros(3)
+        log_variance = np.zeros(3)
+        bases = (np.eye(2), np.eye(1))
+        DiagGaussian.isotropic(theta, 0.1)
+        DiagGaussian(theta, log_variance)
+        BlockGaussian(theta, log_variance, bases, NetSpec((2, 1, 1)))
+        for array in (theta, log_variance, *bases):
+            assert array.flags.writeable
+
 
 class TestKLDiag:
     def test_identical_is_zero(self):
@@ -339,6 +349,17 @@ class TestSampling:
             # one product per layer sums each entry in another order
             np.testing.assert_allclose(sample_gaussian(dist, seed), reference,
                                        rtol=0, atol=1e-13)
+
+    def test_diag_draw_bytes(self):
+        """A draw is mean + exp(log_variance / 2) * z, with the standard
+        deviations computed once per posterior."""
+        rng = np.random.default_rng(6)
+        g = DiagGaussian(rng.standard_normal(50), rng.standard_normal(50))
+        assert g.std is g.std and not g.std.flags.writeable
+        for seed in range(3):
+            z = rng_for(seed, "sample").standard_normal(g.dim)
+            reference = g.mean + np.exp(0.5 * g.log_variance) * z
+            assert sample_gaussian(g, seed).tobytes() == reference.tobytes()
 
     def test_unsupported_type(self):
         with pytest.raises(TypeError):

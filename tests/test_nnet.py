@@ -1,12 +1,15 @@
 """Forward pass, losses, backprop, indexing, and training dynamics."""
 
+import os
 import re
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from tests.conftest import random_block_gaussian, random_theta, settings
+from pbcert.blas import single_threaded
 from pbcert.gaussians import DiagGaussian, sample_gaussian
 from pbcert.nnet import (
     _DRAW_GROUP,
@@ -160,6 +163,34 @@ class TestZeroOneErrors:
                                   (X @ W.T)[:_ROW_BLOCK])
         errors = zero_one_errors(spec, thetas, X, y)
         assert np.array_equal(errors, per_draw_errors(spec, posterior, m, X, y))
+
+    @pytest.mark.parametrize("cpus", [1, 2, 5])
+    def test_desk_shape_equals_serial_forward_on_one_thread(self, monkeypatch,
+                                                             cpus):
+        """784-100-100-2 over three row blocks, the last a partial one: the
+        pooled errors equal one forward pass per draw on one BLAS thread,
+        bit for bit, on each of five runs and whatever the worker count (5
+        CPUs give three workers, more than a 2-core host has).  The switch
+        interval is shortened so that a shared buffer would show."""
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)))
+        spec = NetSpec((784, 100, 100, 2))
+        rng = np.random.default_rng(2)
+        X = rng.standard_normal((2 * _ROW_BLOCK + 452, 784))
+        y = rng.integers(0, 2, X.shape[0])
+        posterior = DiagGaussian.isotropic(
+            init_params(spec, seed=3, gain=settings("train")["init_gain"]), 1e-3)
+        m = self.G + 1
+        thetas = [sample_gaussian(posterior, seed=j) for j in range(m)]
+        with single_threaded():
+            serial = per_draw_errors(spec, posterior, m, X, y)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                assert np.array_equal(zero_one_errors(spec, thetas, X, y), serial)
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_stacks_at_most_one_group(self):
         spec = NetSpec((6, 50, 2))
