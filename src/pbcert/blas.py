@@ -3,21 +3,11 @@
 OpenBLAS wakes a worker thread for each product large enough to split, and
 the worker then busy-waits for about 0.1 s.  A loop that mixes products
 with Python work (an SGD step, a VI step, a Monte-Carlo row block, a probe
-point) therefore burned two CPUs for the wall time of one.  So `cli.main`
+point) therefore burns two CPUs for the wall time of one.  So `cli.main`
 runs every command under `single_threaded()`.  The one loop where the
 second core paid for itself, the row blocks of `nnet.zero_one_errors`,
 runs on a thread pool instead: one worker per usable CPU, each on one BLAS
-thread.  Measured on a 2-vCPU host (OpenBLAS 0.3.31), desk-mc inputs
-(784-100-100-2 net, n = 10k), one fresh process per command, median of
-five runs, two BLAS threads -> one:
-
-    command   CPU (s)       wall (s)
-    train     4.18 -> 2.89  2.16 -> 2.77
-    certify   5.82 -> 4.86  3.05 -> 3.09
-    probe     1.04 -> 0.92  0.62 -> 0.80
-
-On desk-vi inputs `certify` went from 11.52 to 9.16 s of CPU time and from
-10.32 to 8.82 s of wall time (median of 3).
+thread.
 
 A 1-thread and a multi-thread product with an inner dimension of 400 or
 more can differ in the last bits.  On one thread the sums no longer depend

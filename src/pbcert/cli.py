@@ -75,6 +75,9 @@ def _build_datasets(config: RunConfig):
         test_ds = load_cifar_bin(test_batches)
     else:
         raise ConfigError(f"unknown data source {source!r}")
+    if test_ds.d != train_ds.d:
+        raise UsageError(f"train inputs have {train_ds.d} features and test "
+                         f"inputs {test_ds.d}")
     collapse = get("data", "collapse")
     if collapse:
         try:

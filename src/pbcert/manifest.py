@@ -109,7 +109,6 @@ def save_train_record(out_dir, record: TrainRecord, train_data: Dataset,
         "widths": list(record.spec.widths),
         "seed": record.seed,
         "trainer": dataclasses.asdict(record.config),
-        "epoch_losses": record.epoch_losses,
         "final_train_error": record.final_train_error,
         "final_test_error": record.final_test_error,
         "theta0_sha256": save_params(out_dir / "theta0.bin", record.spec,
@@ -152,7 +151,6 @@ def load_train_record(run_dir) -> tuple:
         seed=meta["seed"],
         theta0=load("theta0", load_params, spec),
         theta_star=load("theta_star", load_params, spec),
-        epoch_losses=meta["epoch_losses"],
         final_train_error=meta["final_train_error"],
         final_test_error=meta["final_test_error"],
     )

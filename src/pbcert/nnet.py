@@ -134,8 +134,9 @@ def later_layers(A1: np.ndarray, weights) -> np.ndarray:
 
 
 # Draws whose first-layer weights share one product, and rows of X per
-# product.  At the desk shape (h1 = 100) one preactivation block is
-# 1024 x 800 float64 = 6.6 MB, against 63 MB for a 10k x 784 X.
+# product (one more in a block that takes a 1-row remainder).  At the desk
+# shape (h1 = 100) one preactivation block is 1024 x 800 float64 = 6.6 MB,
+# against 63 MB for a 10k x 784 X.
 _DRAW_GROUP = 8
 _ROW_BLOCK = 1024
 
@@ -158,9 +159,11 @@ def zero_one_errors(spec: NetSpec, thetas, X: np.ndarray,
     `loss("zero_one", forward(spec, theta, X).outputs, y)` per theta bit for
     bit, for a fixed BLAS build: every entry of a product is the same
     length-d dot product in both layouts, and OpenBLAS sums it in an order
-    that depends neither on the row count (from 17 rows up) nor on the
-    column count.  So neither the grouping nor the number of workers
-    changes a byte; the tests pin this on the desk shape.  `thetas` is read
+    that depends neither on the row count nor on the column count, except
+    that a 1-row product takes the matrix-vector path, whose bits differ
+    (1 to 39 rows were checked).  So a 1-row remainder joins the block
+    before it, and neither the grouping nor the number of workers changes
+    a byte; the tests pin this on the desk shape.  `thetas` is read
     one group at a time on the calling thread, so a generator of posterior
     draws is never held in memory whole.
     """
@@ -170,25 +173,27 @@ def zero_one_errors(spec: NetSpec, thetas, X: np.ndarray,
         raise ValueError(f"labels out of range [0, {spec.widths[-1]})")
     h1 = spec.widths[1]
     n = X.shape[0]
-    starts = range(0, n, _ROW_BLOCK)
+    # no block boundary at n - 1, so a 1-row remainder joins the block before
+    ends = [*range(_ROW_BLOCK, n - 1, _ROW_BLOCK), n]
+    blocks = list(zip([0, *ends[:-1]], ends))
     thetas = iter(thetas)
     wrong = []
     with single_threaded() as pinned:
-        workers = min(len(os.sched_getaffinity(0)) if pinned else 1, len(starts))
+        workers = min(len(os.sched_getaffinity(0)) if pinned else 1, len(blocks))
         # one buffer per worker keeps the peak at one block a worker
-        buffers = [np.empty(min(n, _ROW_BLOCK) * _DRAW_GROUP * h1)
+        buffers = [np.empty(min(n, _ROW_BLOCK + 1) * _DRAW_GROUP * h1)
                    for _ in range(workers)]
 
         def count_wrong(worker, group, W1):
             """Errors of each theta of `group` on the row blocks of `worker`."""
             counts = [0] * len(group)
-            for start in starts[worker::workers]:
-                X_block = X[start:start + _ROW_BLOCK]
+            for start, end in blocks[worker::workers]:
+                X_block = X[start:end]
                 A1 = buffers[worker][:X_block.shape[0] * W1.shape[0]].reshape(
                     X_block.shape[0], W1.shape[0])
                 np.matmul(X_block, W1.T, out=A1)
                 np.maximum(A1, 0.0, out=A1)
-                labels = y[start:start + _ROW_BLOCK]
+                labels = y[start:end]
                 for g, weights in enumerate(group):
                     outputs = later_layers(A1[:, g * h1:(g + 1) * h1], weights[1:])
                     counts[g] += int(np.count_nonzero(
@@ -306,7 +311,6 @@ class TrainRecord:
     seed: int
     theta0: np.ndarray
     theta_star: np.ndarray
-    epoch_losses: list
     final_train_error: float
     final_test_error: float = None
 
@@ -323,7 +327,8 @@ def init_params(spec: NetSpec, seed: int, gain: float) -> np.ndarray:
 
 def train(spec: NetSpec, data, config: TrainerConfig, seed: int,
           test_data=None) -> TrainRecord:
-    """Deterministic minibatch training; records theta0 before any update."""
+    """Deterministic minibatch training; records theta0 before any update.
+    Each epoch checks the weights are finite; theta* is evaluated once."""
     check_train_settings(config)
     X, y = np.asarray(data.X, dtype=np.float64), np.asarray(data.y)
     theta0 = init_params(spec, seed, config.init_gain)
@@ -334,8 +339,7 @@ def train(spec: NetSpec, data, config: TrainerConfig, seed: int,
     shuffle_rng = rng_for(seed, "shuffle")
     n = X.shape[0]
     step = 0
-    epoch_losses = []
-    for _ in range(config.epochs):
+    for epoch in range(config.epochs):
         order = shuffle_rng.permutation(n)
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
@@ -351,15 +355,15 @@ def train(spec: NetSpec, data, config: TrainerConfig, seed: int,
                 m1_hat = m1 / (1 - config.adam_beta1 ** step)
                 m2_hat = m2 / (1 - config.adam_beta2 ** step)
                 theta = theta - lr * m1_hat / (np.sqrt(m2_hat) + config.adam_eps)
-        epoch_loss = loss(config.loss, forward(spec, theta, X).outputs, y)
-        if not np.isfinite(epoch_loss):
-            raise DivergenceError(f"loss diverged at epoch {len(epoch_losses)}")
-        epoch_losses.append(epoch_loss)
-    train_err = loss("zero_one", forward(spec, theta, X).outputs, y)
+        if not np.all(np.isfinite(theta)):
+            raise DivergenceError(f"weights diverged at epoch {epoch}")
+    outputs = forward(spec, theta, X).outputs
+    if not np.all(np.isfinite(outputs)):
+        raise DivergenceError(f"outputs diverged at epoch {config.epochs - 1}")
+    train_err = loss("zero_one", outputs, y)
     test_err = None if test_data is None else loss(
         "zero_one", forward(spec, theta, test_data.X).outputs, test_data.y)
     return TrainRecord(
         spec=spec, config=config, seed=seed, theta0=theta0, theta_star=theta,
-        epoch_losses=epoch_losses, final_train_error=train_err,
-        final_test_error=test_err,
+        final_train_error=train_err, final_test_error=test_err,
     )

@@ -3,6 +3,7 @@
 import builtins
 import csv
 import io
+import json
 import re
 from dataclasses import MISSING, fields
 from pathlib import Path
@@ -436,6 +437,20 @@ class TestCliPipeline:
             bins = [(name, mode) for name, mode in opened if name in RUN_BINS]
             assert sorted(bins) == sorted((name, "rb") for name in names)
 
+    def test_certify_reads_a_run_that_records_epoch_losses(self, small_config,
+                                                            tmp_path):
+        """Older runs' meta.json holds a per-epoch loss list; it is ignored."""
+        out = tmp_path / "run"
+        args = ["--config", str(small_config)]
+        assert main(["train", *args, "--out", str(out)]) == 0
+        meta_path = out / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        assert "epoch_losses" not in meta
+        meta["epoch_losses"] = [0.41, 0.12, 0.07]
+        meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+        assert main(["certify", *args, "--run", str(out)]) == 0
+        assert (out / "certificates.csv").exists()
+
     def test_probe_runs_without_the_test_set(self, small_config, tmp_path):
         out = tmp_path / "run"
         args = ["--config", str(small_config)]
@@ -548,6 +563,29 @@ class TestCliPipeline:
         assert main(["train", "--config", str(small_config),
                      "--out", str(tmp_path / "run"), *args]) == code
         assert message in capsys.readouterr().err
+
+    def test_train_rejects_idx_splits_of_different_widths_before_training(
+            self, small_config, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise RuntimeError("trained on splits of different widths")
+
+        monkeypatch.setattr(cli, "train", refuse)
+        labels = [0, 1, 0, 1, 1, 0]
+        overrides = ["data.source=idx"]
+        for split, prefix, side in (("train", "", 8), ("test", "test_", 9)):
+            (tmp_path / split).mkdir()
+            images, label_file = write_idx_pair(
+                tmp_path / split, [7] * (side * side * len(labels)), labels,
+                rows=side, cols=side)
+            overrides += [f"data.{prefix}images={images}",
+                          f"data.{prefix}labels={label_file}"]
+        args = [arg for override in overrides for arg in ("--set", override)]
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(small_config), "--out", str(out),
+                     *args]) == 2
+        err = capsys.readouterr().err
+        assert "64" in err and "81" in err
+        assert not out.exists()
 
     def test_train_exit_code_on_missing_idx(self, tmp_path):
         config = tmp_path / "idx.ini"

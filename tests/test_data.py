@@ -268,7 +268,8 @@ class TestManifest:
         assert np.array_equal(loaded.theta_star, record.theta_star)
         assert np.array_equal(loaded.theta0, record.theta0)
         assert loaded.config == record.config
-        assert loaded.epoch_losses == record.epoch_losses
+        assert loaded.final_train_error == record.final_train_error
+        assert loaded.final_test_error == record.final_test_error
         for ds, back in ((train_ds, loaded_train), (test_ds, loaded_test)):
             assert np.array_equal(back.X, ds.X)
             assert np.array_equal(back.y, ds.y)

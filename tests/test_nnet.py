@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from tests.conftest import random_block_gaussian, random_theta, settings
+from pbcert import nnet
 from pbcert.blas import single_threaded
 from pbcert.gaussians import DiagGaussian, sample_gaussian
 from pbcert.nnet import (
@@ -192,6 +193,34 @@ class TestZeroOneErrors:
         finally:
             sys.setswitchinterval(interval)
 
+    @pytest.mark.parametrize("n", [_ROW_BLOCK + 1, 2 * _ROW_BLOCK + 1])
+    def test_one_row_remainder_joins_the_block_before(self, monkeypatch, n):
+        """A 1-row product takes BLAS's matrix-vector path, whose last bits
+        differ from the same row of a larger product, so no row block has a
+        single row and the errors equal a serial forward pass per draw."""
+        rows = []
+        real = nnet.later_layers
+
+        def recording(A1, weights):
+            rows.append(A1.shape[0])
+            return real(A1, weights)
+
+        monkeypatch.setattr(nnet, "later_layers", recording)
+        spec = NetSpec((784, 100, 100, 2))
+        rng = np.random.default_rng(4)
+        X = rng.standard_normal((n, 784))
+        y = rng.integers(0, 2, n)
+        posterior = DiagGaussian.isotropic(
+            init_params(spec, seed=5, gain=settings("train")["init_gain"]), 1e-3)
+        m = 3
+        thetas = [sample_gaussian(posterior, seed=j) for j in range(m)]
+        errors = zero_one_errors(spec, thetas, X, y)
+        assert min(rows) >= 2
+        assert sum(rows) == m * n
+        with single_threaded():
+            serial = per_draw_errors(spec, posterior, m, X, y)
+        assert np.array_equal(errors, serial)
+
     def test_stacks_at_most_one_group(self):
         spec = NetSpec((6, 50, 2))
         X = np.random.default_rng(1).standard_normal((_ROW_BLOCK, 6))
@@ -292,7 +321,27 @@ class TestTrain:
         assert np.array_equal(a.theta0, b.theta0)
         # theta0 is the initialization, recorded before any update
         assert np.array_equal(a.theta0, init_params(spec, 3, config.init_gain))
-        assert a.epoch_losses == b.epoch_losses
+        assert a.final_train_error == b.final_train_error
+
+    def test_evaluates_theta_star_once_per_split(self, blob_data, monkeypatch):
+        """Minibatch gradients aside, one forward pass over the training rows
+        and one over the test rows, however many epochs run."""
+        train_ds, test_ds = blob_data
+        calls = []
+        real = nnet.forward
+
+        def counted(spec, theta, X):
+            calls.append(np.shape(X)[0])
+            return real(spec, theta, X)
+
+        monkeypatch.setattr(nnet, "forward", counted)
+        config = TrainerConfig(**settings("train", epochs=10, batch_size=64))
+        record = train(NetSpec((12, 8, 3)), train_ds, config, seed=3,
+                       test_data=test_ds)
+        assert calls.count(train_ds.n) == 1
+        assert calls.count(test_ds.n) == 1
+        assert max(calls[:-2]) == 64    # the rest are minibatch gradients
+        assert record.final_test_error is not None
 
     @pytest.mark.parametrize("setting, message", [
         pytest.param({key: value}, message, id=f"{key}={value}")
@@ -348,12 +397,23 @@ class TestTrain:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_detected(self, blob_data):
+        """The run stops at the epoch whose weights go non-finite."""
         train_ds, _ = blob_data
         spec = NetSpec((12, 8, 3))
-        config = TrainerConfig(**settings("train", epochs=3, lr=1e12,
+        config = TrainerConfig(**settings("train", epochs=20, lr=1e12,
                                           loss="mse", momentum=0.0, decay=0.0))
-        with pytest.raises(DivergenceError):
+        with pytest.raises(DivergenceError, match="at epoch 0$"):
             train(spec, train_ds, config, seed=7)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_outputs_detected(self, blob_data):
+        """One step leaves the weights finite (about 1e200) but their
+        training outputs overflow, so the run stops all the same."""
+        train_ds, _ = blob_data
+        config = TrainerConfig(**settings("train", epochs=1, batch_size=600,
+                                          lr=1e200, momentum=0.0, decay=0.0))
+        with pytest.raises(DivergenceError, match="outputs diverged at epoch 0$"):
+            train(NetSpec((12, 8, 3)), train_ds, config, seed=7)
 
     def test_init_scale_follows_gain(self):
         spec = NetSpec((100, 50, 10))
