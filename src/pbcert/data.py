@@ -69,6 +69,9 @@ def load_idx(images_path, labels_path) -> Dataset:
         magic, n, rows, cols = struct.unpack(">iiii", _read_exact(f, 16, "image header"))
         if magic != IDX_IMAGES_MAGIC:
             raise DataFormatError(f"bad image magic 0x{magic:08x} in {images_path}")
+        if n < 1:
+            raise DataFormatError(f"image count {n} in {images_path}; "
+                                  f"need at least 1")
         pixels = _read_exact(f, n * rows * cols, "image data")
     with open(labels_path, "rb") as f:
         magic, n_labels = struct.unpack(">ii", _read_exact(f, 8, "label header"))

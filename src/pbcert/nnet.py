@@ -12,6 +12,7 @@ import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -134,79 +135,295 @@ def later_layers(A1: np.ndarray, weights) -> np.ndarray:
 
 
 # Draws whose first-layer weights share one product, and rows of X per
-# product (one more in a block that takes a 1-row remainder).  At the desk
-# shape (h1 = 100) one preactivation block is 1024 x 800 float64 = 6.6 MB,
-# against 63 MB for a 10k x 784 X.
+# product.  At the desk shape (h1 = 100) one block's float32 preactivations
+# are 1024 x 800 x 4 bytes = 3.3 MB and its float32 rows of X 3.2 MB, the
+# size of its float64 preactivations, against 63 MB for a 10k x 784 X.
 _DRAW_GROUP = 8
 _ROW_BLOCK = 1024
+
+# Unit roundoff of float64, in which `forward` runs.  _SLACK covers the
+# rounding in evaluating a bound itself.
+_U64 = 2.0 ** -53
+_SLACK = 1 + 2.0 ** -20
+
+
+def _gamma(n: int, u: float) -> float:
+    """Higham's gamma_n = nu / (1 - nu): |fl(a'b) - a'b| <= gamma_n |a|'|b|
+    for a length-n dot product in any summation order, with or without
+    FMA.  Infinite where nu is too large for the bound to be of use."""
+    return n * u / (1 - n * u) if n * u < 0.25 else np.inf
+
+
+def _norm_slack(n: int, u: float, tiny: float) -> tuple:
+    """(rho, tau) such that |a| <= rho r + tau for a length-n vector a,
+    where r is the square root of its sum of squares, both taken in unit
+    roundoff u, underflow adding at most `tiny` per term."""
+    return np.sqrt(1 + 2 * _gamma(n + 1, u)) * (1 + 2 * u), np.sqrt(n * tiny)
+
+
+def _norms(A: np.ndarray) -> np.ndarray:
+    """2-norms along the last axis of A, summed in A's dtype."""
+    return np.sqrt(np.einsum("...i,...i->...", A, A))
+
+
+def _top_two(outputs: np.ndarray) -> tuple:
+    """Along the last axis: the argmax, and the largest output minus the
+    second largest, in float64."""
+    k = outputs.shape[-1]
+    if k == 1:
+        return np.zeros(outputs.shape[:-1], int), np.full(outputs.shape[:-1], np.inf)
+    if k == 2:   # argmax and partition are slow along an axis of 2
+        first, second = outputs[..., 0], outputs[..., 1]
+        return second > first, np.abs(np.subtract(second, first, dtype=np.float64))
+    top = np.partition(outputs, -2, axis=-1)[..., -2:].astype(np.float64)
+    return np.argmax(outputs, axis=-1), top[..., 1] - top[..., 0]
+
+
+class _Bound(NamedTuple):
+    """The error bound of a pass, per theta of a group (leading axis G).
+    With r_l the `_norms` of the rows of the pass's input to layer l, every
+    output of the pass is within r @ slopes + intercept of `forward`'s, and
+    no sum of the pass overflows, where r <= limits."""
+    slopes: np.ndarray          # G x L
+    intercept: np.ndarray       # G
+    limits: np.ndarray          # G x L
+
+
+def _bound(layers, widths, dtype) -> _Bound:
+    """The `_Bound` of a pass in `dtype` (float32 or float64) through L
+    layers; layers[l] stacks the thetas' layer-l weights.  A float32 pass
+    rounds X and the weights to float32, a float64 pass takes them as they
+    are.
+
+    With u the pass's unit roundoff, r = 1 if it rounds its inputs (else 0)
+    and t four times its smallest normal number (so flush-to-zero is
+    covered), a layer of fan-in n with weight row w and input a, the error
+    carried in being e, is off by at most (gamma_{n+r}(u) + gamma_n(2^-53))
+    |w| |a| + (1 + gamma_n(2^-53)) |w|'e + n t (1 + |a|): rounding w and the
+    pass's own sums, then `forward`'s, then underflow in either.  ReLU
+    passes the error on, so an output's error is a sum over layers of |a|
+    times a per-theta vector through the later layers' |W|: P and Q below."""
+    info = np.finfo(dtype)
+    u, tiny, top = float(info.eps) / 2, 4 * float(info.tiny), float(info.max)
+    rounds = int(u > _U64)
+    G, k, d = layers[0].shape[0], widths[-1], widths[0]
+    slopes, intercept = np.empty((len(layers), G, k)), np.zeros((G, k))
+    limits = np.empty((G, len(layers)))
+    B = np.broadcast_to(np.eye(k), (G, k, k))   # later |W|, times 1 + gamma
+    for layer in reversed(range(len(layers))):
+        W, n = layers[layer], widths[layer]
+        rho, tau = _norm_slack(n, _U64, tiny)
+        w = rho * _norms(W) + tau           # G x h, each row's norm rounded up
+        # r <= max / 16 / max |w| keeps every partial sum (<= 1.01 |w| |a|)
+        # finite; a weight beyond the dtype's range rounds to inf.  The
+        # largest |weight| is taken without a |W| temporary: at the desk
+        # shape one is 5 MB, which showed in desk-mc certify's peak RSS.
+        limits[:, layer] = top / 16 / w.max(axis=1)
+        largest = np.maximum(W.max(axis=(1, 2)), -W.min(axis=(1, 2)))
+        limits[largest > top, layer] = 0.0
+        P, Q = np.einsum("gkh,gh->gk", B, w), B.sum(axis=2)
+        rho, tau = _norm_slack(n, u, tiny)  # |a| <= rho r + tau
+        slope = (_gamma(n + rounds, u) + _gamma(n, _U64)) * P + n * tiny * Q
+        slopes[layer] = rho * slope
+        intercept += tau * slope + n * tiny * Q
+        if layer:
+            B = (1 + _gamma(n, _U64)) * (B @ np.abs(W))
+    if rounds:
+        # rounding x: |x_r - x| <= gamma_1 |x_r| + t per entry, and
+        # |W_1 (x_r - x)| <= |W_1| |x_r - x| row by row; P is layer 0's
+        f = (1 + _gamma(d, _U64)) * P
+        slopes[0] += f * _gamma(1, u) * rho
+        intercept += f * (_gamma(1, u) * tau + np.sqrt(d) * tiny)
+    return _Bound(slopes.max(axis=2).T * _SLACK,
+                  intercept.max(axis=1) * _SLACK, limits)
+
+
+class _Group(NamedTuple):
+    """Up to _DRAW_GROUP thetas, laid out for `zero_one_errors`."""
+    weights: list          # per theta, float64 matrices as `forward` uses them
+    W1: np.ndarray         # first layers stacked in float32, G*h1 x d
+    later: list            # per theta, float32 copies of weights[1:]
+    bound32: _Bound        # of the float32 pass
+    bound64: _Bound        # of a float64 pass
+
+
+def _group(spec: NetSpec, thetas) -> _Group:
+    weights = [spec.to_matrices(theta) for theta in thetas]
+    layers = [np.stack(layer) for layer in zip(*weights)]
+    later = zip(*(layer.astype(np.float32) for layer in layers[1:]))
+    return _Group(weights,
+                  layers[0].reshape(-1, spec.widths[0]).astype(np.float32),
+                  [list(matrices) for matrices in later],
+                  _bound(layers, spec.widths, np.float32),
+                  _bound(layers, spec.widths, np.float64))
+
+
+def _decide(X_rows, W1, later, bound: _Bound, labels, out=None) -> tuple:
+    """Which rows of a pass are proven to take `forward`'s argmax, per
+    theta, and how many of those each theta gets wrong.
+
+    The pass runs X_rows (float32 or float64) through G thetas: W1 stacks
+    their first layers (G*h1 x d), and their products go to `out` if given;
+    `later` holds each theta's later layers, in the same dtype, and `bound`
+    their `_Bound`s.  Returns a rows x G mask and G counts."""
+    A1 = np.matmul(X_rows, W1.T, out=out)
+    np.maximum(A1, 0.0, out=A1)
+    x_norms = _norms(X_rows)
+    rows, G = A1.shape[0], len(later)
+    A1 = A1.reshape(rows, G, -1)
+    slopes, limits = bound.slopes, bound.limits
+    norms = _norms(A1)
+    error = (x_norms[:, None] * slopes[:, 0] + norms * slopes[:, 1]
+             + bound.intercept)                                     # rows x G
+    fits = (x_norms[:, None] <= limits[:, 0]) & (norms <= limits[:, 1])
+    outputs = np.empty((rows, G, later[0][-1].shape[0]), A1.dtype)
+    for g, weights in enumerate(later):
+        A = A1[:, g]
+        for layer, W in enumerate(weights[:-1], start=2):
+            A = A @ W.T
+            np.maximum(A, 0.0, out=A)
+            norms = _norms(A)
+            error[:, g] += norms * slopes[g, layer]
+            fits[:, g] &= norms <= limits[g, layer]
+        outputs[:, g] = A @ weights[-1].T
+    argmax, gap = _top_two(outputs)
+    sure = fits & (gap > 2 * error)
+    return sure, np.count_nonzero(sure & (argmax != labels[:, None]), axis=0)
+
+
+def _forward_wrong(weights, X, y, rows) -> int:
+    """Errors among X[rows] of `forward`'s own products on the whole of X."""
+    A1 = X @ weights[0].T
+    np.maximum(A1, 0.0, out=A1)
+    outputs = later_layers(A1, weights[1:])[rows]
+    return int(np.count_nonzero(np.argmax(outputs, axis=1) != y[rows]))
 
 
 def zero_one_errors(spec: NetSpec, thetas, X: np.ndarray,
                     y: np.ndarray) -> np.ndarray:
     """01-error on (X, y) of each parameter vector the iterable `thetas` yields.
 
-    The first-layer weights of up to _DRAW_GROUP thetas are stacked into one
-    (G*h1 x d) matrix, so each row block of X passes through BLAS once per
-    group instead of once per theta, and each theta's later layers run on
-    its column slice of the block.  The row blocks are split over a thread
-    pool, one worker per CPU this process may use, each with its own
-    preactivation buffer; the per-theta error counts are summed as integers.
-    The function runs on one BLAS thread (`blas.single_threaded`); where no
-    OpenBLAS control is found, the pool has one worker, so a BLAS that
-    threads its own products is not oversubscribed.
+    Equal, per theta, to `loss("zero_one", forward(spec, theta, X).outputs,
+    y)` under one BLAS thread, bit for bit, for a BLAS that computes each
+    entry of a product as a classical dot product (sums in any order, with
+    or without FMA).  `thetas` is read one group of _DRAW_GROUP at a time
+    on the calling thread, so a generator of draws is never held whole.
 
-    Under one BLAS thread the result equals
-    `loss("zero_one", forward(spec, theta, X).outputs, y)` per theta bit for
-    bit, for a fixed BLAS build: every entry of a product is the same
-    length-d dot product in both layouts, and OpenBLAS sums it in an order
-    that depends neither on the row count nor on the column count, except
-    that a 1-row product takes the matrix-vector path, whose bits differ
-    (1 to 39 rows were checked).  So a 1-row remainder joins the block
-    before it, and neither the grouping nor the number of workers changes
-    a byte; the tests pin this on the desk shape.  `thetas` is read
-    one group at a time on the calling thread, so a generator of posterior
-    draws is never held in memory whole.
+    Only each row's argmax is kept, so rows are decided in float32 first.
+    A group's first layers are stacked into one float32 (G*h1 x d) matrix,
+    so each row block of X, rounded to float32 in a per-worker buffer, takes
+    one product per group; each theta's later layers run in float32 on its
+    column slice.  The blocks are split over a thread pool, one worker per
+    CPU this process may use, each on one BLAS thread
+    (`blas.single_threaded`; where no OpenBLAS control is found the pool
+    has one worker, so a BLAS that threads its own products is not
+    oversubscribed).
+
+    The screen.  Per row, E bounds the distance between the float32 outputs
+    and `forward`'s at every output (`_bound`): a length-n dot product is
+    off by at most gamma_n |a|'|b| (Higham), gamma_n = nu/(1 - nu), with
+    u = 2^-24 in float32 and 2^-53 in float64, and rounding X and W adds u
+    per factor; ReLU is 1-Lipschitz; Cauchy-Schwarz bounds |W_i|'|a| by
+    |W_i| |a|, so E sums rank-one terms, the norm of the row's input to a
+    layer times a vector found once per theta, and needs no second n x d
+    product; a term per product covers underflow.  A row counts in float32
+    if its norms rule out an overflow and its top-two gap exceeds 2E:
+    `forward`'s largest output is then the same one, strictly.
+
+    The recheck.  The other rows (2% of a trained desk net's iso draws at
+    lambda = 0.001, 10% at 0.003) run in float64, under the same bound
+    with u = 2^-53 and nothing rounded.  A worker gathers each theta's
+    rows over its blocks into its buffer, a block's worth at most per
+    product, so the cost follows the number of rows rather than of blocks.
+    A product of so few rows need not take `forward`'s BLAS kernel
+    (OpenBLAS has a small-matrix kernel for up to 12 rows of 100 outputs
+    or 600 rows of 2, and a matrix-vector one for 1 row), so its bits are
+    bounded, not trusted; a row the float64 bound
+    leaves open, a tie to a few ulps, takes `forward`'s own products over
+    the whole of X.  So neither the grouping nor the number of workers
+    changes a byte.
     """
     X = _inputs(spec, X)
     y = np.asarray(y)
     if np.any(y < 0) or np.any(y >= spec.widths[-1]):
         raise ValueError(f"labels out of range [0, {spec.widths[-1]})")
+    n, d = X.shape
     h1 = spec.widths[1]
-    n = X.shape[0]
-    # no block boundary at n - 1, so a 1-row remainder joins the block before
-    ends = [*range(_ROW_BLOCK, n - 1, _ROW_BLOCK), n]
-    blocks = list(zip([0, *ends[:-1]], ends))
+    blocks = [(start, min(start + _ROW_BLOCK, n))
+              for start in range(0, n, _ROW_BLOCK)]
     thetas = iter(thetas)
     wrong = []
-    with single_threaded() as pinned:
+    # an inf or a nan in a pass only sends its row on to the next pass
+    with single_threaded() as pinned, np.errstate(all="ignore"):
         workers = min(len(os.sched_getaffinity(0)) if pinned else 1, len(blocks))
-        # one buffer per worker keeps the peak at one block a worker
-        buffers = [np.empty(min(n, _ROW_BLOCK + 1) * _DRAW_GROUP * h1)
-                   for _ in range(workers)]
+        # per worker, a buffer for one block's float32 X and preactivations,
+        # or for one block's worth of float64 rows of X to recheck.  The
+        # buffers are made on this thread: glibc keeps what a worker frees
+        # in that thread's own arena, and desk-mc certify's peak RSS was 172
+        # MiB with the buffers made by the workers, 160 MiB with them made
+        # here.
+        block = min(n, _ROW_BLOCK)
+        size = block * max(d + _DRAW_GROUP * h1, 2 * d)
+        buffers = [np.empty(size + size % 2, np.float32) for _ in range(workers)]
 
-        def count_wrong(worker, group, W1):
-            """Errors of each theta of `group` on the row blocks of `worker`."""
-            counts = [0] * len(group)
-            for start, end in blocks[worker::workers]:
-                X_block = X[start:end]
-                A1 = buffers[worker][:X_block.shape[0] * W1.shape[0]].reshape(
-                    X_block.shape[0], W1.shape[0])
-                np.matmul(X_block, W1.T, out=A1)
-                np.maximum(A1, 0.0, out=A1)
-                labels = y[start:end]
-                for g, weights in enumerate(group):
-                    outputs = later_layers(A1[:, g * h1:(g + 1) * h1], weights[1:])
-                    counts[g] += int(np.count_nonzero(
-                        np.argmax(outputs, axis=1) != labels))
-            return counts
+        def count_wrong(worker, group):
+            """Errors of each theta of `group` on the row blocks of `worker`
+            that a float32 or a float64 pass decides, and the rows that
+            neither does."""
+            counts = np.zeros(len(group.weights), dtype=np.int64)
+            pending = [[] for _ in group.weights]   # rows left to float64
+            unsure = [[] for _ in group.weights]
+            buffer = buffers[worker]
+
+            def recheck(g):
+                """Theta g's pending rows, gathered into the buffer, through
+                the float64 pass."""
+                rest = np.concatenate(pending[g])
+                pending[g] = []
+                X_rest = buffer.view(np.float64)[:rest.size * d].reshape(-1, d)
+                np.take(X, rest, axis=0, out=X_rest, mode="clip")
+                weights = group.weights[g]
+                rest_sure, recount = _decide(
+                    X_rest, weights[0], [weights[1:]],
+                    _Bound(*(b[g:g + 1] for b in group.bound64)), y[rest])
+                counts[g] += recount[0]
+                if not rest_sure.all():
+                    unsure[g].append(rest[~rest_sure[:, 0]])
+
+            with np.errstate(all="ignore"):     # this thread's own state
+                for start, end in blocks[worker::workers]:
+                    rows = end - start
+                    X_block = buffer[:rows * d].reshape(rows, d)
+                    np.copyto(X_block, X[start:end], casting="same_kind")
+                    products = buffer[rows * d:rows * (d + group.W1.shape[0])]
+                    sure, block_counts = _decide(
+                        X_block, group.W1, group.later, group.bound32,
+                        y[start:end], products.reshape(rows, -1))
+                    counts += block_counts
+                    # a theta's unsure rows wait for a block's worth, so
+                    # the float64 pass runs a few large products, not one
+                    # small one per block
+                    for g in np.flatnonzero(~sure.all(axis=0)):
+                        rest = start + np.flatnonzero(~sure[:, g])
+                        if sum(map(len, pending[g])) + rest.size > block:
+                            recheck(g)
+                        pending[g].append(rest)
+                for g, rest in enumerate(pending):
+                    if rest:
+                        recheck(g)
+            return counts, unsure
 
         with ThreadPoolExecutor(workers) as pool:
-            while group := [spec.to_matrices(theta)
-                            for theta in itertools.islice(thetas, _DRAW_GROUP)]:
-                W1 = np.concatenate([weights[0] for weights in group])
-                counts = pool.map(count_wrong, range(workers),
-                                  [group] * workers, [W1] * workers)
-                wrong.extend(map(sum, zip(*counts)))
+            while chunk := list(itertools.islice(thetas, _DRAW_GROUP)):
+                group = _group(spec, chunk)
+                results = list(pool.map(count_wrong, range(workers),
+                                        [group] * workers))
+                for g, weights in enumerate(group.weights):
+                    count = int(sum(counts[g] for counts, _ in results))
+                    tied = [rows for _, unsure in results for rows in unsure[g]]
+                    if tied:
+                        count += _forward_wrong(weights, X, y, np.concatenate(tied))
+                    wrong.append(count)
     return np.array(wrong, dtype=np.float64) / n
 
 

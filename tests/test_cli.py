@@ -587,6 +587,20 @@ class TestCliPipeline:
         assert "64" in err and "81" in err
         assert not out.exists()
 
+    def test_train_rejects_an_idx_file_without_images(self, small_config,
+                                                      tmp_path, capsys):
+        """0 images: a DataFormatError that names the file, exit 1, not
+        numpy's reduction error from the empty label array."""
+        images, labels = write_idx_pair(tmp_path, [], [])
+        args = [arg for override in (
+            "data.source=idx", f"data.images={images}", f"data.labels={labels}",
+            f"data.test_images={images}", f"data.test_labels={labels}")
+            for arg in ("--set", override)]
+        assert main(["train", "--config", str(small_config),
+                     "--out", str(tmp_path / "run"), *args]) == 1
+        err = capsys.readouterr().err
+        assert f"DataFormatError: image count 0 in {images}" in err
+
     def test_train_exit_code_on_missing_idx(self, tmp_path):
         config = tmp_path / "idx.ini"
         config.write_text("[data]\nsource = idx\nimages = /no/such/file\n")

@@ -4,13 +4,17 @@ import os
 import re
 import sys
 import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hypothesis_settings
+from hypothesis import strategies as st
 
 from tests.conftest import random_block_gaussian, random_theta, settings
 from pbcert import nnet
 from pbcert.blas import single_threaded
+from pbcert.data import Dataset
 from pbcert.gaussians import DiagGaussian, sample_gaussian
 from pbcert.nnet import (
     _DRAW_GROUP,
@@ -115,6 +119,13 @@ class TestForward:
             forward(spec, random_theta(spec, seed=0), np.zeros((2, 5)))
 
 
+def serial_errors(spec, thetas, X, y):
+    """Reference: one forward pass per theta, on one BLAS thread."""
+    with single_threaded():
+        return np.array([loss("zero_one", forward(spec, theta, X).outputs, y)
+                         for theta in thetas])
+
+
 def per_draw_errors(spec, posterior, m, X, y):
     """Reference: one forward pass per posterior draw."""
     return np.array([
@@ -122,6 +133,49 @@ def per_draw_errors(spec, posterior, m, X, y):
              forward(spec, sample_gaussian(posterior, seed=j), X).outputs, y)
         for j in range(m)
     ])
+
+
+class Pass(NamedTuple):
+    kind: str       # "float32", "recheck" (float64) or "forward"
+    rows: int
+    thetas: int
+    unsure: int     # rows the pass left undecided
+    x_max: float    # the largest entry of X it saw
+
+
+def record_passes(monkeypatch) -> list:
+    """Record each pass `zero_one_errors` decides rows with.  A theta's
+    fall-back on `forward`'s own products is a "forward" pass."""
+    passes = []
+    decide, forward_wrong = nnet._decide, nnet._forward_wrong
+
+    def recording_decide(X_rows, W1, later, bound, labels, out=None):
+        sure, counts = decide(X_rows, W1, later, bound, labels, out)
+        kind = "float32" if X_rows.dtype == np.float32 else "recheck"
+        passes.append(Pass(kind, X_rows.shape[0], len(later),
+                           sure.size - np.count_nonzero(sure),
+                           float(np.max(X_rows))))
+        return sure, counts
+
+    def recording_forward(weights, X, y, rows=slice(None)):
+        passes.append(Pass("forward", len(y[rows]), 1, 0, np.inf))
+        return forward_wrong(weights, X, y, rows)
+
+    monkeypatch.setattr(nnet, "_decide", recording_decide)
+    monkeypatch.setattr(nnet, "_forward_wrong", recording_forward)
+    return passes
+
+
+def near_tie_theta(spec, gap, seed, scales=(0.7,)):
+    """Random weights whose output rows all equal one row plus gap times a
+    standard normal vector, all times the layer's scale (the last of
+    `scales` for layers beyond them)."""
+    rng = np.random.default_rng(seed)
+    scales = [scales[min(i, len(scales) - 1)] for i in range(len(spec.layer_shapes))]
+    weights = [scale * rng.standard_normal(shape)
+               for scale, shape in zip(scales, spec.layer_shapes)]
+    last = weights[-1][0] + gap * scales[-1] * rng.standard_normal(weights[-1].shape)
+    return spec.to_vector([*weights[:-1], last])
 
 
 class TestZeroOneErrors:
@@ -147,8 +201,8 @@ class TestZeroOneErrors:
         assert np.array_equal(errors, per_draw_errors(spec, posterior, m, X, y))
 
     def test_desk_shape_is_bitwise(self):
-        """784-100-100-2: the stacked first-layer product equals each draw's
-        own product bit for bit, so the per-draw errors match exactly."""
+        """784-100-100-2 over a full and a partial row block: the screened
+        errors equal one forward pass per draw bit for bit."""
         spec = NetSpec((784, 100, 100, 2))
         rng = np.random.default_rng(0)
         X = rng.standard_normal((_ROW_BLOCK + 452, 784))
@@ -157,11 +211,6 @@ class TestZeroOneErrors:
             init_params(spec, seed=1, gain=settings("train")["init_gain"]), 1e-3)
         m = self.G + 1
         thetas = [sample_gaussian(posterior, seed=j) for j in range(m)]
-        W1 = [spec.to_matrices(theta)[0] for theta in thetas]
-        stacked = X[:_ROW_BLOCK] @ np.concatenate(W1[:self.G]).T
-        for g, W in enumerate(W1[:self.G]):
-            assert np.array_equal(stacked[:, g * 100:(g + 1) * 100],
-                                  (X @ W.T)[:_ROW_BLOCK])
         errors = zero_one_errors(spec, thetas, X, y)
         assert np.array_equal(errors, per_draw_errors(spec, posterior, m, X, y))
 
@@ -194,18 +243,12 @@ class TestZeroOneErrors:
             sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("n", [_ROW_BLOCK + 1, 2 * _ROW_BLOCK + 1])
-    def test_one_row_remainder_joins_the_block_before(self, monkeypatch, n):
+    def test_one_row_block_equals_serial_forward(self, monkeypatch, n):
         """A 1-row product takes BLAS's matrix-vector path, whose last bits
-        differ from the same row of a larger product, so no row block has a
-        single row and the errors equal a serial forward pass per draw."""
-        rows = []
-        real = nnet.later_layers
-
-        def recording(A1, weights):
-            rows.append(A1.shape[0])
-            return real(A1, weights)
-
-        monkeypatch.setattr(nnet, "later_layers", recording)
+        differ from those of the same row in a larger product.  The screen
+        does not depend on those bits, so the last block keeps its single
+        row and the errors still equal a serial forward pass per draw."""
+        passes = record_passes(monkeypatch)
         spec = NetSpec((784, 100, 100, 2))
         rng = np.random.default_rng(4)
         X = rng.standard_normal((n, 784))
@@ -215,8 +258,8 @@ class TestZeroOneErrors:
         m = 3
         thetas = [sample_gaussian(posterior, seed=j) for j in range(m)]
         errors = zero_one_errors(spec, thetas, X, y)
-        assert min(rows) >= 2
-        assert sum(rows) == m * n
+        blocks = [p.rows for p in passes if p.kind == "float32"]
+        assert 1 in blocks and sum(blocks) == n
         with single_threaded():
             serial = per_draw_errors(spec, posterior, m, X, y)
         assert np.array_equal(errors, serial)
@@ -224,7 +267,8 @@ class TestZeroOneErrors:
     def test_stacks_at_most_one_group(self):
         spec = NetSpec((6, 50, 2))
         X = np.random.default_rng(1).standard_normal((_ROW_BLOCK, 6))
-        block_bytes = X.shape[0] * self.G * 50 * 8
+        # one float32 block of X and of the group's preactivations
+        block_bytes = X.shape[0] * (6 + self.G * 50) * 4
         draws = (random_theta(spec, seed=j) for j in range(3 * self.G))
         tracemalloc.start()
         try:
@@ -243,6 +287,225 @@ class TestZeroOneErrors:
             zero_one_errors(spec, [theta], np.zeros((2, 5)), np.zeros(2, int))
         with pytest.raises(ValueError):
             zero_one_errors(spec, [theta], np.zeros((2, 4)), np.array([0, 2]))
+
+    @pytest.fixture
+    def screened(self, monkeypatch):
+        """Two workers, each pass recorded."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        return record_passes(monkeypatch)
+
+    @pytest.mark.parametrize("widths", [
+        (64, 48, 32, 2), (64, 48, 32, 3), (64, 48, 32, 10), (64, 48, 2)],
+        ids=["k2", "k3", "k10", "one-hidden"])
+    def test_near_ties_are_rechecked_in_float64(self, screened, widths):
+        """Output rows 1e-9 apart: no float32 gap clears the bound, so each
+        block sends every row of every theta to the float64 recheck, and the
+        errors equal a serial forward pass per theta bit for bit."""
+        spec = NetSpec(widths)
+        rng = np.random.default_rng(7)
+        n = _ROW_BLOCK + 37
+        X = rng.standard_normal((n, widths[0]))
+        y = rng.integers(0, widths[-1], n)
+        thetas = [near_tie_theta(spec, 1e-9, seed) for seed in range(3)]
+        errors = zero_one_errors(spec, thetas, X, y)
+        assert sorted((p.rows, p.thetas, p.unsure) for p in screened
+                      if p.kind == "float32") == [
+            (37, 3, 3 * 37), (_ROW_BLOCK, 3, 3 * _ROW_BLOCK)]
+        assert sorted(p.rows for p in screened if p.kind == "recheck") == \
+            [37] * 3 + [_ROW_BLOCK] * 3
+        assert np.array_equal(errors, serial_errors(spec, thetas, X, y))
+
+    @pytest.mark.parametrize("gap", [0.0, 1e-16], ids=["equal", "ulps-apart"])
+    def test_ties_take_forwards_own_outputs(self, screened, gap):
+        """Output rows equal or an ulp or so apart tie within float64's own
+        rounding, so no pass of `zero_one_errors` can decide them (the
+        float64 recheck's small products need not sum in `forward`'s
+        order): those rows of each theta fall back on `forward`'s products
+        over the whole of X."""
+        spec = NetSpec((64, 48, 32, 2))
+        rng = np.random.default_rng(8)
+        n = _ROW_BLOCK + 37
+        X = rng.standard_normal((n, 64))
+        y = rng.integers(0, 2, n)
+        thetas = [near_tie_theta(spec, gap, seed) for seed in range(3)]
+        errors = zero_one_errors(spec, thetas, X, y)
+        fallbacks = [p.rows for p in screened if p.kind == "forward"]
+        assert len(fallbacks) == 3 and (gap or fallbacks == [n] * 3)
+        assert np.array_equal(errors, serial_errors(spec, thetas, X, y))
+
+    @pytest.mark.parametrize("edge", ["overflow", "underflow", "weight"])
+    def test_float32_range_edges_are_not_decided_in_float32(self, screened,
+                                                             edge):
+        """Overflow: output 0's products sum to 9.9e37, but summed from the
+        left in float32 they pass 3.4e38 and stay inf, so float32 would pick
+        output 0 over output 1's 2.97e38.  Underflow: each product of hidden
+        unit 0 is 6e-46, which float32 rounds to 0, so float32 would pick
+        output 1's 1e-44 over output 0's 3.84e-44.  Weight: a weight of
+        1e39 rounds to inf in float32, so float32 would pick output 0's inf
+        over output 1's 6e36, where float64 has 5e36; the activations are
+        small enough for the sums' own overflow guard to let them through.
+        Each row is left to float64, which gets `forward`'s argmax."""
+        if edge == "overflow":
+            x = [9e18, 9e18, 7.5e18, 7.5e18]
+            weights = [np.eye(4), [[3.3e19, 3.3e19, -3.3e19, -3.3e19],
+                                   [3.3e19, 0.0, 0.0, 0.0]]]
+        elif edge == "underflow":
+            x = [1e-23] * 64
+            W1 = np.zeros((2, 64))
+            W1[0], W1[1, 0] = 6e-23, 1e-21
+            weights = [W1, np.eye(2)]
+        else:
+            x = [0.005, 0.015]
+            weights = [np.eye(2), [[1e39, 0.0], [3e38, 3e38]]]
+        spec = NetSpec((len(x), len(weights[0]), 2))
+        X = np.tile(x, (4, 1))
+        theta = spec.to_vector(weights)
+        y = np.argmax(forward(spec, theta, X).outputs, axis=1)
+        errors = zero_one_errors(spec, [theta, theta], X, y)
+        assert [p.unsure for p in screened if p.kind == "float32"] == [8]
+        assert np.array_equal(errors, [0.0, 0.0])
+
+    def test_rows_beyond_float32_range_are_rechecked(self, screened):
+        """An entry of 1e39 is finite in float64 and inf in float32: the
+        float32 pass cannot bound its row, float64 decides it, and nothing
+        warns."""
+        spec = NetSpec((64, 48, 32, 3))
+        rng = np.random.default_rng(10)
+        n = _ROW_BLOCK + 37
+        X = rng.standard_normal((n, 64))
+        X[5, 3] = X[_ROW_BLOCK + 3, 7] = 1e39
+        y = rng.integers(0, 3, n)
+        thetas = [random_theta(spec, seed) for seed in range(2)]
+        errors = zero_one_errors(spec, thetas, X, y)
+        assert len([p for p in screened
+                    if p.kind == "recheck" and p.x_max >= 1e39]) == 4
+        assert np.array_equal(errors, serial_errors(spec, thetas, X, y))
+
+    def test_one_unsure_row_is_rechecked_alone(self, screened):
+        """One row of the block is an exact tie, every other row has a gap
+        of 2: the recheck is a 1-row float64 product per theta, which the
+        float64 bound cannot decide either, so that row alone takes
+        `forward`'s own products."""
+        spec = NetSpec((4, 4, 2))
+        theta = spec.to_vector([np.eye(4), [[1.0, 1.0, 0.0, 0.0],
+                                            [0.0, 0.0, 1.0, 1.0]]])
+        X = np.tile([1.0, 1.0, 0.0, 0.0], (10, 1))
+        X[1::2] = X[1::2, ::-1]
+        X[3] = 1.0
+        y = np.arange(10) % 2
+        errors = zero_one_errors(spec, [theta, theta], X, y)
+        assert [(p.kind, p.rows, p.unsure) for p in screened] == [
+            ("float32", 10, 2), ("recheck", 1, 1), ("recheck", 1, 1),
+            ("forward", 1, 0), ("forward", 1, 0)]
+        assert np.array_equal(errors, serial_errors(spec, [theta] * 2, X, y))
+
+    def test_a_workers_unsure_rows_share_one_recheck(self, monkeypatch):
+        """One worker, one exact tie in each of three blocks: each theta's
+        three rows go through one float64 product, not one per block."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        passes = record_passes(monkeypatch)
+        spec = NetSpec((4, 4, 2))
+        theta = spec.to_vector([np.eye(4), [[1.0, 1.0, 0.0, 0.0],
+                                            [0.0, 0.0, 1.0, 1.0]]])
+        n = 2 * _ROW_BLOCK + 5
+        X = np.tile([1.0, 1.0, 0.0, 0.0], (n, 1))
+        X[1::2] = X[1::2, ::-1]
+        ties = [3, _ROW_BLOCK + 3, 2 * _ROW_BLOCK + 3]
+        X[ties] = 1.0
+        y = np.arange(n) % 2
+        errors = zero_one_errors(spec, [theta, theta], X, y)
+        assert [(p.kind, p.rows, p.unsure) for p in passes] == [
+            ("float32", _ROW_BLOCK, 2), ("float32", _ROW_BLOCK, 2),
+            ("float32", 5, 2), ("recheck", 3, 3), ("recheck", 3, 3),
+            ("forward", 3, 0), ("forward", 3, 0)]
+        assert np.array_equal(errors, serial_errors(spec, [theta] * 2, X, y))
+
+    def test_a_recheck_takes_at_most_a_block_of_rows(self, monkeypatch):
+        """One worker, near ties in every row of three blocks: a theta's
+        rows are rechecked as soon as the next block's would take them past
+        a block's worth, so no float64 product outgrows the buffer."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        passes = record_passes(monkeypatch)
+        spec = NetSpec((64, 48, 2))
+        rng = np.random.default_rng(11)
+        n = 2 * _ROW_BLOCK + 37
+        X = rng.standard_normal((n, 64))
+        y = rng.integers(0, 2, n)
+        thetas = [near_tie_theta(spec, 1e-9, seed) for seed in range(2)]
+        errors = zero_one_errors(spec, thetas, X, y)
+        assert [p.rows for p in passes if p.kind == "recheck"] == [
+            _ROW_BLOCK] * 2 + [_ROW_BLOCK] * 2 + [37] * 2
+        assert np.array_equal(errors, serial_errors(spec, thetas, X, y))
+
+    def test_trained_desk_iso_draws_recheck_few_rows(self, monkeypatch):
+        """A desk-shaped net trained for two epochs on two-prototype data,
+        iso draws at lambda = 1e-3: float32 decides more than 80% of the
+        rows (a bound that flagged every row would decide none)."""
+        passes = record_passes(monkeypatch)
+        spec = NetSpec((784, 100, 100, 2))
+        rng = np.random.default_rng(12)
+        prototypes = np.where(rng.random((2, 784)) < 0.5, 0.45, 0.55)
+        y = rng.integers(0, 2, 2048)
+        X = np.clip(prototypes[y] + 0.25 * rng.standard_normal((2048, 784)),
+                    0.0, 1.0)
+        config = TrainerConfig(**settings("train", epochs=2, batch_size=128,
+                                          lr=0.01))
+        record = train(spec, Dataset(X=X, y=y, k=2), config, seed=3)
+        posterior = DiagGaussian.isotropic(record.theta_star, 1e-3)
+        thetas = [sample_gaussian(posterior, seed=j) for j in range(2)]
+        errors = zero_one_errors(spec, thetas, X, y)
+        screened = [p for p in passes if p.kind == "float32"]
+        assert sum(p.rows * p.thetas for p in screened) == 2 * len(X)
+        assert sum(p.unsure for p in screened) < 0.2 * 2 * len(X)
+        assert np.array_equal(errors, serial_errors(spec, thetas, X, y))
+
+    def test_a_row_needs_a_gap_of_twice_the_bound(self):
+        """Each output may be off by the bound E, so the top two may close
+        by 2E: a gap of 1.5E leaves the row undecided, 2.5E decides it."""
+        E = 1e-3
+        bound = nnet._Bound(np.zeros((1, 2)), np.full(1, E), np.full((1, 2), np.inf))
+        X = np.array([[1.0, 1.0 + 1.5 * E], [1.0, 1.0 + 2.5 * E]], np.float32)
+        identity = np.eye(2, dtype=np.float32)
+        sure, wrong = nnet._decide(X, identity, [[identity]], bound,
+                                   np.zeros(2, int))
+        assert sure.tolist() == [[False], [True]] and wrong.tolist() == [1]
+
+    def test_float32_bound_holds_each_layers_rounding(self):
+        """784-100-2: per unit of the input norms, the float32 bound is at
+        least the derivation's gamma_{n+1}(2^-24) + gamma_n(2^-53) times
+        the largest |W_2| |W_1 row norms| (layer 1, plus gamma_1(2^-24) for
+        rounding x) and |W_2 row| (layer 2)."""
+        spec = NetSpec((784, 100, 2))
+        weights = spec.to_matrices(random_theta(spec, seed=13, scale=0.05))
+        bound32 = nnet._bound([W[None] for W in weights], spec.widths, np.float32)
+        W1, W2 = weights
+        gamma = lambda n: nnet._gamma(n + 1, 2.0 ** -24) + nnet._gamma(n, 2.0 ** -53)
+        layer1 = ((gamma(784) + nnet._gamma(1, 2.0 ** -24))
+                  * (np.abs(W2) @ np.linalg.norm(W1, axis=1)).max())
+        layer2 = gamma(100) * np.linalg.norm(W2, axis=1).max()
+        assert bound32.slopes[0, 0] >= layer1 and bound32.slopes[0, 1] >= layer2
+
+    @hypothesis_settings(max_examples=60, deadline=None)
+    @given(widths=st.lists(st.integers(1, 7), min_size=3, max_size=5),
+           scales=st.lists(st.sampled_from(
+               [1e-40, 1e-20, 1e-3, 1.0, 1e3, 1e20, 1e40]), min_size=1, max_size=4),
+           gap=st.sampled_from([0.0, 1e-16, 1e-12, 1e-7, 1.0]),
+           n=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1))
+    def test_screened_errors_equal_forward(self, widths, scales, gap, n, seed):
+        """Random small nets, row blocks of 8 rows over two workers, weight
+        scales per layer from float32 underflow to float32 overflow, and
+        last layers whose output rows tie or nearly tie: the screened errors
+        equal one forward pass per theta bit for bit."""
+        spec = NetSpec(widths)
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n, widths[0]))
+        y = rng.integers(0, widths[-1], n)
+        thetas = [near_tie_theta(spec, gap, seed + j, scales) for j in range(3)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(nnet, "_ROW_BLOCK", 8)
+            patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+            errors = zero_one_errors(spec, thetas, X, y)
+        assert np.array_equal(errors, serial_errors(spec, thetas, X, y))
 
 
 class TestLosses:
