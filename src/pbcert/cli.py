@@ -26,9 +26,9 @@ from pbcert.data import COLLAPSE_SIZES, collapse_classes, load_cifar_bin
 from pbcert.data import load_idx, synthetic_blobs
 from pbcert.gaussians import union_bound_nats
 from pbcert.manifest import load_test_data, load_train_record, save_train_record
-from pbcert.nnet import NetSpec, TrainerConfig, check_train_settings, train
+from pbcert.nnet import NetSpec, TrainerConfig, check_schedule, check_train_settings
+from pbcert.nnet import train
 from pbcert.plotting import risk_complexity_svg
-from pbcert.posteriors import check_vi_settings
 from pbcert.rng import child_seed
 
 
@@ -166,12 +166,11 @@ def _check_sweep(config: RunConfig) -> tuple:
     for key in ("delta", "delta_prime"):
         if not 0.0 < config.get("bound", key) < 1.0:
             raise UsageError(f"bound.{key} must lie in (0, 1)")
+    vi = [config.get("posterior", f"vi_{key}") for key in ("epochs", "batch_size", "lr")]
     try:
-        check_vi_settings(config.get("posterior", "vi_epochs"),
-                          config.get("posterior", "vi_batch_size"),
-                          config.get("posterior", "vi_lr"))
+        check_schedule("posterior.vi_", *vi)
     except ValueError as exc:
-        raise UsageError(f"bad VI setting: posterior.{exc}") from exc
+        raise UsageError(f"bad VI setting: {exc}") from exc
     bound = config.values["bound"]
     for lam in grids[1]:
         try:

@@ -118,11 +118,17 @@ class RunConfig:
 
 
 def _parse_value(section: str, key: str, raw: str):
+    """A setting's value; a float that is nan or infinite (1e400 too) is
+    refused, since no setting has a use for one."""
     kind, _ = SCHEMA[section][key]
     try:
-        return _PARSERS[kind](raw)
+        value = _PARSERS[kind](raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {section}.{key}: {raw!r}") from exc
+    if kind in ("float", "float_list") and not np.all(np.isfinite(value)):
+        raise ConfigError(f"bad value for {section}.{key}: {raw!r} is not "
+                          f"finite")
+    return value
 
 
 def load_config(path=None, overrides=None) -> RunConfig:
@@ -137,8 +143,12 @@ def load_config(path=None, overrides=None) -> RunConfig:
         for section, keys in SCHEMA.items()
     }
     if path is not None:
-        parser = configparser.ConfigParser()
-        read = parser.read(path)
+        # no interpolation: a '%' in a value (a data path) is taken as written
+        parser = configparser.ConfigParser(interpolation=None)
+        try:
+            read = parser.read(path)
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise ConfigError(f"unparsable config file {path}: {exc}") from exc
         if not read:
             raise FileNotFoundError(f"config file not found: {path}")
         for section in parser.sections():

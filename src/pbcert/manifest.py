@@ -139,6 +139,25 @@ def _open_run(run_dir) -> tuple:
     return meta, load
 
 
+# [train] keys of runs written before training and VI shared one Adam
+_RETIRED_TRAINER_KEYS = ("adam_beta1", "adam_beta2", "adam_eps")
+
+
+def _trainer_config(path, trainer: dict) -> TrainerConfig:
+    """The TrainerConfig of meta.json's trainer section; a retired key is
+    ignored, a missing or unknown one raises ManifestError."""
+    names = [f.name for f in dataclasses.fields(TrainerConfig)]
+    missing = [name for name in names if name not in trainer]
+    unknown = sorted(set(trainer) - set(names) - set(_RETIRED_TRAINER_KEYS))
+    if missing:
+        raise ManifestError(f"{path}: trainer section lacks "
+                            f"{', '.join(missing)}")
+    if unknown:
+        raise ManifestError(f"{path}: trainer section has unknown keys "
+                            f"{', '.join(unknown)}")
+    return TrainerConfig(**{name: trainer[name] for name in names})
+
+
 def load_train_record(run_dir) -> tuple:
     """(record, train data) of a run written by save_train_record; a .bin
     file whose sha256 differs from the one meta.json recorded raises
@@ -147,7 +166,7 @@ def load_train_record(run_dir) -> tuple:
     spec = NetSpec(tuple(meta["widths"]))
     record = TrainRecord(
         spec=spec,
-        config=TrainerConfig(**meta["trainer"]),
+        config=_trainer_config(Path(run_dir) / "meta.json", meta["trainer"]),
         seed=meta["seed"],
         theta0=load("theta0", load_params, spec),
         theta_star=load("theta_star", load_params, spec),

@@ -478,7 +478,7 @@ def grad(spec: NetSpec, theta: np.ndarray, X: np.ndarray, y: np.ndarray,
 
 @dataclass(frozen=True)
 class TrainerConfig:
-    # the [train] settings (defaults in config.SCHEMA), then Adam constants
+    # exactly the [train] settings (defaults in config.SCHEMA)
     optimizer: str                # one of OPTIMIZERS
     lr: float
     momentum: float
@@ -487,17 +487,26 @@ class TrainerConfig:
     batch_size: int
     loss: str
     init_gain: float
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-7
+
+
+def check_schedule(prefix: str, epochs: int, batch_size: int, lr: float) -> None:
+    """Reject a schedule with no step (epochs or batch size below 1) or no
+    descent (lr <= 0); `prefix` ("train.", "posterior.vi_") names the keys."""
+    if epochs < 1:
+        raise ValueError(f"{prefix}epochs must be at least 1; got {epochs}")
+    if batch_size < 1:
+        raise ValueError(f"{prefix}batch_size must be at least 1; "
+                         f"got {batch_size}")
+    if not lr > 0:
+        raise ValueError(f"{prefix}lr must be positive; got {lr}")
 
 
 def check_train_settings(config: TrainerConfig) -> None:
     """Reject a trainer that trains nothing: an unknown optimizer, a loss
-    with no gradient, fewer than 1 epoch, a batch size below 1 (no step),
-    an lr <= 0 (no descent), a decay < 0 (lr/(1 + decay t) has a pole), a
-    momentum outside [0, 1] (the velocity grows or flips sign each step) or
-    an init gain of 0 (all weights and gradients 0); a negative gain trains."""
+    with no gradient, a schedule `check_schedule` rejects, a decay < 0
+    (lr/(1 + decay t) has a pole), a momentum outside [0, 1] (the velocity
+    grows or flips sign each step) or an init gain of 0 (all weights and
+    gradients 0); a negative gain trains."""
     if config.optimizer not in OPTIMIZERS:
         raise ValueError(f"unknown train.optimizer {config.optimizer!r}"
                          f" (optimizers: {', '.join(OPTIMIZERS)})")
@@ -505,13 +514,7 @@ def check_train_settings(config: TrainerConfig) -> None:
         trainable = [kind for kind in LOSS_KINDS if kind != "zero_one"]
         raise ValueError(f"train.loss {config.loss!r} cannot be trained"
                          f" (losses: {', '.join(trainable)})")
-    if config.epochs < 1:
-        raise ValueError(f"train.epochs must be at least 1; got {config.epochs}")
-    if config.batch_size < 1:
-        raise ValueError(f"train.batch_size must be at least 1; "
-                         f"got {config.batch_size}")
-    if not config.lr > 0:
-        raise ValueError(f"train.lr must be positive; got {config.lr}")
+    check_schedule("train.", config.epochs, config.batch_size, config.lr)
     if not config.decay >= 0:
         raise ValueError(f"train.decay must be at least 0; got {config.decay}")
     if not 0.0 <= config.momentum <= 1.0:
@@ -519,6 +522,31 @@ def check_train_settings(config: TrainerConfig) -> None:
                          f"got {config.momentum}")
     if config.init_gain == 0:
         raise ValueError("train.init_gain must not be 0")
+
+
+def minibatches(rng: np.random.Generator, n: int, batch_size: int) -> list:
+    """One epoch's batches of row indices: `rng.permutation(n)` cut into
+    runs of batch_size, the last one short when batch_size does not divide n."""
+    order = rng.permutation(n)
+    return [order[start:start + batch_size] for start in range(0, n, batch_size)]
+
+
+class Adam:
+    """Adam's moment estimates for one parameter vector, shared by `train`
+    and VI.  The caller counts steps: its step size and tail window read t."""
+
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, d: int):
+        self.m1 = np.zeros(d)
+        self.m2 = np.zeros(d)
+
+    def update(self, g: np.ndarray, t: int, step_size: float) -> np.ndarray:
+        """Step t's (from 1) bias-corrected update, to subtract from theta."""
+        self.m1 = self.beta1 * self.m1 + (1 - self.beta1) * g
+        self.m2 = self.beta2 * self.m2 + (1 - self.beta2) * g ** 2
+        return step_size * (self.m1 / (1 - self.beta1 ** t)) / (
+            np.sqrt(self.m2 / (1 - self.beta2 ** t)) + self.eps)
 
 
 @dataclass
@@ -551,15 +579,11 @@ def train(spec: NetSpec, data, config: TrainerConfig, seed: int,
     theta0 = init_params(spec, seed, config.init_gain)
     theta = np.array(theta0)
     velocity = np.zeros_like(theta)
-    m1 = np.zeros_like(theta)
-    m2 = np.zeros_like(theta)
+    adam = Adam(theta.size)
     shuffle_rng = rng_for(seed, "shuffle")
-    n = X.shape[0]
     step = 0
     for epoch in range(config.epochs):
-        order = shuffle_rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
+        for idx in minibatches(shuffle_rng, X.shape[0], config.batch_size):
             g = grad(spec, theta, X[idx], y[idx], config.loss)
             step += 1
             lr = config.lr / (1.0 + config.decay * step)
@@ -567,11 +591,7 @@ def train(spec: NetSpec, data, config: TrainerConfig, seed: int,
                 velocity = config.momentum * velocity - lr * g
                 theta = theta + velocity
             else:   # adam
-                m1 = config.adam_beta1 * m1 + (1 - config.adam_beta1) * g
-                m2 = config.adam_beta2 * m2 + (1 - config.adam_beta2) * g * g
-                m1_hat = m1 / (1 - config.adam_beta1 ** step)
-                m2_hat = m2 / (1 - config.adam_beta2 ** step)
-                theta = theta - lr * m1_hat / (np.sqrt(m2_hat) + config.adam_eps)
+                theta = theta - adam.update(g, step, lr)
         if not np.all(np.isfinite(theta)):
             raise DivergenceError(f"weights diverged at epoch {epoch}")
     outputs = forward(spec, theta, X).outputs

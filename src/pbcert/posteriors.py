@@ -29,7 +29,8 @@ import numpy as np
 
 from pbcert.blas import single_threaded
 from pbcert.gaussians import BlockGaussian, DiagGaussian, kl_diag
-from pbcert.nnet import NetSpec, forward, grad as nnet_grad, loss as nnet_loss
+from pbcert.nnet import Adam, NetSpec, check_schedule, forward, minibatches
+from pbcert.nnet import grad as nnet_grad, loss as nnet_loss
 from pbcert.rng import rng_for
 
 FISHER_FLOOR = 1e-12
@@ -90,17 +91,6 @@ def joint_optimal_diag(h, beta: float, lam: float, mu_rho,
                               n_floored=int(degenerate.sum()))
 
 
-def check_vi_settings(epochs: int, batch_size: int, lr: float) -> None:
-    """Reject a VI schedule that takes no step (fewer than 1 epoch or a
-    batch size below 1) or that climbs the surrogate (lr <= 0)."""
-    if epochs < 1:
-        raise ValueError(f"vi_epochs must be at least 1; got {epochs}")
-    if batch_size < 1:
-        raise ValueError(f"vi_batch_size must be at least 1; got {batch_size}")
-    if not lr > 0:
-        raise ValueError(f"vi_lr must be positive; got {lr}")
-
-
 @dataclass
 class VIResult:
     posterior: DiagGaussian
@@ -125,12 +115,10 @@ def vi_optimize_log_sigma(grad_fn, theta_star: np.ndarray, lam: float,
     every host.
     """
     # steps_per_epoch is at least 1 exactly when the batch size is
-    check_vi_settings(epochs, steps_per_epoch, lr)
+    check_schedule("posterior.vi_", epochs, steps_per_epoch, lr)
     d = theta_star.shape[0]
     log_sigma = np.full(d, np.log(lam))
-    m1 = np.zeros(d)
-    m2 = np.zeros(d)
-    b1, b2, eps = 0.9, 0.999, 1e-8
+    adam = Adam(d)
     decay, tail = 0.01, 0.4
     t = 0
     total = epochs * steps_per_epoch
@@ -150,11 +138,7 @@ def vi_optimize_log_sigma(grad_fn, theta_star: np.ndarray, lam: float,
                 g_log_sigma = g_theta * z * 0.5 * sqrt_sigma
                 g_log_sigma += kl_weight * 0.5 * (sigma / lam - 1.0)
                 t += 1
-                m1 = b1 * m1 + (1 - b1) * g_log_sigma
-                m2 = b2 * m2 + (1 - b2) * g_log_sigma ** 2
-                step_size = lr / (1.0 + decay * t)
-                log_sigma -= step_size * (m1 / (1 - b1 ** t)) / (
-                    np.sqrt(m2 / (1 - b2 ** t)) + eps)
+                log_sigma -= adam.update(g_log_sigma, t, lr / (1.0 + decay * t))
                 if t > (1.0 - tail) * total:
                     tail_sum += log_sigma
                     tail_count += 1
@@ -176,25 +160,20 @@ def vi_optimize_diag(spec: NetSpec, theta_star: np.ndarray,
     """
     if lam <= 0 or beta <= 0:
         raise ValueError("beta and lambda must be positive")
-    check_vi_settings(epochs, batch_size, lr)
+    check_schedule("posterior.vi_", epochs, batch_size, lr)
     X, y = np.asarray(data.X, dtype=np.float64), np.asarray(data.y)
     n = X.shape[0]
     d = theta_star.shape[0]
     kl_weight = 1.0 / (beta * n)
     shuffle_rng = rng_for(seed, "vi-shuffle")
-    batches = []
-    steps_per_epoch = (n + batch_size - 1) // batch_size
-    for _ in range(epochs):
-        order = shuffle_rng.permutation(n)
-        batches.append([order[s:s + batch_size]
-                        for s in range(0, n, batch_size)])
+    batches = [minibatches(shuffle_rng, n, batch_size) for _ in range(epochs)]
 
     def grad_fn(theta, epoch, step):
         idx = batches[epoch][step]
         return nnet_grad(spec, theta, X[idx], y[idx], "categorical")
 
     log_sigma = vi_optimize_log_sigma(grad_fn, theta_star, lam, kl_weight,
-                                      epochs, steps_per_epoch, seed, lr)
+                                      epochs, len(batches[0]), seed, lr)
     posterior = DiagGaussian(theta_star, log_sigma)
     # MC estimate of the achieved surrogate with a fixed evaluation draw
     eval_rng = rng_for(seed, "vi-eval")

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from pbcert.blas import openblas_thread_controls
+from pbcert.blas import openblas_thread_controls, single_threaded
 from pbcert.config import load_config
 from pbcert.data import synthetic_blobs
 from pbcert.gaussians import BlockGaussian, DiagGaussian, kl_diag
@@ -106,6 +106,44 @@ def ggn_diag_oracle(spec, theta, X, step=1e-5):
                      - log_density(spec, down, x, c)) / (2 * step)
                 oracle[i] += probs[s, c] * g ** 2
     return oracle / X.shape[0]
+
+
+def vi_log_sigma_oracle(grad_fn, theta_star, lam, kl_weight, epochs,
+                        steps_per_epoch, seed, lr):
+    """`posteriors.vi_optimize_log_sigma` with its Adam written inline, as
+    it was before `nnet.Adam` held the moments: the reference that the
+    shared optimizer must equal bit for bit."""
+    d = theta_star.shape[0]
+    log_sigma = np.full(d, np.log(lam))
+    m1 = np.zeros(d)
+    m2 = np.zeros(d)
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    decay, tail = 0.01, 0.4
+    t = 0
+    total = epochs * steps_per_epoch
+    tail_sum = np.zeros(d)
+    tail_count = 0
+    noise_rng = rng_for(seed, "vi-noise")
+    with single_threaded():
+        for epoch in range(epochs):
+            for step in range(steps_per_epoch):
+                sigma = np.exp(log_sigma)
+                sqrt_sigma = np.sqrt(sigma)
+                z = noise_rng.standard_normal(d)
+                theta = theta_star + sqrt_sigma * z
+                g_theta = grad_fn(theta, epoch, step)
+                g_log_sigma = g_theta * z * 0.5 * sqrt_sigma
+                g_log_sigma += kl_weight * 0.5 * (sigma / lam - 1.0)
+                t += 1
+                m1 = b1 * m1 + (1 - b1) * g_log_sigma
+                m2 = b2 * m2 + (1 - b2) * g_log_sigma ** 2
+                step_size = lr / (1.0 + decay * t)
+                log_sigma -= step_size * (m1 / (1 - b1 ** t)) / (
+                    np.sqrt(m2 / (1 - b2 ** t)) + eps)
+                if t > (1.0 - tail) * total:
+                    tail_sum += log_sigma
+                    tail_count += 1
+    return tail_sum / tail_count
 
 
 def random_block_gaussian(spec: NetSpec, mean, seed: int,

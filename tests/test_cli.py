@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import re
+import shutil
 from dataclasses import MISSING, fields
 from pathlib import Path
 
@@ -23,6 +24,10 @@ GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).parent.parent / "README.md"
 
 RUN_BINS = ("theta0.bin", "theta_star.bin", "train_data.bin", "test_data.bin")
+
+FLOAT_KEYS = [f"{section}.{key}" for section, keys in SCHEMA.items()
+              for key, (kind, _) in keys.items()
+              if kind in ("float", "float_list")]
 
 SMALL_CONFIG = """
 [data]
@@ -103,6 +108,41 @@ class TestConfig:
         with pytest.raises(ConfigError, match="bad value"):
             load_config(path)
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "1e400"])
+    @pytest.mark.parametrize("dotted", FLOAT_KEYS)
+    def test_non_finite_float_rejected(self, tmp_path, dotted, raw):
+        message = re.escape(f"bad value for {dotted}: {raw!r} is not finite")
+        with pytest.raises(ConfigError, match=message):
+            load_config(None, [f"{dotted}={raw}"])
+        section, key = dotted.split(".")
+        path = tmp_path / "run.ini"
+        path.write_text(f"[{section}]\n{key} = {raw}\n")
+        with pytest.raises(ConfigError, match=message):
+            load_config(path)
+
+    def test_non_finite_list_entry_rejected(self):
+        with pytest.raises(ConfigError, match="probe.lambdas: '0.04,nan'"):
+            load_config(None, ["probe.lambdas=0.04,nan"])
+
+    def test_percent_in_a_value_loads_as_written(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text("[data]\nimages = /data/100%/images.idx\n"
+                        "labels = /data/%(n)s/labels.idx\n")
+        config = load_config(path)
+        assert config.get("data", "images") == "/data/100%/images.idx"
+        assert config.get("data", "labels") == "/data/%(n)s/labels.idx"
+
+    @pytest.mark.parametrize("text", [
+        b"n = 5\n", b"[data]\nn = 5\nn = 6\n", b"[data]\nn = 5\n[data]\nd = 3\n",
+        b"[data]\nimages = \xff\xfe\n",
+    ], ids=["no-section-header", "repeated-key", "repeated-section", "not-utf-8"])
+    def test_unparsable_file_rejected(self, tmp_path, text):
+        path = tmp_path / "run.ini"
+        path.write_bytes(text)
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"unparsable config file {path}: ")):
+            load_config(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_config(tmp_path / "absent.ini")
@@ -122,11 +162,12 @@ class TestConfig:
 
     def test_every_setting_has_one_home(self):
         """The objects built from config sections take every setting they
-        have no default for, and nothing else, from config.SCHEMA."""
+        have no default for, and nothing else, from config.SCHEMA;
+        TrainerConfig has no field but the [train] settings."""
         def required(cls):
             return {f.name for f in fields(cls) if f.default is MISSING}
 
-        assert required(TrainerConfig) == set(SCHEMA["train"])
+        assert {f.name for f in fields(TrainerConfig)} == set(SCHEMA["train"])
         vi = {key for key in SCHEMA["posterior"] if key.startswith("vi_")}
         settings = load_config().grid_settings
         assert set(settings) == set(SCHEMA["bound"]) | vi | {"seed"}
@@ -451,6 +492,48 @@ class TestCliPipeline:
         assert main(["certify", *args, "--run", str(out)]) == 0
         assert (out / "certificates.csv").exists()
 
+    def test_a_run_that_records_adam_constants_loads_as_before(
+            self, small_config, tmp_path):
+        """Runs written before training and VI shared one Adam record its
+        constants in meta.json's trainer section; they are ignored, and
+        certify and probe write the same bytes."""
+        args = ["--config", str(small_config)]
+        new, old = tmp_path / "new", tmp_path / "old"
+        assert main(["train", *args, "--out", str(new)]) == 0
+        shutil.copytree(new, old)
+        meta_path = old / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        assert "adam_eps" not in meta["trainer"]
+        meta["trainer"].update(adam_beta1=0.9, adam_beta2=0.999, adam_eps=1e-7)
+        meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+        for run in (new, old):
+            assert main(["certify", *args, "--run", str(run)]) == 0
+            assert main(["probe", *args, "--run", str(run)]) == 0
+        for name in ("certificates.csv", "pareto.csv", "landscape.csv"):
+            assert (old / name).read_bytes() == (new / name).read_bytes()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda trainer: trainer.pop("loss"), "trainer section lacks loss"),
+        (lambda trainer: trainer.update(momentun=0.9),
+         "trainer section has unknown keys momentun"),
+    ], ids=["missing-loss", "unknown-key"])
+    def test_a_trainer_section_that_is_not_train_settings_is_refused(
+            self, small_config, tmp_path, capsys, edit, message):
+        args = ["--config", str(small_config)]
+        out = tmp_path / "run"
+        assert main(["train", *args, "--out", str(out)]) == 0
+        meta_path = out / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        edit(meta["trainer"])
+        meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+        capsys.readouterr()
+        for command in ("certify", "probe"):
+            assert main([command, *args, "--run", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert f"ManifestError: {meta_path}: {message}" in err
+        assert not (out / "certificates.csv").exists()
+        assert not (out / "landscape.csv").exists()
+
     def test_probe_runs_without_the_test_set(self, small_config, tmp_path):
         out = tmp_path / "run"
         args = ["--config", str(small_config)]
@@ -536,6 +619,36 @@ class TestCliPipeline:
                      "--set", setting]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, setting", [
+        ("train", "train.lr=inf"), ("train", "data.separation=nan"),
+        ("certify", "bound.b=nan"), ("certify", "posterior.beta_max=inf"),
+        ("probe", "probe.t_min=nan"), ("probe", "probe.lambdas=inf"),
+    ])
+    def test_non_finite_setting_exits_2_before_work(
+            self, small_config, tmp_path, capsys, monkeypatch, command,
+            setting):
+        def refuse(*args, **kwargs):
+            raise RuntimeError("work done for a non-finite setting")
+
+        monkeypatch.setattr(cli, "_build_datasets", refuse)
+        monkeypatch.setattr(cli, "load_train_record", refuse)
+        out = tmp_path / "run"
+        target = "--out" if command == "train" else "--run"
+        assert main([command, "--config", str(small_config), target, str(out),
+                     "--set", setting]) == 2
+        dotted, raw = setting.split("=")
+        assert (f"error: bad value for {dotted}: {raw!r} is not finite"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_unparsable_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "run.ini"
+        path.write_text("n = 5\n")
+        assert main(["train", "--config", str(path), "--out",
+                     str(tmp_path / "run")]) == 2
+        assert (f"error: unparsable config file {path}: "
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("classes, test_classes, truncate, code, message", [
         (4, 4, 0, 2, "bad data.collapse: collapse requires 10 classes"),

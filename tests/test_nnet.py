@@ -16,6 +16,7 @@ from pbcert import nnet
 from pbcert.blas import single_threaded
 from pbcert.data import Dataset
 from pbcert.gaussians import DiagGaussian, sample_gaussian
+from pbcert.rng import rng_for
 from pbcert.nnet import (
     _DRAW_GROUP,
     _ROW_BLOCK,
@@ -27,6 +28,7 @@ from pbcert.nnet import (
     grad,
     init_params,
     loss,
+    minibatches,
     one_hot,
     relu,
     softmax,
@@ -566,6 +568,28 @@ class TestGrad:
         with pytest.raises(ValueError):
             grad(spec, random_theta(spec, seed=0), np.zeros((1, 2)),
                  np.array([0]), "zero_one")
+
+
+class TestMinibatches:
+    @pytest.mark.parametrize("n, batch_size", [(10, 3), (12, 4), (5, 8), (1, 1)])
+    def test_each_epoch_covers_every_row_once(self, n, batch_size):
+        rng = rng_for(3, "shuffle")
+        for _ in range(3):
+            batches = minibatches(rng, n, batch_size)
+            assert np.array_equal(np.sort(np.concatenate(batches)), np.arange(n))
+            assert [len(b) for b in batches[:-1]] == [batch_size] * (len(batches) - 1)
+            assert len(batches[-1]) == (n % batch_size or min(n, batch_size))
+
+    def test_batches_are_slices_of_one_permutation_per_epoch(self):
+        n, batch_size = 23, 5
+        rng, same = rng_for(8, "vi-shuffle"), rng_for(8, "vi-shuffle")
+        for _ in range(4):
+            order = same.permutation(n)
+            batches = minibatches(rng, n, batch_size)
+            assert len(batches) == 5
+            for start, batch in zip(range(0, n, batch_size), batches):
+                assert np.array_equal(batch, order[start:start + batch_size])
+        assert rng.random() == same.random()
 
 
 class TestTrain:

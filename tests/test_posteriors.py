@@ -9,10 +9,11 @@ from tests.conftest import (
     quadratic_objective_block,
     quadratic_objective_diag,
     settings,
+    vi_log_sigma_oracle,
 )
 from pbcert.curvature import LayerEig, all_block_hessians, block_hessians
 from pbcert.gaussians import kl_block
-from pbcert.nnet import NetSpec
+from pbcert.nnet import NetSpec, grad
 from pbcert.posteriors import (
     closed_form_posterior,
     joint_optimal_diag,
@@ -202,6 +203,33 @@ class TestVI:
         expected = closed_form_posterior(h, kl_weight, lam)
         rel = np.abs(np.exp(log_sigma) - expected) / expected
         assert np.median(rel) < 0.05
+
+    def test_adam_equals_the_inline_reference_on_a_quadratic(self):
+        rng = np.random.default_rng(20)
+        h = 10.0 ** rng.uniform(-1, 1, size=30)
+        theta_star = rng.normal(size=30)
+
+        def grad_fn(theta, epoch, step):
+            return h * (theta - theta_star)
+
+        args = (grad_fn, theta_star, 0.1, 0.02, 3, 50, 4, VI_LR)
+        assert np.array_equal(vi_optimize_log_sigma(*args),
+                              vi_log_sigma_oracle(*args))
+
+    def test_adam_equals_the_inline_reference_on_a_net(self, blob_data,
+                                                         trained_net):
+        train_ds, _ = blob_data
+        spec, record = trained_net
+        batches = np.array_split(np.arange(train_ds.n), 5)
+
+        def grad_fn(theta, epoch, step):
+            idx = batches[(epoch + step) % len(batches)]
+            return grad(spec, theta, train_ds.X[idx], train_ds.y[idx],
+                        "categorical")
+
+        args = (grad_fn, record.theta_star, 0.05, 1e-3, 2, 5, 9, VI_LR)
+        assert np.array_equal(vi_optimize_log_sigma(*args),
+                              vi_log_sigma_oracle(*args))
 
     def test_zero_loss_gradient_keeps_prior_scale(self):
         theta_star = np.zeros(10)
