@@ -8,28 +8,3 @@ diagonal Gaussians in each layer's Hessian eigenbasis.
 Certificates over a (beta, lambda) grid are summarised as Risk-Complexity
 Pareto fronts.
 """
-
-from pbcert.gaussians import (
-    BlockGaussian,
-    DiagGaussian,
-    catoni_inv,
-    chernoff_gap,
-    kl_block,
-    kl_diag,
-    sample_gaussian,
-    union_bound_nats,
-)
-from pbcert.rng import child_seed, rng_for
-
-__all__ = [
-    "BlockGaussian",
-    "DiagGaussian",
-    "catoni_inv",
-    "chernoff_gap",
-    "child_seed",
-    "kl_block",
-    "kl_diag",
-    "rng_for",
-    "sample_gaussian",
-    "union_bound_nats",
-]

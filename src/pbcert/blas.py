@@ -7,7 +7,10 @@ point) therefore burns two CPUs for the wall time of one.  So `cli.main`
 runs every command under `single_threaded()`.  The one loop where the
 second core paid for itself, the row blocks of `nnet.zero_one_errors`,
 runs on a thread pool instead: one worker per usable CPU, each on one BLAS
-thread.
+thread.  OpenBLAS also starts a spinning worker per extra CPU when numpy
+loads it, so `pbcert.cli` sets OPENBLAS_NUM_THREADS=1 before numpy loads;
+`single_threaded()` still pins the count for a process that loaded numpy
+first.
 
 A 1-thread and a multi-thread product with an inner dimension of 400 or
 more can differ in the last bits.  On one thread the sums no longer depend

@@ -16,6 +16,11 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+# OpenBLAS starts one worker per CPU when numpy loads it, and each worker
+# spins for about 0.1 s; every command runs on one BLAS thread anyway, so
+# ask for one before the first import that loads numpy.
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 import numpy as np
 
 from pbcert import certify as cert

@@ -146,11 +146,15 @@ def load_config(path=None, overrides=None) -> RunConfig:
         # no interpolation: a '%' in a value (a data path) is taken as written
         parser = configparser.ConfigParser(interpolation=None)
         try:
-            read = parser.read(path)
+            with open(path) as f:
+                parser.read_file(f)
+        except FileNotFoundError:
+            raise FileNotFoundError(f"config file not found: {path}") from None
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {path}: "
+                              f"{exc.strerror}") from exc
         except (configparser.Error, UnicodeDecodeError) as exc:
             raise ConfigError(f"unparsable config file {path}: {exc}") from exc
-        if not read:
-            raise FileNotFoundError(f"config file not found: {path}")
         for section in parser.sections():
             if section not in SCHEMA:
                 raise ConfigError(f"unknown config section [{section}]")

@@ -63,6 +63,11 @@ def _read_exact(f, count: int, what: str) -> bytes:
     return buf
 
 
+def _check_at_end(f, path) -> None:
+    if f.read(1):
+        raise DataFormatError(f"trailing bytes after the payload of {path}")
+
+
 def load_idx(images_path, labels_path) -> Dataset:
     """Load an IDX image/label file pair; pixels are scaled by 1/255."""
     with open(images_path, "rb") as f:
@@ -73,11 +78,13 @@ def load_idx(images_path, labels_path) -> Dataset:
             raise DataFormatError(f"image count {n} in {images_path}; "
                                   f"need at least 1")
         pixels = _read_exact(f, n * rows * cols, "image data")
+        _check_at_end(f, images_path)
     with open(labels_path, "rb") as f:
         magic, n_labels = struct.unpack(">ii", _read_exact(f, 8, "label header"))
         if magic != IDX_LABELS_MAGIC:
             raise DataFormatError(f"bad label magic 0x{magic:08x} in {labels_path}")
         labels = _read_exact(f, n_labels, "label data")
+        _check_at_end(f, labels_path)
     if n != n_labels:
         raise DataFormatError(f"image count {n} != label count {n_labels}")
     X = np.frombuffer(pixels, dtype=np.uint8).reshape(n, rows * cols) / 255.0

@@ -5,10 +5,11 @@ identical outputs, and the value types are immutable after construction.
 Variances are kept in log-domain internally so downstream optimizers can
 never push them nonpositive; the exposed values are plain variances.
 
-Both posterior types are diagonal: `DiagGaussian` in parameter coordinates,
-`BlockGaussian` in the orthogonal basis of each layer of its `NetSpec`, so
-one KL formula against the rotation-invariant prior N(theta0, lambda I)
-scores both, and no covariance is ever formed or factored.
+Every posterior is one type, `DiagGaussian`: a diagonal Gaussian either in
+parameter coordinates or in an orthogonal basis per layer of a `NetSpec`.
+The prior N(theta0, lambda I) is unchanged by those rotations, so one KL
+formula scores every posterior against it (`kl_block`), and no covariance
+is ever formed or factored.
 """
 
 from __future__ import annotations
@@ -27,47 +28,49 @@ class DimensionMismatchError(ValueError):
     pass
 
 
-def _freeze_vectors(dist) -> None:
-    """Set a frozen dist's mean and log_variance to read-only float64
-    copies, after checking that they are finite and of one shape; the
-    caller's arrays stay writeable."""
-    mean = np.array(dist.mean, dtype=np.float64)
-    logv = np.array(dist.log_variance, dtype=np.float64)
-    if mean.shape != logv.shape or mean.ndim != 1:
-        raise DimensionMismatchError(
-            f"mean shape {mean.shape} != log_variance shape {logv.shape}"
-        )
-    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(logv))):
-        raise ValueError("non-finite parameters")
-    for name, vector in (("mean", mean), ("log_variance", logv)):
-        vector.setflags(write=False)
-        object.__setattr__(dist, name, vector)
-
-
-class _Diagonal:
-    """What both posterior types share: a diagonal Gaussian in some basis."""
-
-    @cached_property
-    def std(self) -> np.ndarray:
-        """exp(log_variance / 2), computed once, since every draw scales by it."""
-        std = np.exp(0.5 * self.log_variance)
-        std.setflags(write=False)
-        return std
-
-    @property
-    def dim(self) -> int:
-        return self.mean.shape[0]
-
-
 @dataclass(frozen=True)
-class DiagGaussian(_Diagonal):
-    """Gaussian with diagonal covariance, parameterized by log-variance."""
+class DiagGaussian:
+    """Gaussian with diagonal covariance, parameterized by log-variance.
+
+    With `bases` and `spec` (given together), `spec` lays out `mean` and
+    `log_variance`: the block of a layer with fan-in k is U diag(s) U' for
+    the orthogonal k x k basis U in `bases`, one block per neuron, and each
+    neuron's row of the layer's `log_variance` matrix holds log s.  Without
+    them the diagonal is in parameter coordinates.  The arrays are stored as
+    read-only float64 copies; the caller's arrays stay writeable.
+    """
 
     mean: np.ndarray
     log_variance: np.ndarray
+    bases: tuple | None = None
+    spec: NetSpec | None = None
 
     def __post_init__(self):
-        _freeze_vectors(self)
+        mean = np.array(self.mean, dtype=np.float64)
+        logv = np.array(self.log_variance, dtype=np.float64)
+        if mean.shape != logv.shape or mean.ndim != 1:
+            raise DimensionMismatchError(
+                f"mean shape {mean.shape} != log_variance shape {logv.shape}")
+        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(logv))):
+            raise ValueError("non-finite parameters")
+        if (self.bases is None) != (self.spec is None):
+            raise ValueError("bases and spec are given together or not at all")
+        bases = ()
+        if self.spec is not None:
+            bases = tuple(np.array(U, dtype=np.float64) for U in self.bases)
+            fan_ins = [k for _, k in self.spec.layer_shapes]
+            if [U.shape for U in bases] != [(k, k) for k in fan_ins]:
+                raise DimensionMismatchError(
+                    "one fan_in x fan_in basis per layer of the spec needed")
+            if mean.shape[0] != self.spec.n_params:
+                raise DimensionMismatchError(
+                    f"spec has {self.spec.n_params} parameters, "
+                    f"mean has {mean.shape[0]}")
+            object.__setattr__(self, "bases", bases)
+        for array in (mean, logv, *bases):
+            array.setflags(write=False)
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "log_variance", logv)
 
     @classmethod
     def from_variance(cls, mean, variance) -> "DiagGaussian":
@@ -85,39 +88,25 @@ class DiagGaussian(_Diagonal):
     def variance(self) -> np.ndarray:
         return np.exp(self.log_variance)
 
+    @cached_property
+    def std(self) -> np.ndarray:
+        """exp(log_variance / 2), computed once, since every draw scales by it."""
+        std = np.exp(0.5 * self.log_variance)
+        std.setflags(write=False)
+        return std
 
-@dataclass(frozen=True)
-class BlockGaussian(_Diagonal):
-    """Gaussian whose covariance has one block per neuron, shared by every
-    neuron of a layer, held as a diagonal Gaussian in each layer's basis.
-
-    `spec` lays out `mean` and `log_variance`: the block of a layer with
-    fan-in k is U diag(s) U' for the orthogonal k x k basis U in `bases`,
-    and each neuron's row of the layer's `log_variance` matrix holds log s.
-    """
-
-    mean: np.ndarray
-    log_variance: np.ndarray
-    bases: tuple
-    spec: NetSpec
-
-    def __post_init__(self):
-        _freeze_vectors(self)
-        bases = tuple(np.array(U, dtype=np.float64) for U in self.bases)
-        fan_ins = [k for _, k in self.spec.layer_shapes]
-        if [U.shape for U in bases] != [(k, k) for k in fan_ins]:
-            raise DimensionMismatchError(
-                "one fan_in x fan_in basis per layer of the spec needed")
-        if self.dim != self.spec.n_params:
-            raise DimensionMismatchError(
-                f"spec has {self.spec.n_params} parameters, mean has {self.dim}")
-        for U in bases:
-            U.setflags(write=False)
-        object.__setattr__(self, "bases", bases)
+    @property
+    def dim(self) -> int:
+        return self.mean.shape[0]
 
 
 def kl_diag(q: DiagGaussian, p: DiagGaussian) -> float:
-    """KL(q || p) in nats for diagonal Gaussians (closed form)."""
+    """KL(q || p) in nats for diagonal Gaussians in parameter coordinates
+    (closed form).  A Gaussian with bases is refused: against a prior that
+    is not isotropic its KL is not this formula (see `kl_block`)."""
+    if q.bases is not None or p.bases is not None:
+        raise ValueError("kl_diag takes Gaussians without bases; "
+                         "use kl_block against an isotropic prior")
     if q.dim != p.dim:
         raise DimensionMismatchError(f"dimension mismatch: {q.dim} vs {p.dim}")
     ratio = np.exp(q.log_variance - p.log_variance)
@@ -126,10 +115,10 @@ def kl_diag(q: DiagGaussian, p: DiagGaussian) -> float:
     return float(0.5 * np.sum(terms))
 
 
-def kl_block(q: BlockGaussian, p_mean: np.ndarray, p_lambda: float) -> float:
-    """KL(q || N(p_mean, lambda I)) in nats: the diagonal KL of q's basis
-    log-variances, since the prior and the mean gap's length are unchanged
-    by each layer's rotation."""
+def kl_block(q: DiagGaussian, p_mean: np.ndarray, p_lambda: float) -> float:
+    """KL(q || N(p_mean, lambda I)) in nats for any `DiagGaussian`: the
+    diagonal KL of q's log-variances, since the prior and the mean gap's
+    length are unchanged by each layer's rotation."""
     return kl_diag(DiagGaussian(q.mean, q.log_variance),
                    DiagGaussian.isotropic(p_mean, p_lambda))
 
@@ -175,19 +164,16 @@ def union_bound_nats(lam: float, b: float, c: float, delta: float) -> float:
     return math.log(math.pi ** 2 * b ** 2 * log_ratio ** 2 / (6.0 * delta))
 
 
-def sample_gaussian(dist, seed: int) -> np.ndarray:
-    """Draw one parameter vector from a DiagGaussian or BlockGaussian.
+def sample_gaussian(dist: DiagGaussian, seed: int) -> np.ndarray:
+    """Draw one parameter vector from `dist`; deterministic given the seed.
 
-    Deterministic given the seed.  A BlockGaussian draw is the diagonal
-    draw rotated into parameter coordinates by one (neurons x k) @ U'
-    product per layer of its spec.
+    With bases, the diagonal draw is rotated into parameter coordinates by
+    one (neurons x k) @ U' product per layer of the spec.
     """
-    if not isinstance(dist, (DiagGaussian, BlockGaussian)):
-        raise TypeError(f"unsupported distribution type {type(dist)!r}")
     rng = rng_for(seed, "sample")
     z = rng.standard_normal(dist.dim)
     noise = dist.std * z
-    if isinstance(dist, BlockGaussian):
+    if dist.bases is not None:
         noise = dist.spec.to_vector([N @ U.T for N, U in zip(
             dist.spec.to_matrices(noise), dist.bases)])
     return dist.mean + noise

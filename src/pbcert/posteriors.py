@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from pbcert.blas import single_threaded
-from pbcert.gaussians import BlockGaussian, DiagGaussian, kl_diag
+from pbcert.gaussians import DiagGaussian, kl_diag
 from pbcert.nnet import Adam, NetSpec, check_schedule, forward, minibatches
 from pbcert.nnet import grad as nnet_grad, loss as nnet_loss
 from pbcert.rng import rng_for
@@ -186,16 +186,17 @@ def vi_optimize_diag(spec: NetSpec, theta_star: np.ndarray,
 
 
 def skfac_posterior(spec: NetSpec, theta_star: np.ndarray, curvature: list,
-                    beta: float, lam: float) -> BlockGaussian:
+                    beta: float, lam: float) -> DiagGaussian:
     """Per-neuron block posterior from shared layer Hessians.
 
     `curvature` holds each layer Hessian's eigendecomposition (`LayerEig`,
     from `curvature.all_block_hessians`).  Each block covariance is
     beta * (H_i + (beta/lambda) I)^-1 = U diag(s) U', with the eigenvectors
     U and s = closed_form_posterior(eigvals) for every neuron; the posterior
-    keeps that form, so sweeping lambda costs one vector per layer.
+    keeps that form, a `DiagGaussian` with the eigenvectors as its bases, so
+    sweeping lambda costs one vector per layer.
     """
     variances = [np.tile(closed_form_posterior(eig.eigvals, beta, lam), (rows, 1))
                  for eig, (rows, _) in zip(curvature, spec.layer_shapes)]
-    return BlockGaussian(theta_star, np.log(spec.to_vector(variances)),
-                         tuple(eig.eigvecs for eig in curvature), spec)
+    return DiagGaussian(theta_star, np.log(spec.to_vector(variances)),
+                        tuple(eig.eigvecs for eig in curvature), spec)

@@ -9,7 +9,7 @@ import pytest
 from pbcert.blas import openblas_thread_controls, single_threaded
 from pbcert.config import load_config
 from pbcert.data import synthetic_blobs
-from pbcert.gaussians import BlockGaussian, DiagGaussian, kl_diag
+from pbcert.gaussians import DiagGaussian, kl_diag
 from pbcert.nnet import NetSpec, TrainerConfig, forward, relu, softmax, train
 from pbcert.rng import rng_for
 
@@ -146,9 +146,9 @@ def vi_log_sigma_oracle(grad_fn, theta_star, lam, kl_weight, epochs,
     return tail_sum / tail_count
 
 
-def random_block_gaussian(spec: NetSpec, mean, seed: int,
-                          scale: float = 0.02) -> BlockGaussian:
-    """A BlockGaussian over `spec` with a random orthogonal basis per layer
+def random_rotated_gaussian(spec: NetSpec, mean, seed: int,
+                            scale: float = 0.02) -> DiagGaussian:
+    """A DiagGaussian over `spec` with a random orthogonal basis per layer
     (QR of a Gaussian matrix) and random basis variances in
     [scale/2, 2 scale]."""
     rng = np.random.default_rng(seed)
@@ -157,11 +157,11 @@ def random_block_gaussian(spec: NetSpec, mean, seed: int,
         bases.append(np.linalg.qr(rng.standard_normal((cols, cols)))[0])
         s = scale * np.exp(rng.uniform(np.log(0.5), np.log(2.0), cols))
         variances.append(np.tile(s, (rows, 1)))
-    return BlockGaussian(mean, np.log(spec.to_vector(variances)),
-                         tuple(bases), spec)
+    return DiagGaussian(mean, np.log(spec.to_vector(variances)),
+                        tuple(bases), spec)
 
 
-def block_covariances(q: BlockGaussian) -> list:
+def block_covariances(q: DiagGaussian) -> list:
     """Each layer's dense block covariance U diag(s) U', read from the
     basis variances of the layer's first neuron."""
     return [(U * np.exp(logv[0])) @ U.T for logv, U in

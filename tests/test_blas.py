@@ -1,6 +1,11 @@
 """BLAS thread pinning: restore on exit, no-op without OpenBLAS, every CLI
 command on one thread, and bytes that do not depend on the thread count."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -134,3 +139,30 @@ def test_run_bytes_do_not_depend_on_caller_thread_count(tmp_path, two_threads):
         outputs[threads] = [(tmp_path / f"run{threads}" / name).read_bytes()
                             for name in ("theta_star.bin", "certificates.csv")]
     assert outputs[1] == outputs[2]
+
+
+def _python(code: str) -> str:
+    """stdout of `python -c code` with this pbcert importable and no BLAS
+    thread count set in the environment."""
+    env = {key: value for key, value in os.environ.items() if key not in
+           ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    src = str(Path(blas.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+@pytest.mark.skipif(CONTROLS is None or len(os.sched_getaffinity(0)) < 2,
+                    reason="no OpenBLAS control, or one CPU")
+def test_cli_starts_openblas_with_one_thread():
+    """OpenBLAS would start a spinning worker per extra CPU when numpy
+    loads it; importing the CLI asks for one thread first."""
+    assert _python("import pbcert.cli\n"
+                   "from pbcert.blas import openblas_thread_controls\n"
+                   "print(openblas_thread_controls()[1]())") == "1"
+
+
+def test_importing_the_package_loads_no_numpy():
+    assert _python("import sys, pbcert\n"
+                   "print('numpy' in sys.modules)") == "False"

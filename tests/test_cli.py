@@ -2,8 +2,10 @@
 
 import builtins
 import csv
+import errno
 import io
 import json
+import os
 import re
 import shutil
 from dataclasses import MISSING, fields
@@ -642,6 +644,14 @@ class TestCliPipeline:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    def test_directory_config_exits_2_with_its_reason(self, tmp_path, capsys):
+        assert main(["train", "--config", str(tmp_path), "--out",
+                     str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert (f"error: cannot read config file {tmp_path}: "
+                f"{os.strerror(errno.EISDIR)}" in err)
+        assert not (tmp_path / "run").exists()
+
     def test_unparsable_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "run.ini"
         path.write_text("n = 5\n")
@@ -713,6 +723,35 @@ class TestCliPipeline:
                      "--out", str(tmp_path / "run"), *args]) == 1
         err = capsys.readouterr().err
         assert f"DataFormatError: image count 0 in {images}" in err
+
+    @pytest.mark.parametrize("extra_pixels, extra_labels", [
+        (0, 0), (7, 0), (0, 2)],
+        ids=["exact", "trailing-image-bytes", "trailing-labels"])
+    def test_train_refuses_idx_bytes_after_the_payload_before_training(
+            self, small_config, tmp_path, capsys, monkeypatch, extra_pixels,
+            extra_labels):
+        def reached_training(*args, **kwargs):
+            raise RuntimeError("reached training")
+
+        monkeypatch.setattr(cli, "train", reached_training)
+        images, labels = write_idx_pair(tmp_path, range(4 * 6),
+                                        [0, 1, 0, 1, 1, 0])
+        images.write_bytes(images.read_bytes() + bytes(extra_pixels))
+        labels.write_bytes(labels.read_bytes() + bytes(extra_labels))
+        args = [arg for override in (
+            "data.source=idx", f"data.images={images}", f"data.labels={labels}",
+            f"data.test_images={images}", f"data.test_labels={labels}")
+            for arg in ("--set", override)]
+        assert main(["train", "--config", str(small_config),
+                     "--out", str(tmp_path / "run"), *args]) == 1
+        err = capsys.readouterr().err
+        if not (extra_pixels or extra_labels):
+            assert "RuntimeError: reached training" in err
+        else:
+            bad = images if extra_pixels else labels
+            assert ("DataFormatError: trailing bytes after the payload of "
+                    f"{bad}" in err)
+            assert "reached training" not in err
 
     def test_train_exit_code_on_missing_idx(self, tmp_path):
         config = tmp_path / "idx.ini"

@@ -1,6 +1,7 @@
 """Dataset loaders, class collapsing, synthetic blobs, and run manifests."""
 
 import hashlib
+import re
 import struct
 
 import numpy as np
@@ -60,6 +61,19 @@ class TestIdx:
         images.write_bytes(b"")
         with pytest.raises(DataFormatError, match="truncated"):
             load_idx(images, images)
+
+    @pytest.mark.parametrize("extra_pixels, extra_labels", [
+        (7, 0), (1, 0), (0, 2), (0, 1)])
+    def test_bytes_after_the_payload_rejected(self, tmp_path, extra_pixels,
+                                              extra_labels):
+        images, labels = write_idx_pair(tmp_path, range(8), [0, 1])
+        assert load_idx(images, labels).n == 2
+        images.write_bytes(images.read_bytes() + bytes(extra_pixels))
+        labels.write_bytes(labels.read_bytes() + bytes(extra_labels))
+        bad = images if extra_pixels else labels
+        with pytest.raises(DataFormatError, match=re.escape(
+                f"trailing bytes after the payload of {bad}")):
+            load_idx(images, labels)
 
     def test_count_mismatch(self, tmp_path):
         images, _ = write_idx_pair(tmp_path, range(8), [0, 1])

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from scipy import integrate, linalg, stats
 
 from pbcert.gaussians import (
-    BlockGaussian,
     DiagGaussian,
     DimensionMismatchError,
     catoni_inv,
@@ -21,7 +20,7 @@ from pbcert.gaussians import (
 )
 from pbcert.nnet import NetSpec
 from pbcert.rng import rng_for
-from tests.conftest import block_covariances, random_block_gaussian
+from tests.conftest import block_covariances, random_rotated_gaussian
 
 
 def kl_1d_numeric(mq, vq, mp, vp) -> float:
@@ -61,9 +60,17 @@ class TestDiagGaussian:
         bases = (np.eye(2), np.eye(1))
         DiagGaussian.isotropic(theta, 0.1)
         DiagGaussian(theta, log_variance)
-        BlockGaussian(theta, log_variance, bases, NetSpec((2, 1, 1)))
+        DiagGaussian(theta, log_variance, bases, NetSpec((2, 1, 1)))
         for array in (theta, log_variance, *bases):
             assert array.flags.writeable
+
+    def test_bases_and_spec_go_together(self):
+        spec = NetSpec((2, 1, 1))
+        bases = (np.eye(2), np.eye(1))
+        DiagGaussian(np.zeros(3), np.zeros(3), bases, spec)
+        for kwargs in ({"bases": bases}, {"spec": spec}):
+            with pytest.raises(ValueError, match="together"):
+                DiagGaussian(np.zeros(3), np.zeros(3), **kwargs)
 
 
 class TestKLDiag:
@@ -110,6 +117,17 @@ class TestKLDiag:
             kl_diag(DiagGaussian.isotropic(np.zeros(2), 1.0),
                     DiagGaussian.isotropic(np.zeros(3), 1.0))
 
+    def test_refuses_bases(self):
+        """Against a prior that is not isotropic, the KL of a rotated
+        Gaussian is not the diagonal formula, so neither side may have
+        bases."""
+        spec = NetSpec((2, 1, 1))
+        rotated = random_rotated_gaussian(spec, np.zeros(3), seed=0)
+        plain = DiagGaussian.from_variance(np.zeros(3), [0.5, 1.0, 2.0])
+        for q, p in ((rotated, plain), (plain, rotated), (rotated, rotated)):
+            with pytest.raises(ValueError, match="bases"):
+                kl_diag(q, p)
+
     @given(st.lists(st.floats(-5, 5), min_size=1, max_size=6).flatmap(
         lambda ms: st.tuples(
             st.just(ms),
@@ -125,7 +143,7 @@ class TestKLDiag:
         assert kl_diag(q, p) >= -1e-12
 
 
-def dense_covariance(q: BlockGaussian) -> np.ndarray:
+def dense_covariance(q: DiagGaussian) -> np.ndarray:
     """q's whole covariance: one copy of its layer's block per neuron."""
     return linalg.block_diag(*[cov for cov, (rows, _) in zip(
         block_covariances(q), q.spec.layer_shapes) for _ in range(rows)])
@@ -134,29 +152,30 @@ def dense_covariance(q: BlockGaussian) -> np.ndarray:
 class TestKLBlock:
     def test_isotropic_block_matches_prior_is_zero(self):
         spec = NetSpec((3, 2, 1))
-        q = random_block_gaussian(spec, np.zeros(spec.n_params), seed=1)
-        q = BlockGaussian(q.mean, np.full(q.dim, math.log(0.7)), q.bases,
-                          q.spec)
+        q = random_rotated_gaussian(spec, np.zeros(spec.n_params), seed=1)
+        q = DiagGaussian(q.mean, np.full(q.dim, math.log(0.7)), q.bases,
+                         q.spec)
         assert kl_block(q, q.mean, 0.7) == pytest.approx(0.0, abs=1e-12)
 
     def test_one_by_one_blocks_match_diag(self):
         rng = np.random.default_rng(8)
         mean = rng.normal(size=3)
         variances = np.exp(rng.uniform(-1, 1, size=3))
-        q_block = BlockGaussian(mean, np.log(variances),
-                                (np.ones((1, 1)), -np.ones((1, 1)),
-                                 np.ones((1, 1))), NetSpec((1, 1, 1, 1)))
+        q_block = DiagGaussian(mean, np.log(variances),
+                               (np.ones((1, 1)), -np.ones((1, 1)),
+                                np.ones((1, 1))), NetSpec((1, 1, 1, 1)))
         q_diag = DiagGaussian.from_variance(mean, variances)
         prior_mean = rng.normal(size=3)
         lam = 0.4
         expected = kl_diag(q_diag, DiagGaussian.isotropic(prior_mean, lam))
         assert kl_block(q_block, prior_mean, lam) == pytest.approx(
             expected, abs=1e-12)
+        assert kl_block(q_diag, prior_mean, lam) == expected
 
     def test_full_block_value(self):
         spec = NetSpec((2, 1, 1))
-        q = random_block_gaussian(spec, np.zeros(3), seed=2)
-        q = BlockGaussian(q.mean, np.full(3, math.log(2.0)), q.bases, spec)
+        q = random_rotated_gaussian(spec, np.zeros(3), seed=2)
+        q = DiagGaussian(q.mean, np.full(3, math.log(2.0)), q.bases, spec)
         assert kl_block(q, np.zeros(3), 1.0) == pytest.approx(
             1.5 * (1.0 - math.log(2.0)), abs=1e-12)
 
@@ -167,8 +186,8 @@ class TestKLBlock:
         spec = NetSpec((3, 4, 3, 2))
         d = spec.n_params
         rng = np.random.default_rng(seed)
-        q = random_block_gaussian(spec, rng.normal(size=d), seed=seed,
-                                  scale=0.3)
+        q = random_rotated_gaussian(spec, rng.normal(size=d), seed=seed,
+                                    scale=0.3)
         prior_mean = rng.normal(size=d)
         lam = 0.5
         cov = dense_covariance(q)
@@ -180,31 +199,55 @@ class TestKLBlock:
         assert kl_block(q, prior_mean, lam) == pytest.approx(expected,
                                                              rel=1e-9)
 
+    @given(widths=st.sampled_from([(2, 1, 1), (3, 2, 2), (3, 4, 3, 2)]),
+           seed=st.integers(0, 2 ** 32 - 1),
+           scale=st.floats(1e-3, 10.0),
+           lam=st.floats(1e-3, 10.0))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dense_covariance_formula_random(self, widths, seed,
+                                                     scale, lam):
+        """The same formula for random orthogonal bases U, basis variances s,
+        lambda and net widths."""
+        spec = NetSpec(widths)
+        d = spec.n_params
+        rng = np.random.default_rng(seed)
+        q = random_rotated_gaussian(spec, rng.normal(size=d), seed=seed,
+                                    scale=scale)
+        prior_mean = rng.normal(size=d)
+        cov = dense_covariance(q)
+        sign, logdet = np.linalg.slogdet(cov)
+        assert sign > 0
+        gap = q.mean - prior_mean
+        expected = 0.5 * (np.trace(cov) / lam + gap @ gap / lam - d
+                          + d * math.log(lam) - logdet)
+        assert kl_block(q, prior_mean, lam) == pytest.approx(
+            expected, rel=1e-9, abs=1e-9)
+
     def test_block_coverage_mismatch(self):
         spec = NetSpec((2, 2, 1))
-        q = random_block_gaussian(spec, np.zeros(spec.n_params), seed=3)
-        BlockGaussian(np.zeros(6), np.zeros(6), q.bases, spec)
+        q = random_rotated_gaussian(spec, np.zeros(spec.n_params), seed=3)
+        DiagGaussian(np.zeros(6), np.zeros(6), q.bases, spec)
         for d in (5, 7):
             with pytest.raises(DimensionMismatchError, match="parameters"):
-                BlockGaussian(np.zeros(d), np.zeros(d), q.bases, spec)
+                DiagGaussian(np.zeros(d), np.zeros(d), q.bases, spec)
 
     def test_one_square_basis_per_layer(self):
         spec = NetSpec((2, 1, 1))
-        BlockGaussian(np.zeros(3), np.zeros(3), (np.eye(2), np.eye(1)), spec)
+        DiagGaussian(np.zeros(3), np.zeros(3), (np.eye(2), np.eye(1)), spec)
         for bases in [(np.eye(2),),                       # a layer short
                       (np.eye(2), np.eye(1), np.eye(1)),  # a layer over
                       (np.ones((2, 1)), np.eye(1)),       # not square
                       (np.eye(1), np.eye(2))]:            # not fan_in wide
             with pytest.raises(DimensionMismatchError, match="basis"):
-                BlockGaussian(np.zeros(3), np.zeros(3), bases, spec)
+                DiagGaussian(np.zeros(3), np.zeros(3), bases, spec)
 
     def test_non_finite_log_variance_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
-            BlockGaussian(np.zeros(3), np.array([0.0, -np.inf, 0.0]),
-                          (np.eye(2), np.eye(1)), NetSpec((2, 1, 1)))
+            DiagGaussian(np.zeros(3), np.array([0.0, -np.inf, 0.0]),
+                         (np.eye(2), np.eye(1)), NetSpec((2, 1, 1)))
 
     def test_nonpositive_prior_scale(self):
-        q = random_block_gaussian(NetSpec((2, 1, 1)), np.zeros(3), seed=4)
+        q = random_rotated_gaussian(NetSpec((2, 1, 1)), np.zeros(3), seed=4)
         with pytest.raises(ValueError):
             kl_block(q, np.zeros(3), 0.0)
 
@@ -318,7 +361,7 @@ class TestSampling:
 
     def test_block_covariance_moments(self):
         spec = NetSpec((3, 2, 1))
-        q = random_block_gaussian(spec, np.zeros(spec.n_params), seed=5,
+        q = random_rotated_gaussian(spec, np.zeros(spec.n_params), seed=5,
                                   scale=1.0)
         cov = block_covariances(q)[0]
         draws = np.array([sample_gaussian(q, seed=s) for s in range(8000)])
@@ -335,7 +378,7 @@ class TestSampling:
         rng = np.random.default_rng(4)
         spec = NetSpec((30, 20, 5))
         mean = rng.standard_normal(spec.n_params)
-        dist = random_block_gaussian(spec, mean, seed=4)
+        dist = random_rotated_gaussian(spec, mean, seed=4)
         for seed in range(5):
             z = rng_for(seed, "sample").standard_normal(dist.dim)
             scale = np.exp(0.5 * dist.log_variance)
@@ -360,7 +403,3 @@ class TestSampling:
             z = rng_for(seed, "sample").standard_normal(g.dim)
             reference = g.mean + np.exp(0.5 * g.log_variance) * z
             assert sample_gaussian(g, seed).tobytes() == reference.tobytes()
-
-    def test_unsupported_type(self):
-        with pytest.raises(TypeError):
-            sample_gaussian(object(), seed=0)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings as hypothesis_settings
 from hypothesis import strategies as st
 
-from tests.conftest import random_block_gaussian, random_theta, settings
+from tests.conftest import random_rotated_gaussian, random_theta, settings
 from pbcert import nnet
 from pbcert.blas import single_threaded
 from pbcert.data import Dataset
@@ -196,8 +196,7 @@ class TestZeroOneErrors:
         if family == "diag":
             posterior = DiagGaussian.isotropic(mean, 0.3)
         else:
-            posterior = random_block_gaussian(spec, mean,
-                                              seed=m)
+            posterior = random_rotated_gaussian(spec, mean, seed=m)
         draws = (sample_gaussian(posterior, seed=j) for j in range(m))
         errors = zero_one_errors(spec, draws, X, y)
         assert np.array_equal(errors, per_draw_errors(spec, posterior, m, X, y))
