@@ -12,6 +12,7 @@ objective is the second-order expansion of the bound surrogate.
 from __future__ import annotations
 
 import csv
+import hashlib
 import math
 from dataclasses import dataclass, field, fields
 from types import SimpleNamespace
@@ -190,6 +191,13 @@ class GridContext:
         """`LayerEig` of each layer's block Hessian."""
         return all_block_hessians(self.spec, self.theta_star, self.data.X)
 
+    @_computed_once
+    def mc_estimates(self) -> dict:
+        """`mc_empirical_risk` results of the sweep, keyed by
+        `_mc_key`, so cells that build one posterior from one seed share
+        one estimate."""
+        return {}
+
 
 def _isotropic(ctx: GridContext, lam: float, center: np.ndarray):
     posterior = DiagGaussian.isotropic(ctx.theta_star, lam)
@@ -242,15 +250,19 @@ class Family:
     `build(ctx, beta, lam, cell_seed)` returns (posterior, KL against the
     family's prior); a family reads the curvature it needs from `ctx`.  A
     family whose prior depends on the training data has `valid_prior`
-    False: its results are a sanity ceiling, not a bound.
+    False: its results are a sanity ceiling, not a bound.  Cell seeds come
+    from the stream `seed_stream`, the family's own name when None; a
+    family that builds another's posterior takes that family's stream, so
+    the two certify one MC estimate per cell.
     """
 
     build: Callable
     valid_prior: bool = True
+    seed_stream: str | None = None
 
 
 FAMILIES = {
-    "iso-zero": Family(_iso_zero),
+    "iso-zero": Family(_iso_zero, seed_stream="iso-init"),
     "iso-init": Family(_iso_init),
     "closed-diag": Family(_closed_diag),
     "closed-joint": Family(_closed_joint, valid_prior=False),
@@ -269,6 +281,16 @@ def build_posterior(family: str, beta: float, lam: float, ctx: GridContext,
     return posterior, kl, entry.valid_prior
 
 
+def _mc_key(posterior, m: int, seed: int) -> tuple:
+    """(seed, m, sha256 of the posterior's mean, log-variance and bases):
+    equal keys draw the same m weight vectors."""
+    digest = hashlib.sha256()
+    for array in (posterior.mean, posterior.log_variance,
+                  *(posterior.bases or ())):
+        digest.update(array.tobytes())
+    return seed, m, digest.hexdigest()
+
+
 @dataclass
 class GridResult:
     certificates: list
@@ -279,22 +301,29 @@ def grid_search(family: str, beta_grid, lambda_grid, ctx: GridContext) -> GridRe
     """One certificate per (beta, lambda) cell.
 
     Cells are independent and replayable: each derives its own seed from
-    (master seed, family, cell index).  Per-cell failures are recorded and
+    (master seed, the family's stream, cell index).  A cell whose posterior
+    and seed an earlier cell of the sweep had takes that cell's MC
+    estimate from `ctx.mc_estimates`.  Per-cell failures are recorded and
     the sweep continues.  After the sweep, each lambda column's optimal
     beta (argmin bound) is applied to the complexity of its cells.
     """
     beta_grid = [float(b) for b in beta_grid]
     lambda_grid = [float(lam) for lam in lambda_grid]
+    entry = FAMILIES.get(family)
+    stream = (entry and entry.seed_stream) or family
     certs = []
     failures = []
     for j, lam in enumerate(lambda_grid):
         for i, beta in enumerate(beta_grid):
-            cell_seed = child_seed(ctx.seed, family, i, j)
+            cell_seed = child_seed(ctx.seed, stream, i, j)
             try:
                 posterior, kl, valid = build_posterior(family, beta, lam, ctx,
                                                        cell_seed)
-                risk, _ = mc_empirical_risk(posterior, ctx.spec, ctx.data,
-                                            ctx.m, cell_seed)
+                key = _mc_key(posterior, ctx.m, cell_seed)
+                if key not in ctx.mc_estimates:
+                    ctx.mc_estimates[key] = mc_empirical_risk(
+                        posterior, ctx.spec, ctx.data, ctx.m, cell_seed)
+                risk, _ = ctx.mc_estimates[key]
                 certs.append(assemble_bound(
                     family, risk, kl, beta, lam, ctx.n, ctx.m, ctx.delta,
                     ctx.delta_prime, ctx.b, ctx.c, valid_prior=valid,

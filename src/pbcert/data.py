@@ -74,15 +74,20 @@ def load_idx(images_path, labels_path) -> Dataset:
         magic, n, rows, cols = struct.unpack(">iiii", _read_exact(f, 16, "image header"))
         if magic != IDX_IMAGES_MAGIC:
             raise DataFormatError(f"bad image magic 0x{magic:08x} in {images_path}")
-        if n < 1:
-            raise DataFormatError(f"image count {n} in {images_path}; "
-                                  f"need at least 1")
+        for what, value in (("image count", n), ("rows", rows),
+                            ("cols", cols)):
+            if value < 1:
+                raise DataFormatError(f"{what} {value} in {images_path}; "
+                                      f"need at least 1")
         pixels = _read_exact(f, n * rows * cols, "image data")
         _check_at_end(f, images_path)
     with open(labels_path, "rb") as f:
         magic, n_labels = struct.unpack(">ii", _read_exact(f, 8, "label header"))
         if magic != IDX_LABELS_MAGIC:
             raise DataFormatError(f"bad label magic 0x{magic:08x} in {labels_path}")
+        if n_labels < 1:
+            raise DataFormatError(f"label count {n_labels} in {labels_path}; "
+                                  f"need at least 1")
         labels = _read_exact(f, n_labels, "label data")
         _check_at_end(f, labels_path)
     if n != n_labels:

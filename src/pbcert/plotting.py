@@ -7,6 +7,7 @@ byte-for-byte reproducible and suitable for golden-file tests.
 from __future__ import annotations
 
 import math
+from html import escape
 
 WIDTH, HEIGHT = 640, 480
 MARGIN = dict(left=70, right=20, top=20, bottom=50)
@@ -63,7 +64,8 @@ def risk_complexity_svg(fronts: dict, star=None, log_x: bool = False,
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<text x="{WIDTH // 2}" y="14" text-anchor="middle" '
-        f'font-family="monospace" font-size="13">{title}</text>',
+        f'font-family="monospace" font-size="13">'
+        f'{escape(title, quote=False)}</text>',
     ]
     # axes
     left, bottom = MARGIN["left"], HEIGHT - MARGIN["bottom"]
@@ -103,7 +105,7 @@ def risk_complexity_svg(fronts: dict, star=None, log_x: bool = False,
                          f'r="3" fill="{color}"/>')
         parts.append(f'<text x="{right - 150}" y="{top + 16 * (idx + 1)}" '
                      f'font-family="monospace" font-size="11" fill="{color}">'
-                     f"{family}</text>")
+                     f"{escape(family, quote=False)}</text>")
     # reference star
     if star is not None:
         cx, cy = ax.px(star[0]), ax.py(star[1])

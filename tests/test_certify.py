@@ -1,5 +1,7 @@
 """Bound assembly, Monte-Carlo risk, grid sweeps, Pareto fronts, CSV IO."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from pbcert.certify import (
     GridContext,
     ParetoPoint,
     assemble_bound,
+    build_posterior,
     certificates_to_points,
     complexity_metric,
     grid_search,
@@ -23,6 +26,7 @@ from pbcert.certify import (
 )
 from pbcert.gaussians import DiagGaussian, catoni_inv
 from pbcert.nnet import forward, loss
+from pbcert.rng import child_seed
 
 
 def dominance_oracle(points):
@@ -181,10 +185,16 @@ def ctx(blob_data, trained_net):
 
 class TestGridSearch:
     def test_all_families_produce_certificates(self, ctx):
+        """Each cell's seed comes from its family's stream, which is the
+        family's own name for every family but `iso-zero`."""
         for family, entry in FAMILIES.items():
             result = grid_search(family, [1.0, 3.0], [0.05, 0.2], ctx)
             assert not result.failures
             assert len(result.certificates) == 4
+            stream = "iso-init" if family == "iso-zero" else family
+            seeds = [child_seed(ctx.seed, stream, i, j)
+                     for j in range(2) for i in range(2)]
+            assert [cert.seed for cert in result.certificates] == seeds
             for cert in result.certificates:
                 assert 0.0 <= cert.bound_value <= 1.0
                 assert cert.kl_nats >= 0.0
@@ -212,12 +222,44 @@ class TestGridSearch:
                     cert.risk_mc, cert.kl_nats, best.beta, cert.n)
 
     def test_replayable_by_cell_seed(self, ctx):
+        # a fresh context, so that b draws again instead of reading a's
         a = grid_search("iso-zero", [2.0], [0.1], ctx)
-        b = grid_search("iso-zero", [2.0], [0.1], ctx)
+        b = grid_search("iso-zero", [2.0], [0.1], replace(ctx))
         ca, cb = a.certificates[0], b.certificates[0]
         assert ca.risk_mc == cb.risk_mc
         assert ca.bound_value == cb.bound_value
         assert ca.seed == cb.seed
+
+    def test_iso_zero_rows_do_not_depend_on_the_order(self, ctx):
+        beta_grid, lambda_grid = [1.0, 3.0], [0.05, 0.2]
+        alone = grid_search("iso-zero", beta_grid, lambda_grid, replace(ctx))
+        first = replace(ctx)
+        before = grid_search("iso-zero", beta_grid, lambda_grid, first)
+        grid_search("iso-init", beta_grid, lambda_grid, first)
+        last = replace(ctx)
+        grid_search("iso-init", beta_grid, lambda_grid, last)
+        after = grid_search("iso-zero", beta_grid, lambda_grid, last)
+        assert alone.certificates == before.certificates == after.certificates
+
+    def test_no_estimate_is_shared_across_posteriors(self, ctx, monkeypatch):
+        """A family that takes `iso-init`'s stream but builds another
+        posterior gets iso-init's seeds and its own estimate."""
+        monkeypatch.setitem(FAMILIES, "closed-diag", replace(
+            FAMILIES["closed-diag"], seed_stream="iso-init"))
+        fresh = replace(ctx)
+        beta_grid, lambda_grid = [1.0, 3.0], [0.05, 0.2]
+        init = grid_search("iso-init", beta_grid, lambda_grid, fresh)
+        diag = grid_search("closed-diag", beta_grid, lambda_grid, fresh)
+        differs = 0
+        for a, b in zip(init.certificates, diag.certificates):
+            assert b.seed == a.seed
+            posterior, _, _ = build_posterior("closed-diag", b.beta, b.lam,
+                                              fresh, b.seed)
+            risk, _ = mc_empirical_risk(posterior, fresh.spec, fresh.data,
+                                        fresh.m, b.seed)
+            assert b.risk_mc == risk
+            differs += risk != a.risk_mc
+        assert differs   # so a row given iso-init's estimate fails above
 
     def test_failures_recorded_and_sweep_continues(self, ctx):
         # the lambda < 0 column fails cell by cell; the next column certifies

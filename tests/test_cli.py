@@ -10,6 +10,7 @@ import re
 import shutil
 from dataclasses import MISSING, fields
 from pathlib import Path
+from xml.dom import minidom
 
 import numpy as np
 import pytest
@@ -219,6 +220,35 @@ class TestCliPipeline:
         with open(out / "pareto.csv", newline="") as f:
             pareto = list(csv.DictReader(f))
         assert any(r["family"] == "reference" for r in pareto)
+
+    def test_isotropic_families_share_one_estimate_per_cell(
+            self, small_config, tmp_path, monkeypatch):
+        """`iso-zero` and `iso-init` build one posterior per cell, so the
+        2 x 2 sweep of both draws m weight vectors per cell, not per row;
+        an `iso-zero` row carries iso-init's estimate and seed, and its own
+        larger KL."""
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(small_config),
+                     "--out", str(out)]) == 0
+        draws = []
+        real = certify.sample_gaussian
+
+        def counted(*args):
+            draws.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(certify, "sample_gaussian", counted)
+        assert main(["certify", "--config", str(small_config),
+                     "--run", str(out)]) == 0
+        assert len(draws) == 4 * load_config(small_config).get("bound", "m")
+        rows = certify.read_certificates_csv(out / "certificates.csv")
+        init = {(c.beta, c.lam): c for c in rows if c.family == "iso-init"}
+        zero = [c for c in rows if c.family == "iso-zero"]
+        assert len(zero) == len(init) == 4
+        for cert in zero:
+            twin = init[(cert.beta, cert.lam)]
+            assert (cert.risk_mc, cert.seed) == (twin.risk_mc, twin.seed)
+            assert cert.kl_nats > twin.kl_nats
 
     def test_pipeline_is_bitwise_deterministic(self, small_config, tmp_path):
         a = run_pipeline(small_config, tmp_path / "a")
@@ -724,6 +754,23 @@ class TestCliPipeline:
         err = capsys.readouterr().err
         assert f"DataFormatError: image count 0 in {images}" in err
 
+    def test_train_refuses_idx_rows_below_one(self, small_config, tmp_path,
+                                              capsys):
+        """rows = cols = -2 would read 3 images as 3 x 4: a DataFormatError
+        that names the file, exit 1, no run directory."""
+        images, labels = write_idx_pair(tmp_path, range(12), [0, 1, 0],
+                                        rows=-2, cols=-2)
+        args = [arg for override in (
+            "data.source=idx", f"data.images={images}", f"data.labels={labels}",
+            f"data.test_images={images}", f"data.test_labels={labels}")
+            for arg in ("--set", override)]
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(small_config),
+                     "--out", str(out), *args]) == 1
+        err = capsys.readouterr().err
+        assert f"DataFormatError: rows -2 in {images}" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("extra_pixels, extra_labels", [
         (0, 0), (7, 0), (0, 2)],
         ids=["exact", "trailing-image-bytes", "trailing-labels"])
@@ -802,3 +849,10 @@ class TestSvgRendering:
         linear = risk_complexity_svg(self.FRONTS)
         logged = risk_complexity_svg(self.FRONTS, log_x=True)
         assert linear != logged
+
+    def test_title_and_family_names_are_escaped(self):
+        svg = risk_complexity_svg({"a<b": [(0.1, 0.2)]},
+                                  title="risk & complexity")
+        texts = [node.firstChild.data for node in
+                 minidom.parseString(svg).getElementsByTagName("text")]
+        assert "risk & complexity" in texts and "a<b" in texts

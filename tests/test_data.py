@@ -75,6 +75,24 @@ class TestIdx:
                 f"trailing bytes after the payload of {bad}")):
             load_idx(images, labels)
 
+    @pytest.mark.parametrize("rows, cols, bad", [
+        (-2, -2, "rows -2"), (2, 0, "cols 0"), (0, 4, "rows 0")])
+    def test_image_dimensions_below_one_rejected(self, tmp_path, rows, cols,
+                                                 bad):
+        images, labels = write_idx_pair(tmp_path, range(12), [0, 1, 0],
+                                        rows=rows, cols=cols)
+        with pytest.raises(DataFormatError,
+                           match=re.escape(f"{bad} in {images}")):
+            load_idx(images, labels)
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_label_count_below_one_rejected(self, tmp_path, count):
+        images, labels = write_idx_pair(tmp_path, range(8), [0, 1])
+        labels.write_bytes(struct.pack(">ii", 0x801, count) + bytes([0, 1]))
+        with pytest.raises(DataFormatError, match=re.escape(
+                f"label count {count} in {labels}")):
+            load_idx(images, labels)
+
     def test_count_mismatch(self, tmp_path):
         images, _ = write_idx_pair(tmp_path, range(8), [0, 1])
         labels_path = tmp_path / "short.idx"
