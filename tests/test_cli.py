@@ -189,6 +189,14 @@ class TestConfig:
         assert listed == list(FAMILIES)
 
 
+def idx_overrides(images, labels):
+    """`--set` arguments that read both splits from one IDX pair."""
+    return [arg for override in (
+        "data.source=idx", f"data.images={images}", f"data.labels={labels}",
+        f"data.test_images={images}", f"data.test_labels={labels}")
+        for arg in ("--set", override)]
+
+
 def run_pipeline(small_config, out_dir):
     code = main(["train", "--config", str(small_config),
                  "--out", str(out_dir)])
@@ -745,10 +753,7 @@ class TestCliPipeline:
         """0 images: a DataFormatError that names the file, exit 1, not
         numpy's reduction error from the empty label array."""
         images, labels = write_idx_pair(tmp_path, [], [])
-        args = [arg for override in (
-            "data.source=idx", f"data.images={images}", f"data.labels={labels}",
-            f"data.test_images={images}", f"data.test_labels={labels}")
-            for arg in ("--set", override)]
+        args = idx_overrides(images, labels)
         assert main(["train", "--config", str(small_config),
                      "--out", str(tmp_path / "run"), *args]) == 1
         err = capsys.readouterr().err
@@ -760,10 +765,7 @@ class TestCliPipeline:
         that names the file, exit 1, no run directory."""
         images, labels = write_idx_pair(tmp_path, range(12), [0, 1, 0],
                                         rows=-2, cols=-2)
-        args = [arg for override in (
-            "data.source=idx", f"data.images={images}", f"data.labels={labels}",
-            f"data.test_images={images}", f"data.test_labels={labels}")
-            for arg in ("--set", override)]
+        args = idx_overrides(images, labels)
         out = tmp_path / "run"
         assert main(["train", "--config", str(small_config),
                      "--out", str(out), *args]) == 1
@@ -785,10 +787,7 @@ class TestCliPipeline:
                                         [0, 1, 0, 1, 1, 0])
         images.write_bytes(images.read_bytes() + bytes(extra_pixels))
         labels.write_bytes(labels.read_bytes() + bytes(extra_labels))
-        args = [arg for override in (
-            "data.source=idx", f"data.images={images}", f"data.labels={labels}",
-            f"data.test_images={images}", f"data.test_labels={labels}")
-            for arg in ("--set", override)]
+        args = idx_overrides(images, labels)
         assert main(["train", "--config", str(small_config),
                      "--out", str(tmp_path / "run"), *args]) == 1
         err = capsys.readouterr().err
