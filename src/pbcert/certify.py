@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from types import SimpleNamespace
 from typing import Callable
 
@@ -63,35 +63,19 @@ class BoundCertificate:
     valid_prior: bool
     seed: int
 
+    def __post_init__(self):
+        if not (0.0 <= self.risk_mc <= 1.0):
+            raise ValueError(f"risk_mc must lie in [0, 1], got {self.risk_mc}")
+        if self.complexity < 0:
+            raise ValueError(f"complexity must be nonnegative, got {self.complexity}")
+
 
 # CSV header of an attribute whose name is not its header
-_HEADERS = {"lam": "lambda", "valid_prior": "validity", "x": "risk_mc",
-            "y": "complexity"}
-# (CSV header, attribute) of every column after the leading schema_version;
-# a certificate's columns follow its field order
+_HEADERS = {"lam": "lambda", "valid_prior": "validity"}
+# (CSV header, attribute) of every column of certificates.csv and pareto.csv
+# after the leading schema_version, in a certificate's field order
 CERT_COLUMNS = tuple((_HEADERS.get(f.name, f.name), f.name)
                      for f in fields(BoundCertificate))
-
-
-@dataclass(frozen=True)
-class ParetoPoint:
-    x: float                 # MC empirical 01-risk
-    y: float                 # complexity
-    family: str = ""
-    beta: float = float("nan")
-    lam: float = float("nan")
-    seed: int = 0
-    valid_prior: bool = True
-
-    def __post_init__(self):
-        if not (0.0 <= self.x <= 1.0):
-            raise ValueError(f"x must lie in [0, 1], got {self.x}")
-        if self.y < 0:
-            raise ValueError(f"y must be nonnegative, got {self.y}")
-
-
-PARETO_COLUMNS = tuple((_HEADERS.get(name, name), name) for name in (
-    "family", "x", "y", "beta", "lam", "valid_prior", "seed"))
 LANDSCAPE_COLUMNS = tuple((c, c) for c in ("direction", "t", "loss", "fit"))
 
 
@@ -122,8 +106,6 @@ def assemble_bound(family: str, risk_mc: float, kl_nats: float, beta: float,
                    delta_prime: float, b: float, c: float,
                    valid_prior: bool = True, seed: int = 0) -> BoundCertificate:
     """Evaluate the full valid bound for one cell; confidence 1 - delta - delta'."""
-    if not (0.0 <= risk_mc <= 1.0):
-        raise ValueError("risk_mc must lie in [0, 1]")
     union = union_bound_nats(lam, b, c, delta)
     gap = chernoff_gap(m, delta_prime)
     inner = risk_mc + kl_nats / (beta * n) + union / (beta * n) + gap
@@ -331,73 +313,78 @@ def grid_search(family: str, beta_grid, lambda_grid, ctx: GridContext) -> GridRe
                 ))
             except Exception as exc:   # noqa: BLE001 - sweep must continue
                 failures.append((beta, lam, f"{type(exc).__name__}: {exc}"))
-    # per-lambda optimal beta, then recompute complexities
-    for lam in lambda_grid:
-        column = [cert for cert in certs if cert.lam == lam]
-        if not column:
-            continue
-        best = min(column, key=lambda cert: cert.bound_value)
-        for cert in column:
-            cert.beta_star = best.beta
-            cert.complexity = complexity_metric(cert.risk_mc, cert.kl_nats,
-                                                best.beta, cert.n)
+    # per-lambda optimal beta (a column's first least bound), then
+    # recompute complexities
+    best = {}
+    for cert in certs:
+        if cert.lam not in best or cert.bound_value < best[cert.lam].bound_value:
+            best[cert.lam] = cert
+    certs = [replace(cert, beta_star=best[cert.lam].beta,
+                     complexity=complexity_metric(cert.risk_mc, cert.kl_nats,
+                                                  best[cert.lam].beta, cert.n))
+             for cert in certs]
     return GridResult(certificates=certs, failures=failures)
 
 
-def pareto_front(points) -> list:
-    """Non-dominated subset minimizing both coordinates, x ascending.
+def pareto_front(rows) -> list:
+    """Non-dominated subset of rows minimizing both `risk_mc` and
+    `complexity`, risk ascending.
 
-    Exact duplicates are kept; a point is removed only when another point
-    is at least as good in both coordinates and strictly better in one.
+    Exact duplicates are kept; a row is removed only when another row is
+    at least as good in both coordinates and strictly better in one.
     """
-    ordered = sorted(points, key=lambda p: (p.x, p.y))
+    ordered = sorted(rows, key=lambda r: (r.risk_mc, r.complexity))
     front = []
-    best_y = math.inf
+    best = math.inf
     i = 0
     while i < len(ordered):
         j = i
-        while j < len(ordered) and ordered[j].x == ordered[i].x:
+        while j < len(ordered) and ordered[j].risk_mc == ordered[i].risk_mc:
             j += 1
-        group_min = ordered[i].y
-        if group_min < best_y:
-            front.extend(p for p in ordered[i:j] if p.y == group_min)
-            best_y = group_min
+        group_min = ordered[i].complexity
+        if group_min < best:
+            front.extend(r for r in ordered[i:j] if r.complexity == group_min)
+            best = group_min
         i = j
     return front
 
 
-def certificates_to_points(certs) -> list:
-    return [
-        ParetoPoint(x=cert.risk_mc, y=cert.complexity, family=cert.family,
-                    beta=cert.beta, lam=cert.lam, seed=cert.seed,
-                    valid_prior=cert.valid_prior)
-        for cert in certs
-    ]
-
-
-def reference_star(record, train_data, test_data) -> ParetoPoint:
+def reference_star(record, train_data, test_data) -> BoundCertificate:
     """Complexity a perfect bound would need for the bound to equal the
-    test error: (train 01-error, max(0, test - train)).  An interpretation
-    of the ideal-bound marker, labeled as such in outputs."""
+    test error: the `reference` row (train 01-error, max(0, test - train)),
+    nan in its other float columns.  An interpretation of the ideal-bound
+    marker, labeled as such in outputs."""
     if test_data is None:
         raise ValueError("test split required for the reference star")
     train_err, test_err = (
         loss("zero_one", forward(record.spec, record.theta_star, ds.X).outputs,
              ds.y) for ds in (train_data, test_data))
-    return ParetoPoint(x=train_err, y=max(0.0, test_err - train_err),
-                       family="reference", seed=record.seed)
+    return BoundCertificate(**{
+        **dict.fromkeys((f.name for f in fields(BoundCertificate)), math.nan),
+        "family": "reference", "risk_mc": train_err,
+        "complexity": max(0.0, test_err - train_err),
+        "n": len(train_data.y), "m": 0, "valid_prior": True,
+        "seed": record.seed})
+
+
+_VALIDITY = {True: "valid", False: "invalid-prior"}
 
 
 def _fmt(value) -> str:
     if isinstance(value, bool):
-        return "valid" if value else "invalid-prior"
+        return _VALIDITY[value]
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     return str(value)
 
 
-_PARSE = {"str": str, "int": int, "float": float,
-          "bool": lambda text: text == "valid"}
+def _parse_validity(text: str) -> bool:
+    if text not in _VALIDITY.values():
+        raise ValueError(f"validity must be valid or invalid-prior, got {text!r}")
+    return text == "valid"
+
+
+_PARSE = {"str": str, "int": int, "float": float, "bool": _parse_validity}
 
 
 def csv_header(columns) -> list:
@@ -413,34 +400,34 @@ def _write_csv(path, columns, records) -> None:
                 _fmt(getattr(record, attr)) for _, attr in columns])
 
 
-def _read_csv(path, columns, cls) -> list:
-    header = csv_header(columns)
-    types = {f.name: f.type for f in fields(cls)}
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames != header:
-            raise ValueError(f"{path}: header is not {','.join(header)}")
-        return [cls(**{attr: _PARSE[types[attr]](row[header])
-                       for header, attr in columns})
-                for row in reader]
-
-
 def write_certificates_csv(path, certs) -> None:
     _write_csv(path, CERT_COLUMNS, certs)
 
 
 def read_certificates_csv(path) -> list:
-    return _read_csv(path, CERT_COLUMNS, BoundCertificate)
+    """The rows of a certificates.csv or pareto.csv.  A header other than
+    CERT_COLUMNS', or a row that is not a certificate, raises ValueError
+    naming the file (and the line)."""
+    header = csv_header(CERT_COLUMNS)
+    types = {f.name: f.type for f in fields(BoundCertificate)}
+    with open(path, newline="") as f:
+        reader = csv.DictReader(f)
+        if reader.fieldnames != header:
+            raise ValueError(f"{path}: header is not {','.join(header)}")
+        try:
+            return [BoundCertificate(**{attr: _PARSE[types[attr]](row[name])
+                                        for name, attr in CERT_COLUMNS})
+                    for row in reader]
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}, line {reader.line_num}: {exc}") from exc
 
 
 def write_pareto_csv(path, fronts: dict) -> None:
-    """fronts maps family name -> list of ParetoPoint of that family."""
-    _write_csv(path, PARETO_COLUMNS,
-               [p for family in sorted(fronts) for p in fronts[family]])
-
-
-def read_pareto_csv(path) -> list:
-    return _read_csv(path, PARETO_COLUMNS, ParetoPoint)
+    """pareto.csv: the rows of `fronts` (family name -> list of
+    BoundCertificate of that family: a Pareto front, or the reference
+    star) with certificates.csv's columns, families in name order."""
+    _write_csv(path, CERT_COLUMNS,
+               [row for family in sorted(fronts) for row in fronts[family]])
 
 
 def write_landscape_csv(path, probe) -> None:

@@ -10,7 +10,6 @@ one BLAS thread (see `pbcert.blas`).
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 from dataclasses import replace
@@ -204,45 +203,44 @@ def cmd_certify(config: RunConfig, run_dir) -> None:
                   file=sys.stderr)
         failed += len(result.failures)
         all_certs.extend(result.certificates)
-        fronts[family] = cert.pareto_front(
-            cert.certificates_to_points(result.certificates))
+        fronts[family] = cert.pareto_front(result.certificates)
     attempted = failed + len(all_certs)
     if failed:
         print(f"certify: {failed} of {attempted} cells failed", file=sys.stderr)
     if not all_certs:
         raise RuntimeError("no cell was certified")
-    star = cert.reference_star(record, train_ds, test_ds)
-    fronts["reference"] = [star]
+    fronts["reference"] = [cert.reference_star(record, train_ds, test_ds)]
     cert.write_certificates_csv(out_dir / "certificates.csv", all_certs)
     cert.write_pareto_csv(out_dir / "pareto.csv", fronts)
-    n_nonvac = sum(1 for c in all_certs if c.bound_value < 1.0)
+    # an invalid-prior row is a sanity ceiling, not a certificate
+    n_nonvac = sum(1 for c in all_certs
+                   if c.valid_prior and c.bound_value < 1.0)
     print(f"certified: {len(all_certs)} cells, {n_nonvac} non-vacuous; "
           f"wrote {out_dir / 'certificates.csv'}")
 
 
 def cmd_plot(csv_paths, out_path, log_x: bool, title: str) -> None:
-    """Plot, per family, the Pareto front of the points of every input CSV,
-    certificate or pareto alike; the last pareto CSV's reference star is
-    drawn too."""
-    points = {}
+    """Plot, per family, the Pareto front of the rows of every input CSV;
+    certificates.csv and pareto.csv share one schema.  The last
+    `reference` row read (pareto.csv has one) is drawn as the star.  An
+    input path that is not a readable file is a usage error."""
+    rows = {}
     star = None
     for path in csv_paths:
-        if not Path(path).exists():
-            raise UsageError(f"CSV not found: {path}")
-        with open(path, newline="") as f:
-            header = next(csv.reader(f), None)
-        if header == cert.csv_header(cert.PARETO_COLUMNS):
-            file_points = cert.read_pareto_csv(path)
-        else:
-            file_points = cert.certificates_to_points(
-                cert.read_certificates_csv(path))
-        for p in file_points:
-            if p.family == "reference":
-                star = (p.x, p.y)
+        try:
+            file_rows = cert.read_certificates_csv(path)
+        except FileNotFoundError:
+            raise UsageError(f"CSV not found: {path}") from None
+        except OSError as exc:
+            raise UsageError(f"cannot read CSV {path}: {exc.strerror}") from exc
+        for row in file_rows:
+            if row.family == "reference":
+                star = (row.risk_mc, row.complexity)
             else:
-                points.setdefault(p.family, []).append(p)
-    fronts = {family: [(p.x, p.y) for p in cert.pareto_front(group)]
-              for family, group in points.items()}
+                rows.setdefault(row.family, []).append(row)
+    fronts = {family: [(r.risk_mc, r.complexity)
+                       for r in cert.pareto_front(group)]
+              for family, group in rows.items()}
     svg = risk_complexity_svg(fronts, star=star, log_x=log_x, title=title)
     out_path = _resolve_out(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)

@@ -28,6 +28,13 @@ class ManifestError(ValueError):
     pass
 
 
+class _Meta(dict):
+    """meta.json's object; a key it lacks raises ManifestError naming it."""
+
+    def __missing__(self, key):
+        raise ManifestError(f"{self.path}: no {key!r} key")
+
+
 def _write_arrays(path, magic: bytes, arrays) -> str:
     """Write the file; returns the sha256 of the bytes written."""
     header = [magic, struct.pack("<I", len(arrays))]
@@ -132,10 +139,14 @@ def _open_run(run_dir) -> tuple:
     and checks it against the sha256 meta.json recorded."""
     run_dir = Path(run_dir)
     with open(run_dir / "meta.json") as f:
-        meta = json.load(f)
+        try:
+            meta = _Meta(json.load(f))
+        except (TypeError, ValueError) as exc:   # not JSON, or not an object
+            raise ManifestError(f"{f.name}: not a JSON object: {exc}") from exc
+    meta.path = f.name
 
     def load(name, load_fn, arg):
-        return load_fn(run_dir / f"{name}.bin", arg, meta.get(f"{name}_sha256"))
+        return load_fn(run_dir / f"{name}.bin", arg, meta[f"{name}_sha256"])
     return meta, load
 
 
@@ -166,7 +177,7 @@ def load_train_record(run_dir) -> tuple:
     spec = NetSpec(tuple(meta["widths"]))
     record = TrainRecord(
         spec=spec,
-        config=_trainer_config(Path(run_dir) / "meta.json", meta["trainer"]),
+        config=_trainer_config(meta.path, meta["trainer"]),
         seed=meta["seed"],
         theta0=load("theta0", load_params, spec),
         theta_star=load("theta_star", load_params, spec),

@@ -31,8 +31,9 @@ class _Axes:
             self.x0, self.x1 = math.log10(self.x0), math.log10(self.x1)
 
     def px(self, x: float) -> float:
+        # on a log axis, an x below its lower limit (a zero risk) is drawn there
         if self.log_x:
-            x = math.log10(max(x, 1e-12))
+            x = max(math.log10(x), self.x0) if x > 0 else self.x0
         span = self.x1 - self.x0 or 1.0
         inner = WIDTH - MARGIN["left"] - MARGIN["right"]
         return MARGIN["left"] + (x - self.x0) / span * inner
@@ -52,11 +53,13 @@ def risk_complexity_svg(fronts: dict, star=None, log_x: bool = False,
         all_pts.append(star)
     xs = [p[0] for p in all_pts] or [0.0, 1.0]
     ys = [p[1] for p in all_pts] or [0.0, 1.0]
-    x_lo = min(min(xs), 0.001 if log_x else 0.0)
     x_hi = max(max(xs), 1.0)
     y_hi = max(max(ys), 1.0) * 1.05
     if log_x:
-        x_lo = max(min(x for x in xs if x > 0), 1e-4) / 2 if any(x > 0 for x in xs) else 1e-4
+        positive = [x for x in xs if x > 0]
+        x_lo = max(min(positive), 1e-4) / 2 if positive else 1e-4
+    else:
+        x_lo = min(min(xs), 0.0)
     ax = _Axes((x_lo, x_hi), (0.0, y_hi), log_x=log_x)
 
     parts = [

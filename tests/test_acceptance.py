@@ -8,6 +8,7 @@ module-scoped fixture.
 
 import time
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from scipy.optimize import minimize_scalar
 
 from pbcert.certify import (
     GridContext,
-    ParetoPoint,
     grid_search,
     pareto_front,
     write_certificates_csv,
@@ -340,14 +340,15 @@ def test_criterion_10_determinism_and_pareto(tmp_path, blob_data,
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
     rng = np.random.default_rng(110)
-    pts = [ParetoPoint(x=float(x), y=float(y))
-           for x, y in zip(rng.random(1000), 5 * rng.random(1000))]
-    fast = {(p.x, p.y) for p in pareto_front(pts)}
+    rows = [SimpleNamespace(risk_mc=float(x), complexity=float(y))
+            for x, y in zip(rng.random(1000), 5 * rng.random(1000))]
+    fast = {(r.risk_mc, r.complexity) for r in pareto_front(rows)}
     slow = set()
-    for p in pts:
-        if not any(q.x <= p.x and q.y <= p.y and (q.x < p.x or q.y < p.y)
-                   for q in pts):
-            slow.add((p.x, p.y))
+    for p in rows:
+        if not any(q.risk_mc <= p.risk_mc and q.complexity <= p.complexity
+                   and (q.risk_mc < p.risk_mc or q.complexity < p.complexity)
+                   for q in rows):
+            slow.add((p.risk_mc, p.complexity))
     assert fast == slow
     elapsed = time.time() - start
     report(capsys, 10, elapsed,

@@ -1,6 +1,9 @@
 """Bound assembly, Monte-Carlo risk, grid sweeps, Pareto fronts, CSV IO."""
 
-from dataclasses import replace
+import math
+import re
+from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,16 +13,13 @@ from pbcert.certify import (
     FAMILIES,
     BoundCertificate,
     GridContext,
-    ParetoPoint,
     assemble_bound,
     build_posterior,
-    certificates_to_points,
     complexity_metric,
     grid_search,
     mc_empirical_risk,
     pareto_front,
     read_certificates_csv,
-    read_pareto_csv,
     reference_star,
     write_certificates_csv,
     write_pareto_csv,
@@ -29,13 +29,23 @@ from pbcert.nnet import forward, loss
 from pbcert.rng import child_seed
 
 
-def dominance_oracle(points):
+def row(risk, complexity, family=""):
+    """A row as `pareto_front` reads it."""
+    return SimpleNamespace(risk_mc=risk, complexity=complexity, family=family)
+
+
+def coords(rows):
+    return [(r.risk_mc, r.complexity) for r in rows]
+
+
+def dominance_oracle(rows):
     """O(n^2) non-domination check."""
     front = []
-    for p in points:
+    for p in rows:
         dominated = any(
-            q.x <= p.x and q.y <= p.y and (q.x < p.x or q.y < p.y)
-            for q in points
+            q.risk_mc <= p.risk_mc and q.complexity <= p.complexity
+            and (q.risk_mc < p.risk_mc or q.complexity < p.complexity)
+            for q in rows
         )
         if not dominated:
             front.append(p)
@@ -133,7 +143,7 @@ class TestAssembleBound:
         assert by_n == sorted(by_n, reverse=True)
 
     def test_rejects_risk_outside_unit_interval(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"risk_mc must lie in \[0, 1\]"):
             assemble_bound(family="iso-zero", risk_mc=1.2, kl_nats=1.0,
                            beta=1.0, lam=0.05, n=100, m=10, delta=0.025,
                            delta_prime=0.025, b=100.0, c=1.0)
@@ -142,36 +152,32 @@ class TestAssembleBound:
 class TestParetoFront:
     def test_empty_and_singleton(self):
         assert pareto_front([]) == []
-        p = ParetoPoint(x=0.3, y=1.0)
+        p = row(0.3, 1.0)
         assert pareto_front([p]) == [p]
 
     def test_known_front(self):
-        pts = [ParetoPoint(x=0.1, y=5.0), ParetoPoint(x=0.2, y=3.0),
-               ParetoPoint(x=0.3, y=4.0), ParetoPoint(x=0.15, y=5.0)]
-        front = pareto_front(pts)
-        assert [(p.x, p.y) for p in front] == [(0.1, 5.0), (0.2, 3.0)]
+        rows = [row(0.1, 5.0), row(0.2, 3.0), row(0.3, 4.0), row(0.15, 5.0)]
+        assert coords(pareto_front(rows)) == [(0.1, 5.0), (0.2, 3.0)]
 
     def test_exact_ties_kept(self):
-        pts = [ParetoPoint(x=0.2, y=1.0, family="a"),
-               ParetoPoint(x=0.2, y=1.0, family="b"),
-               ParetoPoint(x=0.5, y=2.0)]
-        front = pareto_front(pts)
+        rows = [row(0.2, 1.0, "a"), row(0.2, 1.0, "b"), row(0.5, 2.0)]
+        front = pareto_front(rows)
         assert len(front) == 2
         assert {p.family for p in front} == {"a", "b"}
 
     def test_matches_dominance_oracle_on_random_points(self):
         rng = np.random.default_rng(30)
-        pts = [ParetoPoint(x=float(x), y=float(y))
-               for x, y in zip(rng.random(1000), 10 * rng.random(1000))]
-        fast = {(p.x, p.y) for p in pareto_front(pts)}
-        slow = {(p.x, p.y) for p in dominance_oracle(pts)}
-        assert fast == slow
+        rows = [row(float(x), float(y))
+                for x, y in zip(rng.random(1000), 10 * rng.random(1000))]
+        assert (set(coords(pareto_front(rows)))
+                == set(coords(dominance_oracle(rows))))
 
-    def test_point_validation(self):
-        with pytest.raises(ValueError):
-            ParetoPoint(x=1.2, y=0.0)
-        with pytest.raises(ValueError):
-            ParetoPoint(x=0.2, y=-0.1)
+    def test_certificates_order_by_risk_then_complexity(self):
+        certs = [assemble_bound(
+            family="iso-init", risk_mc=risk, kl_nats=kl, beta=1.0, lam=0.05,
+            n=1000, m=10, delta=0.025, delta_prime=0.025, b=100.0, c=1.0)
+            for risk, kl in ((0.3, 1.0), (0.1, 50.0), (0.2, 80.0))]
+        assert pareto_front(certs) == [certs[1], certs[0]]
 
 
 @pytest.fixture(scope="module")
@@ -282,9 +288,17 @@ class TestReferenceStar:
         spec, record = trained_net
         star = reference_star(record, train_ds, test_ds)
         assert star.family == "reference"
-        assert star.x == record.final_train_error
-        assert star.y == max(0.0, record.final_test_error
-                             - record.final_train_error)
+        assert star.risk_mc == record.final_train_error
+        assert star.complexity == max(0.0, record.final_test_error
+                                      - record.final_train_error)
+        assert (star.n, star.m, star.seed) == (len(train_ds.y), 0, record.seed)
+        assert star.valid_prior
+        # every other float column reads nan
+        floats = [f.name for f in fields(BoundCertificate)
+                  if f.type == "float" and f.name not in ("risk_mc",
+                                                          "complexity")]
+        assert floats and all(math.isnan(getattr(star, name))
+                              for name in floats)
 
     def test_requires_test_split(self, blob_data, trained_net):
         train_ds, _ = blob_data
@@ -330,31 +344,51 @@ class TestCsvIO:
         path.write_text("family,beta\niso-zero,1.0\n")
         with pytest.raises(ValueError, match="schema_version"):
             read_certificates_csv(path)
-        with pytest.raises(ValueError, match="schema_version"):
-            read_pareto_csv(path)
 
-    def test_pareto_csv_layout(self, tmp_path):
-        fronts = {
-            "iso-zero": [ParetoPoint(x=0.1, y=0.4, family="iso-zero",
-                                     beta=1.0, lam=0.05)],
-            "reference": [ParetoPoint(x=0.02, y=0.01, family="reference")],
-        }
-        path = tmp_path / "pareto.csv"
+    def test_pareto_csv_layout(self, tmp_path, blob_data, trained_net):
+        train_ds, test_ds = blob_data
+        _, record = trained_net
+        cert = self._cert()
+        fronts = {"iso-zero": [cert],
+                  "reference": [reference_star(record, train_ds, test_ds)]}
+        certs, path = tmp_path / "certs.csv", tmp_path / "pareto.csv"
+        write_certificates_csv(certs, [cert])
         write_pareto_csv(path, fronts)
         lines = path.read_text().splitlines()
-        assert lines[0].startswith("schema_version,family,risk_mc,complexity")
+        assert lines[:2] == certs.read_text().splitlines()
         assert len(lines) == 3
-        assert lines[1].split(",")[1] == "iso-zero"
-        # NaN fields (the reference's beta and lambda) compare unequal, so
-        # the round trip is checked on the bytes
+        assert lines[2].split(",")[1] == "reference"
+        # NaN fields (the reference's beta, lambda, ...) compare unequal,
+        # so the round trip is checked on the bytes
         again = tmp_path / "again.csv"
-        write_pareto_csv(again, {p.family: [p] for p in read_pareto_csv(path)})
+        write_pareto_csv(again, {r.family: [r]
+                                 for r in read_certificates_csv(path)})
         assert again.read_bytes() == path.read_bytes()
 
-    def test_certificates_to_points_carries_fields(self):
-        cert = self._cert(valid_prior=False)
-        (point,) = certificates_to_points([cert])
-        assert point.x == cert.risk_mc
-        assert point.y == cert.complexity
-        assert point.family == cert.family
-        assert not point.valid_prior
+    @pytest.mark.parametrize("column, text, message", [
+        ("risk_mc", "1.2", r"risk_mc must lie in \[0, 1\], got 1.2"),
+        ("risk_mc", "nan", r"risk_mc must lie in \[0, 1\], got nan"),
+        ("complexity", "-0.1", "complexity must be nonnegative, got -0.1"),
+        ("validity", "Valid", "validity must be valid or invalid-prior, "
+                              "got 'Valid'"),
+        ("validity", "", "validity must be valid or invalid-prior, got ''"),
+    ])
+    def test_read_rejects_a_row_that_is_not_a_certificate(
+            self, tmp_path, column, text, message):
+        path = tmp_path / "certs.csv"
+        write_certificates_csv(path, [self._cert(), self._cert(beta=1.5)])
+        header, *rows = path.read_text().splitlines()
+        index = header.split(",").index(column)
+        cells = rows[1].split(",")
+        cells[index] = text
+        path.write_text("\n".join([header, rows[0], ",".join(cells)]) + "\n")
+        with pytest.raises(ValueError,
+                           match=f"{re.escape(str(path))}, line 3: {message}"):
+            read_certificates_csv(path)
+
+    def test_certificate_checks_its_risk_and_complexity(self):
+        cert = self._cert()
+        with pytest.raises(ValueError, match="risk_mc must lie in"):
+            replace(cert, risk_mc=1.2)
+        with pytest.raises(ValueError, match="complexity must be nonnegative"):
+            replace(cert, complexity=-0.1)

@@ -229,6 +229,34 @@ class TestCliPipeline:
             pareto = list(csv.DictReader(f))
         assert any(r["family"] == "reference" for r in pareto)
 
+    def test_pareto_rows_are_certificate_rows(self, small_config, tmp_path):
+        out = run_pipeline(small_config, tmp_path / "run")
+        cert_header, *cert_lines = (
+            (out / "certificates.csv").read_bytes().splitlines())
+        header, *lines = (out / "pareto.csv").read_bytes().splitlines()
+        assert header == cert_header
+        reference = [line for line in lines
+                     if line.split(b",")[1] == b"reference"]
+        assert len(reference) == 1
+        fronts = [line for line in lines if line not in reference]
+        assert fronts and all(line in cert_lines for line in fronts)
+
+    def test_certify_counts_only_valid_rows_as_non_vacuous(
+            self, small_config, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(small_config),
+                     "--out", str(out)]) == 0
+        assert main(["certify", "--config", str(small_config),
+                     "--run", str(out), "--set",
+                     "posterior.families=closed-joint,closed-diag"]) == 0
+        rows = certify.read_certificates_csv(out / "certificates.csv")
+        below_one = [row for row in rows if row.bound_value < 1.0]
+        # an invalid-prior row below 1 is in the run, and not counted
+        assert any(not row.valid_prior for row in below_one)
+        valid = sum(row.valid_prior for row in below_one)
+        assert (f"certified: {len(rows)} cells, {valid} non-vacuous;"
+                in capsys.readouterr().out)
+
     def test_isotropic_families_share_one_estimate_per_cell(
             self, small_config, tmp_path, monkeypatch):
         """`iso-zero` and `iso-init` build one posterior per cell, so the
@@ -574,6 +602,30 @@ class TestCliPipeline:
         assert not (out / "certificates.csv").exists()
         assert not (out / "landscape.csv").exists()
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda meta: meta.pop("trainer"), "no 'trainer' key"),
+        (lambda meta: meta.pop("theta_star_sha256"),
+         "no 'theta_star_sha256' key"),
+        (None, "not a JSON object: "),
+    ], ids=["no-trainer", "no-theta-star-digest", "not-json"])
+    def test_a_malformed_manifest_is_refused_naming_its_cause(
+            self, small_config, tmp_path, capsys, edit, message):
+        args = ["--config", str(small_config)]
+        out = tmp_path / "run"
+        assert main(["train", *args, "--out", str(out)]) == 0
+        meta_path = out / "meta.json"
+        if edit is None:
+            meta_path.write_text("{ this is not JSON\n")
+        else:
+            meta = json.loads(meta_path.read_text())
+            edit(meta)
+            meta_path.write_text(json.dumps(meta))
+        capsys.readouterr()
+        assert main(["certify", *args, "--run", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"runtime failure: ManifestError: {meta_path}: {message}" in err
+        assert not (out / "certificates.csv").exists()
+
     def test_probe_runs_without_the_test_set(self, small_config, tmp_path):
         out = tmp_path / "run"
         args = ["--config", str(small_config)]
@@ -816,6 +868,44 @@ class TestCliPipeline:
         assert main(["plot", str(tmp_path / "absent.csv"),
                      "--out", str(tmp_path / "plot.svg")]) == 2
 
+    def test_plot_refuses_a_directory_with_its_reason(self, tmp_path, capsys):
+        assert main(["plot", str(tmp_path),
+                     "--out", str(tmp_path / "plot.svg")]) == 2
+        assert (f"error: cannot read CSV {tmp_path}: "
+                f"{os.strerror(errno.EISDIR)}" in capsys.readouterr().err)
+        assert not (tmp_path / "plot.svg").exists()
+
+    @pytest.mark.parametrize("column, text", [
+        ("risk_mc", "1.2"), ("complexity", "-0.1"), ("validity", "Valid"),
+    ])
+    def test_plot_refuses_a_row_that_is_not_a_certificate(
+            self, tmp_path, capsys, column, text):
+        path = tmp_path / "certificates.csv"
+        certify.write_certificates_csv(path, [certify.assemble_bound(
+            family="iso-init", risk_mc=0.1, kl_nats=5.0, beta=1.0, lam=0.05,
+            n=300, m=5, delta=0.025, delta_prime=0.025, b=100.0, c=1.0)])
+        header, line = path.read_text().splitlines()
+        cells = line.split(",")
+        cells[header.split(",").index(column)] = text
+        path.write_text(f"{header}\n{','.join(cells)}\n")
+        assert main(["plot", str(path), "--out",
+                     str(tmp_path / "plot.svg")]) == 1
+        assert f"{path}, line 2: " in capsys.readouterr().err
+        assert not (tmp_path / "plot.svg").exists()
+
+    def test_plot_refuses_an_older_seven_column_pareto_csv(self, tmp_path,
+                                                           capsys):
+        path = tmp_path / "pareto.csv"
+        path.write_text(
+            "schema_version,family,risk_mc,complexity,beta,lambda,validity,"
+            "seed\n1,iso-init,0.1,0.4,1.0,0.05,valid,7\n"
+            "1,reference,0.02,0.01,nan,nan,valid,0\n")
+        assert main(["plot", str(path), "--out",
+                     str(tmp_path / "plot.svg")]) == 1
+        expected = ",".join(certify.csv_header(certify.CERT_COLUMNS))
+        assert (f"{path}: header is not {expected}"
+                in capsys.readouterr().err)
+
     def test_output_root_env(self, small_config, tmp_path, monkeypatch):
         monkeypatch.setenv("PBCERT_OUTPUT_ROOT", str(tmp_path))
         assert main(["train", "--config", str(small_config),
@@ -848,6 +938,18 @@ class TestSvgRendering:
         linear = risk_complexity_svg(self.FRONTS)
         logged = risk_complexity_svg(self.FRONTS, log_x=True)
         assert linear != logged
+
+    def test_zero_risk_on_a_log_axis_stays_on_the_canvas(self):
+        svg = risk_complexity_svg({"iso-init": [(0.0, 0.3), (0.05, 0.1)]},
+                                  star=(0.0, 0.02), log_x=True)
+        doc = minidom.parseString(svg)
+        xs = [float(node.getAttribute("cx"))
+              for node in doc.getElementsByTagName("circle")]
+        (star,) = doc.getElementsByTagName("polygon")
+        xs += [float(vertex.split(",")[0])
+               for vertex in star.getAttribute("points").split()]
+        assert len(xs) == 2 + 10
+        assert all(0.0 <= x <= 640.0 for x in xs)
 
     def test_title_and_family_names_are_escaped(self):
         svg = risk_complexity_svg({"a<b": [(0.1, 0.2)]},
