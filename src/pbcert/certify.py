@@ -22,6 +22,8 @@ import numpy as np
 
 from pbcert.curvature import all_block_hessians, diag_fisher
 from pbcert.gaussians import (
+    GRID_B,
+    GRID_C,
     DiagGaussian,
     catoni_inv,
     chernoff_gap,
@@ -150,8 +152,6 @@ class GridContext:
     m: int
     delta: float
     delta_prime: float
-    b: float
-    c: float
     seed: int
     vi_epochs: int
     vi_batch_size: int
@@ -308,7 +308,7 @@ def grid_search(family: str, beta_grid, lambda_grid, ctx: GridContext) -> GridRe
                 risk, _ = ctx.mc_estimates[key]
                 certs.append(assemble_bound(
                     family, risk, kl, beta, lam, ctx.n, ctx.m, ctx.delta,
-                    ctx.delta_prime, ctx.b, ctx.c, valid_prior=valid,
+                    ctx.delta_prime, GRID_B, GRID_C, valid_prior=valid,
                     seed=cell_seed,
                 ))
             except Exception as exc:   # noqa: BLE001 - sweep must continue

@@ -28,7 +28,7 @@ from pbcert.config import ConfigError, RunConfig, load_config
 from pbcert.curvature import check_probe_settings, landscape_probe
 from pbcert.data import COLLAPSE_SIZES, collapse_classes, load_cifar_bin
 from pbcert.data import load_idx, synthetic_blobs
-from pbcert.gaussians import union_bound_nats
+from pbcert.gaussians import GRID_B, GRID_C, catoni_inv, chernoff_gap, union_bound_nats
 from pbcert.manifest import load_test_data, load_train_record, save_train_record
 from pbcert.nnet import NetSpec, TrainerConfig, check_schedule, check_train_settings
 from pbcert.nnet import train
@@ -134,18 +134,11 @@ def cmd_train(config: RunConfig, out_dir) -> Path:
     return out_dir
 
 
-def _load_run(run_dir):
-    run_dir = Path(run_dir)
-    if not (run_dir / "meta.json").exists():
-        raise UsageError(f"run manifest not found: {run_dir / 'meta.json'}")
-    return load_train_record(run_dir)
-
-
 def _check_sweep(config: RunConfig) -> tuple:
     """Families and beta and lambda grids, after rejecting a bad family
-    list, an empty or unbuildable grid, a beta <= 0, a VI schedule with no
-    descent step, m < 1, delta or delta' not in (0, 1), or a lambda whose
-    union-bound penalty has no value."""
+    list, an empty or unbuildable grid, a VI schedule with no descent step,
+    or a beta, m, delta, delta' or lambda that the bound's own functions
+    refuse.  A one-point grid whose max goes unused is noted on stderr."""
     families = config.get("posterior", "families")
     if not families:
         raise UsageError(f"posterior.families is empty"
@@ -162,33 +155,34 @@ def _check_sweep(config: RunConfig) -> tuple:
     if not all(grids):
         raise UsageError("posterior.beta_count and posterior.lambda_count "
                          "must be at least 1")
-    if min(grids[0]) <= 0:
-        raise UsageError("posterior.beta_min and posterior.beta_max must be "
-                         "positive")
-    if config.get("bound", "m") < 1:
-        raise UsageError("bound.m must be at least 1")
-    for key in ("delta", "delta_prime"):
-        if not 0.0 < config.get("bound", key) < 1.0:
-            raise UsageError(f"bound.{key} must lie in (0, 1)")
     vi = [config.get("posterior", f"vi_{key}") for key in ("epochs", "batch_size", "lr")]
     try:
         check_schedule("posterior.vi_", *vi)
     except ValueError as exc:
         raise UsageError(f"bad VI setting: {exc}") from exc
     bound = config.values["bound"]
-    for lam in grids[1]:
-        try:
-            union_bound_nats(lam, bound["b"], bound["c"], bound["delta"])
-        except ValueError as exc:
-            raise UsageError(f"bad lambda grid for bound.b={bound['b']}, "
-                             f"bound.c={bound['c']}: {exc}") from exc
+    try:
+        chernoff_gap(bound["m"], bound["delta_prime"])
+        for beta in grids[0]:
+            catoni_inv(beta, 0.0)
+        for lam in grids[1]:
+            union_bound_nats(lam, GRID_B, GRID_C, bound["delta"])
+    except ValueError as exc:
+        raise UsageError(f"bad bound setting: {exc}") from exc
+    posterior = config.values["posterior"]
+    for name in ("beta", "lambda"):
+        low, high = posterior[f"{name}_min"], posterior[f"{name}_max"]
+        if posterior[f"{name}_count"] == 1 and low != high:
+            print(f"note: posterior.{name}_count = 1 certifies at "
+                  f"{name}_min = {low} only; {name}_max = {high} is unused",
+                  file=sys.stderr)
     return (families, *grids)
 
 
 def cmd_certify(config: RunConfig, run_dir) -> None:
     families, beta_grid, lambda_grid = _check_sweep(config)
     out_dir = _resolve_out(run_dir)
-    record, train_ds = _load_run(out_dir)
+    record, train_ds = load_train_record(out_dir)
     test_ds = load_test_data(out_dir)
     ctx = cert.GridContext(
         spec=record.spec, theta_star=record.theta_star, theta0=record.theta0,
@@ -250,16 +244,16 @@ def cmd_plot(csv_paths, out_path, log_x: bool, title: str) -> None:
 
 def cmd_probe(config: RunConfig, run_dir) -> None:
     n_directions = config.get("probe", "n_directions")
-    lambdas = config.get("probe", "lambdas")
     try:
         t_grid = np.linspace(config.get("probe", "t_min"),
                              config.get("probe", "t_max"),
                              config.get("probe", "t_points"))
+        lambdas = config.lambda_grid
         check_probe_settings(n_directions, t_grid, lambdas)
     except ValueError as exc:
         raise UsageError(f"bad probe setting: {exc}") from exc
     out_dir = _resolve_out(run_dir)
-    record, train_ds = _load_run(out_dir)
+    record, train_ds = load_train_record(out_dir)
     probe = landscape_probe(record.spec, record.theta_star, train_ds,
                             n_directions, t_grid, lambdas,
                             config.get("run", "seed"), record.config.loss)

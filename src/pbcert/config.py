@@ -64,15 +64,12 @@ SCHEMA = {
         "m": ("int", "100"),
         "delta": ("float", "0.025"),
         "delta_prime": ("float", "0.025"),
-        "b": ("float", "100.0"),
-        "c": ("float", "1.0"),
     },
     "probe": {
         "n_directions": ("int", "4"),
         "t_min": ("float", "-200.0"),
         "t_max": ("float", "200.0"),
         "t_points": ("int", "81"),
-        "lambdas": ("float_list", "0.04"),
     },
     "run": {
         "seed": ("int", "0"),
@@ -85,7 +82,6 @@ _PARSERS = {
     "int": int,
     "float": float,
     "int_list": lambda s: [int(v) for v in s.split(",") if v.strip()],
-    "float_list": lambda s: [float(v) for v in s.split(",") if v.strip()],
     "str_list": lambda s: [v.strip() for v in s.split(",") if v.strip()],
 }
 
@@ -125,7 +121,7 @@ def _parse_value(section: str, key: str, raw: str):
         value = _PARSERS[kind](raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {section}.{key}: {raw!r}") from exc
-    if kind in ("float", "float_list") and not np.all(np.isfinite(value)):
+    if kind == "float" and not np.isfinite(value):
         raise ConfigError(f"bad value for {section}.{key}: {raw!r} is not "
                           f"finite")
     return value

@@ -8,6 +8,7 @@ Pixel values are scaled to [0, 1]; no mean centering.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, replace
 
@@ -18,6 +19,7 @@ from pbcert.rng import rng_for
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 CIFAR_RECORD_BYTES = 3073
+CIFAR_CLASSES = 10
 COLLAPSE_SIZES = (2, 5)     # class counts that 10 classes collapse to
 
 
@@ -57,9 +59,13 @@ class Dataset:
 
 
 def _read_exact(f, count: int, what: str) -> bytes:
-    buf = f.read(count)
+    """`count` bytes of `f`; a count beyond the bytes left in the file is
+    refused unread, so a header that overstates its data reserves nothing."""
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    buf = f.read(count) if count <= left else b""
     if len(buf) != count:
-        raise DataFormatError(f"truncated file while reading {what}")
+        raise DataFormatError(f"truncated file while reading {what} of "
+                              f"{f.name}: {count} bytes needed, {left} left")
     return buf
 
 
@@ -97,7 +103,7 @@ def load_idx(images_path, labels_path) -> Dataset:
     return Dataset(X=X, y=y, k=int(y.max()) + 1)
 
 
-def load_cifar_bin(batch_paths, k: int = 10) -> Dataset:
+def load_cifar_bin(batch_paths) -> Dataset:
     """Load one or more CIFAR-10 binary batches into flat 3072-dim rows."""
     xs, ys = [], []
     for path in batch_paths:
@@ -112,7 +118,7 @@ def load_cifar_bin(batch_paths, k: int = 10) -> Dataset:
         xs.append(records[:, 1:] / 255.0)
     X = np.concatenate(xs)
     y = np.concatenate(ys)
-    return Dataset(X=X, y=y, k=k)
+    return Dataset(X=X, y=y, k=CIFAR_CLASSES)
 
 
 def collapse_classes(dataset: Dataset, k_new: int) -> Dataset:

@@ -143,18 +143,23 @@ def chernoff_gap(m: int, delta_prime: float) -> float:
     return math.sqrt(math.log(2.0 / delta_prime) / m)
 
 
+# b and c of the grid lambda = c * exp(-j / b) that `union_bound_nats` pays
+# for: constants, since the union holds only for a grid fixed in advance
+GRID_B = 100.0
+GRID_C = 1.0
+
+
 def union_bound_nats(lam: float, b: float, c: float, delta: float) -> float:
     """Penalty replacing ln(1/delta) when the prior scale lambda is tuned
     over the grid lambda = c * exp(-j / b), j = 1, 2, ...
 
     The grid's union bound spends delta * 6 / (pi^2 j^2) on index j, so j
     must be at least 1; below that the penalty would fall under ln(1/delta)
-    and turn negative as lambda approaches c.
+    and turn negative as lambda approaches c.  So a c <= 0 (no lambda in
+    (0, c)) or a b <= 0 (j <= 0) is refused too.
     """
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must lie in (0, 1)")
-    if b <= 0 or c <= 0:
-        raise ValueError("b and c must be positive")
     if not (0.0 < lam < c):
         raise ValueError(f"lambda must lie in (0, c); got lambda={lam}, c={c}")
     log_ratio = math.log(c / lam)

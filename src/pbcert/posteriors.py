@@ -37,25 +37,22 @@ FISHER_FLOOR = 1e-12
 DELTA_MU_FLOOR = 1e-16
 
 
-def closed_form_posterior(h, beta: float, lam: float, prior_var=None):
-    """Curvature-matched variances: beta / (h + (beta/lambda) / sigma_pi).
+def closed_form_posterior(h, beta: float, lam: float):
+    """Curvature-matched variances against the prior N(mu_pi, lambda I):
+    beta / (h + beta/lambda).
 
     `h` is a curvature vector (a diagonal Fisher, or a layer Hessian's
-    eigenvalues); `prior_var` (sigma_pi) defaults to ones (prior covariance
-    lambda I).  A variance that would not be positive is rejected.
+    eigenvalues).  A variance that would not be positive is rejected.
     """
     if beta <= 0 or lam <= 0:
         raise ValueError("beta and lambda must be positive")
     h = np.asarray(h, dtype=np.float64)
     if h.ndim != 1:
         raise ValueError("h must be a vector")
-    prior_var = np.ones_like(h) if prior_var is None else np.asarray(prior_var)
-    if np.any(prior_var <= 0):
-        raise ValueError("prior variance must be positive")
-    precision = h + (beta / lam) / prior_var
+    precision = h + beta / lam
     if not np.all(precision > 0):
-        raise ValueError("a curvature at or below -(beta/lambda)/sigma_pi "
-                         "has no positive variance")
+        raise ValueError("a curvature at or below -beta/lambda has no "
+                         "positive variance")
     return beta / precision
 
 

@@ -86,12 +86,10 @@ def test_criterion_1_closed_form_vs_coordinate_descent(capsys):
         h = 10.0 ** rng.uniform(-3, 3, size=d)
         beta = 10.0 ** rng.uniform(-3, 3)
         lam = 10.0 ** rng.uniform(-3, 3)
-        sigma_pi = 10.0 ** rng.uniform(-3, 3, size=d)
-        sigma = closed_form_posterior(h, beta, lam, prior_var=sigma_pi)
+        sigma = closed_form_posterior(h, beta, lam)
         for i in range(d):
             res = minimize_scalar(
-                lambda t: scalar_objective(np.exp(t), h[i], beta, lam, 0.0,
-                                           sigma_pi[i]),
+                lambda t: scalar_objective(np.exp(t), h[i], beta, lam, 0.0),
                 bounds=(-50.0, 50.0), method="bounded",
                 options={"xatol": 1e-13})
             oracle = float(np.exp(res.x))
@@ -122,8 +120,8 @@ def test_criterion_2_joint_optimum_oracle(capsys):
             values = joint_objective(h, beta, lam, dmu ** 2, s_rho, grid)
             assert np.min(values) >= best - 1e-9 * max(abs(best), 1.0)
         # consistency: the fixed-prior optimum at sigma_pi* returns sigma_rho*
-        replay = closed_form_posterior(np.array([h]), beta, lam,
-                                       prior_var=res.sigma_pi)[0]
+        replay = closed_form_posterior(np.array([h]), beta,
+                                       lam * res.sigma_pi[0])[0]
         worst_consistency = max(
             worst_consistency, abs(replay - res.sigma_rho[0]) / res.sigma_rho[0])
     assert worst_consistency < 1e-10

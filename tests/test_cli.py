@@ -30,7 +30,7 @@ RUN_BINS = ("theta0.bin", "theta_star.bin", "train_data.bin", "test_data.bin")
 
 FLOAT_KEYS = [f"{section}.{key}" for section, keys in SCHEMA.items()
               for key, (kind, _) in keys.items()
-              if kind in ("float", "float_list")]
+              if kind == "float"]
 
 SMALL_CONFIG = """
 [data]
@@ -122,10 +122,6 @@ class TestConfig:
         path.write_text(f"[{section}]\n{key} = {raw}\n")
         with pytest.raises(ConfigError, match=message):
             load_config(path)
-
-    def test_non_finite_list_entry_rejected(self):
-        with pytest.raises(ConfigError, match="probe.lambdas: '0.04,nan'"):
-            load_config(None, ["probe.lambdas=0.04,nan"])
 
     def test_percent_in_a_value_loads_as_written(self, tmp_path):
         path = tmp_path / "run.ini"
@@ -339,10 +335,14 @@ class TestCliPipeline:
         assert both == plot(without_star(a), without_star(b))
         assert both != plot(b / "certificates.csv")
 
-    def test_certify_exit_code_on_missing_run(self, small_config, tmp_path):
-        code = main(["certify", "--config", str(small_config),
-                     "--run", str(tmp_path / "nowhere")])
-        assert code == 2
+    def test_certify_exit_code_on_missing_run(self, small_config, tmp_path,
+                                              capsys):
+        for command in ("certify", "probe"):
+            code = main([command, "--config", str(small_config),
+                         "--run", str(tmp_path / "nowhere")])
+            assert code == 2
+            assert (str(tmp_path / "nowhere" / "meta.json")
+                    in capsys.readouterr().err)
 
     def test_certify_exit_code_when_every_cell_fails(
             self, small_config, tmp_path, capsys, monkeypatch):
@@ -394,14 +394,15 @@ class TestCliPipeline:
             ("posterior.beta_count=0", "beta_count and posterior.lambda_count"),
             ("posterior.lambda_count=0", "beta_count and posterior.lambda_count"),
             ("posterior.lambda_min=0", "bad posterior grid: Geometric sequence"),
-            ("posterior.beta_min=0", "beta_min and posterior.beta_max must be positive"),
-            ("posterior.beta_min=-1", "beta_min and posterior.beta_max must be positive"),
-            ("bound.m=0", "bound.m must be at least 1"),
-            ("bound.delta=0", "bound.delta must lie in (0, 1)"),
-            ("bound.delta_prime=1.5", "bound.delta_prime must lie in (0, 1)"),
+            ("posterior.beta_min=0", "bad bound setting: beta must be positive"),
+            ("posterior.beta_min=-1", "bad bound setting: beta must be positive"),
+            ("bound.m=0", "bad bound setting: m must be >= 1"),
+            ("bound.delta=0", "bad bound setting: delta must lie in (0, 1)"),
+            ("bound.delta_prime=1.5",
+             "bad bound setting: delta_prime must lie in (0, 1)"),
             ("posterior.lambda_max=0.995", "lambda must be at most c exp(-1/b)"),
-            ("bound.c=0.01", "lambda must lie in (0, c); got lambda=0.031"),
-            ("bound.b=0", "b and c must be positive"),
+            ("posterior.lambda_max=1.5",
+             "lambda must lie in (0, c); got lambda=1.5, c=1.0"),
             ("posterior.vi_epochs=0", "posterior.vi_epochs must be at least 1; got 0"),
             ("posterior.vi_epochs=-1", "posterior.vi_epochs must be at least 1; got -1"),
             ("posterior.vi_batch_size=0",
@@ -410,6 +411,8 @@ class TestCliPipeline:
              "posterior.vi_batch_size must be at least 1; got -5"),
             ("posterior.vi_lr=0", "posterior.vi_lr must be positive; got 0.0"),
             ("posterior.vi_lr=-0.1", "posterior.vi_lr must be positive; got -0.1"),
+            ("bound.b=0", "error: unknown key bound.b"),
+            ("bound.c=0.01", "error: unknown key bound.c"),
         ]),
     ])
     def test_certify_rejects_bad_families_before_work(
@@ -434,19 +437,31 @@ class TestCliPipeline:
 
     @pytest.mark.parametrize("setting, message", [
         pytest.param(setting, message, id=setting) for setting, message in [
-            ("probe.n_directions=0", "n_directions must be at least 1; got 0"),
-            ("probe.n_directions=-1", "n_directions must be at least 1; got -1"),
-            ("probe.t_points=2", "the t grid has 2 distinct values"),
-            ("probe.t_points=0", "the t grid has 0 distinct values"),
-            ("probe.t_points=-1", "Number of samples, -1, must be non-negative"),
-            ("probe.t_max=-5", "the t grid has 1 distinct values"),
-            ("probe.lambdas=-0.1", "every lambda must be positive; got -0.1"),
-            ("probe.lambdas=0.04,0", "every lambda must be positive; got 0.0"),
+            ("probe.n_directions=0",
+             "bad probe setting: n_directions must be at least 1; got 0"),
+            ("probe.n_directions=-1",
+             "bad probe setting: n_directions must be at least 1; got -1"),
+            ("probe.t_points=2",
+             "bad probe setting: the t grid has 2 distinct values"),
+            ("probe.t_points=0",
+             "bad probe setting: the t grid has 0 distinct values"),
+            ("probe.t_points=-1",
+             "bad probe setting: Number of samples, -1, must be non-negative"),
+            ("probe.t_max=-5",
+             "bad probe setting: the t grid has 1 distinct values"),
+            ("posterior.lambda_min=0",
+             "bad probe setting: Geometric sequence cannot include zero"),
+            ("posterior.lambda_min=-0.3 posterior.lambda_max=-0.03",
+             "bad probe setting: every lambda must be positive; got -0.3"),
+            ("probe.lambdas=-0.1", "unknown key probe.lambdas"),
+            ("probe.lambdas=0.04,0", "unknown key probe.lambdas"),
         ]
     ])
     def test_probe_rejects_bad_settings_before_loading(
             self, small_config, tmp_path, capsys, monkeypatch, setting,
             message):
+        """probe.lambdas is gone (probe reads the certified lambda grid), so
+        setting it is refused as an unknown key, like any bad setting."""
         out = tmp_path / "run"
         assert main(["train", "--config", str(small_config),
                      "--out", str(out)]) == 0
@@ -455,11 +470,55 @@ class TestCliPipeline:
             raise RuntimeError("run loaded for a bad probe")
 
         monkeypatch.setattr(cli, "load_train_record", refuse)
+        overrides = [arg for item in setting.split() for arg in ("--set", item)]
         code = main(["probe", "--config", str(small_config), "--run", str(out),
-                     "--set", setting])
+                     *overrides])
         assert code == 2
-        assert f"error: bad probe setting: {message}" in capsys.readouterr().err
+        assert f"error: {message}" in capsys.readouterr().err
         assert not (out / "landscape.csv").exists()
+
+    def test_config_naming_a_removed_key_exits_2(self, small_config,
+                                                 tmp_path, capsys, monkeypatch):
+        """An old config that still sets bound.b, bound.c or probe.lambdas
+        is refused as naming an unknown key, before the run is loaded."""
+        def refuse(*args, **kwargs):
+            raise RuntimeError("run loaded for an old config")
+
+        monkeypatch.setattr(cli, "load_train_record", refuse)
+        for command, section, key in (("certify", "bound", "b"),
+                                      ("certify", "bound", "c"),
+                                      ("probe", "probe", "lambdas")):
+            old = tmp_path / f"{key}.ini"
+            old.write_text(small_config.read_text().replace(
+                f"[{section}]\n", f"[{section}]\n{key} = 1.0\n"))
+            assert main([command, "--config", str(old),
+                         "--run", str(tmp_path / "run")]) == 2
+            assert (f"error: unknown key {section}.{key}"
+                    in capsys.readouterr().err)
+
+    def test_one_point_grid_notes_its_unused_max(self, small_config, tmp_path,
+                                                capsys):
+        """A one-point grid certifies at its min; the unused max is named
+        on stderr, and the exit code and files are those of a grid whose
+        max is its min."""
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(small_config),
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        digests = []
+        for beta_max in ("9.0", "1.0"):
+            assert main(["certify", "--config", str(small_config), "--run",
+                         str(out), "--set", "posterior.beta_count=1",
+                         "--set", f"posterior.beta_max={beta_max}"]) == 0
+            notes = [line for line in capsys.readouterr().err.splitlines()
+                     if line.startswith("note:")]
+            digests.append((out / "certificates.csv").read_bytes())
+            if beta_max == "9.0":
+                assert notes == ["note: posterior.beta_count = 1 certifies at "
+                                 "beta_min = 1.0 only; beta_max = 9.0 is unused"]
+            else:
+                assert notes == []
+        assert digests[0] == digests[1]
 
     def test_certify_computes_only_the_curvature_in_use(
             self, small_config, tmp_path, monkeypatch):
@@ -714,8 +773,8 @@ class TestCliPipeline:
 
     @pytest.mark.parametrize("command, setting", [
         ("train", "train.lr=inf"), ("train", "data.separation=nan"),
-        ("certify", "bound.b=nan"), ("certify", "posterior.beta_max=inf"),
-        ("probe", "probe.t_min=nan"), ("probe", "probe.lambdas=inf"),
+        ("certify", "bound.delta=nan"), ("certify", "posterior.beta_max=inf"),
+        ("probe", "probe.t_min=nan"), ("probe", "posterior.lambda_max=inf"),
     ])
     def test_non_finite_setting_exits_2_before_work(
             self, small_config, tmp_path, capsys, monkeypatch, command,

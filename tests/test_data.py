@@ -3,10 +3,13 @@
 import hashlib
 import re
 import struct
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pbcert
 from tests.conftest import settings, write_idx_pair
 from pbcert.data import (
     DataFormatError,
@@ -92,6 +95,29 @@ class TestIdx:
         with pytest.raises(DataFormatError, match=re.escape(
                 f"label count {count} in {labels}")):
             load_idx(images, labels)
+
+    @pytest.mark.parametrize("which", ["images", "labels"])
+    def test_header_claiming_more_than_the_file_is_refused_unread(
+            self, tmp_path, which):
+        """A header that claims 2**31 - 1 records of a 784-byte file is
+        refused, naming the file, before the claimed bytes are reserved."""
+        images, labels = write_idx_pair(tmp_path, bytes(784), [0], rows=28,
+                                        cols=28)
+        if which == "images":
+            images.write_bytes(struct.pack(">iiii", 0x803, 2**31 - 1, 28, 28)
+                               + bytes(784))
+        else:
+            labels.write_bytes(struct.pack(">ii", 0x801, 2**31 - 1) + bytes(1))
+        bad = images if which == "images" else labels
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataFormatError, match=re.escape(
+                    f"truncated file while reading {which[:-1]} data of {bad}")):
+                load_idx(images, labels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_count_mismatch(self, tmp_path):
         images, _ = write_idx_pair(tmp_path, range(8), [0, 1])
@@ -229,6 +255,18 @@ def rewrite(path, data: bytes) -> str:
     structural checks behind the digest check."""
     path.write_bytes(data)
     return hashlib.sha256(data).hexdigest()
+
+
+def test_only_the_manifest_names_the_run_files():
+    """`pbcert.manifest` is the one module that knows a run directory's
+    file names."""
+    names = ("meta.json", "theta0.bin", "theta_star.bin", "train_data.bin",
+             "test_data.bin")
+    package = Path(pbcert.__file__).parent
+    spelled = [(path.name, name) for path in sorted(package.glob("*.py"))
+               if path.name != "manifest.py"
+               for name in names if name in path.read_text()]
+    assert spelled == []
 
 
 class TestManifest:

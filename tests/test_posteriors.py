@@ -27,18 +27,17 @@ VI_LR = settings("posterior")["vi_lr"]
 VI_DELTA = settings("bound")["delta"]
 
 
-def scalar_objective(sigma, h, beta, lam, dmu2, sigma_pi):
-    """Per-coordinate developed objective 1/2 h sigma + beta KL term."""
-    prior_var = lam * sigma_pi
-    kl = 0.5 * (sigma / prior_var + dmu2 / prior_var - 1.0
-                + np.log(prior_var) - np.log(sigma))
+def scalar_objective(sigma, h, beta, lam, dmu2):
+    """Per-coordinate developed objective 1/2 h sigma + beta KL term, against
+    the prior variance lam."""
+    kl = 0.5 * (sigma / lam + dmu2 / lam - 1.0 + np.log(lam) - np.log(sigma))
     return 0.5 * h * sigma + beta * kl
 
 
-def minimize_coordinate(h, beta, lam, dmu2, sigma_pi):
+def minimize_coordinate(h, beta, lam, dmu2):
     """Scalar-minimization oracle over log sigma."""
     res = minimize_scalar(
-        lambda t: scalar_objective(np.exp(t), h, beta, lam, dmu2, sigma_pi),
+        lambda t: scalar_objective(np.exp(t), h, beta, lam, dmu2),
         bounds=(-40.0, 40.0), method="bounded",
         options={"xatol": 1e-12})
     return float(np.exp(res.x))
@@ -59,45 +58,42 @@ class TestClosedForm:
             d = int(rng.integers(2, 8))
             h = 10.0 ** rng.uniform(-3, 3, size=d)
             beta, lam = 10.0 ** rng.uniform(-2, 2, size=2)
-            sigma_pi = 10.0 ** rng.uniform(-2, 2, size=d)
-            sigma = closed_form_posterior(h, beta, lam, prior_var=sigma_pi)
+            sigma = closed_form_posterior(h, beta, lam)
             for i in range(d):
-                oracle = minimize_coordinate(h[i], beta, lam, 0.0, sigma_pi[i])
+                oracle = minimize_coordinate(h[i], beta, lam, 0.0)
                 assert sigma[i] == pytest.approx(oracle, rel=1e-4)
 
     def test_stationary_point(self):
         rng = np.random.default_rng(13)
         for _ in range(20):
             h = 10.0 ** rng.uniform(-2, 2)
-            beta, lam, sigma_pi = 10.0 ** rng.uniform(-1.5, 1.5, size=3)
-            sigma = closed_form_posterior(np.array([h]), beta, lam,
-                                          prior_var=np.array([sigma_pi]))[0]
+            beta, lam = 10.0 ** rng.uniform(-1.5, 1.5, size=2)
+            sigma = closed_form_posterior(np.array([h]), beta, lam)[0]
             eps = 1e-6 * sigma
-            up = scalar_objective(sigma + eps, h, beta, lam, 0.0, sigma_pi)
-            down = scalar_objective(sigma - eps, h, beta, lam, 0.0, sigma_pi)
+            up = scalar_objective(sigma + eps, h, beta, lam, 0.0)
+            down = scalar_objective(sigma - eps, h, beta, lam, 0.0)
             derivative = (up - down) / (2 * eps)
-            scale = scalar_objective(sigma, h, beta, lam, 0.0, sigma_pi)
+            scale = scalar_objective(sigma, h, beta, lam, 0.0)
             assert abs(derivative) * sigma <= 1e-6 * max(abs(scale), 1.0)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             closed_form_posterior(np.ones(2), beta=0.0, lam=1.0)
         with pytest.raises(ValueError):
-            closed_form_posterior(np.ones(2), beta=1.0, lam=1.0,
-                                  prior_var=np.array([1.0, 0.0]))
+            closed_form_posterior(np.ones(2), beta=1.0, lam=0.0)
         with pytest.raises(ValueError):
             closed_form_posterior(np.ones((2, 2, 2)), beta=1.0, lam=1.0)
 
     @pytest.mark.parametrize("below", [0.0, 1e-3])
     def test_rejects_curvature_with_no_positive_variance(self, below):
-        """h + (beta/lambda)/sigma_pi <= 0 has no positive variance."""
+        """h + beta/lambda <= 0 has no positive variance."""
         beta, lam = 0.5, 0.25
         with pytest.raises(ValueError, match="has no positive variance"):
             closed_form_posterior(np.array([1.0, -beta / lam - below]),
                                   beta, lam)
         with pytest.raises(ValueError, match="has no positive variance"):
-            closed_form_posterior(np.array([-beta / lam / 4.0 - below]), beta,
-                                  lam, prior_var=np.array([4.0]))
+            closed_form_posterior(np.array([-beta / (4.0 * lam) - below]),
+                                  beta, 4.0 * lam)
         assert np.all(closed_form_posterior(
             np.array([-0.99 * beta / lam]), beta, lam) > 0)
 
@@ -119,8 +115,9 @@ class TestJointOptimal:
             mu_rho = rng.normal(size=d)
             mu_pi = mu_rho + rng.normal(size=d)
             res = joint_optimal_diag(h, beta, lam, mu_rho, mu_pi)
-            replay = closed_form_posterior(h, beta, lam,
-                                           prior_var=res.sigma_pi)
+            # the fixed-prior optimum against the prior N(mu_pi, lam sigma_pi)
+            replay = [closed_form_posterior(h[i:i + 1], beta, lam * s)[0]
+                      for i, s in enumerate(res.sigma_pi)]
             assert np.allclose(replay, res.sigma_rho, rtol=1e-10)
 
     def test_beats_grid_search(self):
