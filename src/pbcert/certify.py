@@ -265,11 +265,18 @@ def build_posterior(family: str, beta: float, lam: float, ctx: GridContext,
 
 def _mc_key(posterior, m: int, seed: int) -> tuple:
     """(seed, m, sha256 of the posterior's mean, log-variance and bases):
-    equal keys draw the same m weight vectors."""
+    equal keys draw the same m weight vectors.
+
+    Each array is hashed in place, in its own memory order, after a byte
+    naming that order: the bases are eigenvectors in Fortran order, and a
+    basis's order changes the last bits of a draw.  A C-ordered copy would
+    cost 4.7 MB per `skfac-block` cell at the desk shape."""
     digest = hashlib.sha256()
     for array in (posterior.mean, posterior.log_variance,
                   *(posterior.bases or ())):
-        digest.update(array.tobytes())
+        c_order = array.flags.c_contiguous
+        digest.update(b"C" if c_order else b"F")
+        digest.update(array if c_order else array.T)
     return seed, m, digest.hexdigest()
 
 

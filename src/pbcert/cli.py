@@ -183,7 +183,9 @@ def cmd_certify(config: RunConfig, run_dir) -> None:
     families, beta_grid, lambda_grid = _check_sweep(config)
     out_dir = _resolve_out(run_dir)
     record, train_ds = load_train_record(out_dir)
-    test_ds = load_test_data(out_dir)
+    # the test split is read for the reference row only, and let go of
+    # before the sweep, so no cell runs with it in memory
+    reference = cert.reference_star(record, train_ds, load_test_data(out_dir))
     ctx = cert.GridContext(
         spec=record.spec, theta_star=record.theta_star, theta0=record.theta0,
         data=train_ds, **config.grid_settings)
@@ -203,7 +205,7 @@ def cmd_certify(config: RunConfig, run_dir) -> None:
         print(f"certify: {failed} of {attempted} cells failed", file=sys.stderr)
     if not all_certs:
         raise RuntimeError("no cell was certified")
-    fronts["reference"] = [cert.reference_star(record, train_ds, test_ds)]
+    fronts["reference"] = [reference]
     cert.write_certificates_csv(out_dir / "certificates.csv", all_certs)
     cert.write_pareto_csv(out_dir / "pareto.csv", fronts)
     # an invalid-prior row is a sanity ceiling, not a certificate

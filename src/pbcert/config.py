@@ -101,9 +101,14 @@ class RunConfig:
 
     @property
     def lambda_grid(self):
-        return list(np.geomspace(self.get("posterior", "lambda_min"),
-                                 self.get("posterior", "lambda_max"),
-                                 self.get("posterior", "lambda_count")))
+        """The geometric lambda grid; an end <= 0 raises ValueError naming
+        its key (np.geomspace would warn and return nan points)."""
+        keys = ("lambda_min", "lambda_max")
+        ends = [self.get("posterior", key) for key in keys]
+        for key, end in zip(keys, ends):
+            if not end > 0:
+                raise ValueError(f"posterior.{key} must be positive; got {end}")
+        return list(np.geomspace(*ends, self.get("posterior", "lambda_count")))
 
     @property
     def grid_settings(self) -> dict:

@@ -57,15 +57,18 @@ def diag_fisher(spec: NetSpec, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
             squared_deltas[i] = squared_deltas[i] + delta ** 2
             if i > 0:
                 delta = (delta @ weights[i]) * (fp.preactivations[i - 1] > 0)
-    return spec.to_vector([D.T @ (A ** 2) for D, A
-                           in zip(squared_deltas, fp.activations[:-1])]) / n
+    return spec.to_vector([D.T @ (fp.activation(i) ** 2)
+                           for i, D in enumerate(squared_deltas)]) / n
 
 
 def block_hessians(spec: NetSpec, theta: np.ndarray, X: np.ndarray) -> list:
     """H_i = (2/n) sum_k a_{i-1}^k a_{i-1}^k' of every layer i, shared by all
-    layer-i neurons, from one forward pass."""
+    layer-i neurons, from one forward pass.  Each layer's activations are
+    computed from the pass's preactivations as the layer is reached, so one
+    of them is alive at a time."""
     fp = forward(spec, theta, X)
-    return [(2.0 / A.shape[0]) * (A.T @ A) for A in fp.activations[:-1]]
+    return [(2.0 / A.shape[0]) * (A.T @ A)
+            for A in map(fp.activation, range(spec.n_layers))]
 
 
 def all_block_hessians(spec: NetSpec, theta: np.ndarray, X: np.ndarray) -> list:
@@ -120,10 +123,10 @@ def landscape_probe(spec: NetSpec, theta: np.ndarray, data, n_directions: int,
     read from one forward pass at theta, X V1' is one product P per
     direction, and each point runs only relu(S + t P), the later layers and
     the loss.  The losses equal a forward pass per point up to rounding, and
-    at t = 0 those of `forward(spec, theta, X)` bit for bit.  S, P, the
-    point's first-layer activations and one later layer's take the place of
-    a forward pass's S1, A1, S2 and A2, so with h2 >= h1 (as on the desk
-    net) the probe holds no more than one forward pass.
+    at t = 0 those of `forward(spec, theta, X)` bit for bit.  The probe
+    holds S, P, the point's first-layer activations and one later layer's:
+    with h2 = h1 (as on the desk net) four n x h1 arrays, one more than a
+    forward pass, which keeps no activation (`nnet.ForwardPass`).
     """
     t_grid = np.asarray(t_grid, dtype=np.float64)
     check_probe_settings(n_directions, t_grid, lambdas)

@@ -1,9 +1,10 @@
 """Minimal feedforward network: forward pass, losses, backprop, trainers.
 
 Bias-free fully connected layers with rectifier hidden activations.  The
-forward pass exposes every intermediate activation because the curvature
-module consumes them.  Training is deterministic given a seed and records
-the initialization, which later serves as a data-independent prior center.
+forward pass keeps every layer's preactivation, from which backprop and
+the curvature module read each layer's activations.  Training is
+deterministic given a seed and records the initialization, which later
+serves as a data-independent prior center.
 """
 
 from __future__ import annotations
@@ -79,14 +80,22 @@ class NetSpec:
 
 @dataclass
 class ForwardPass:
-    """All intermediate quantities: activations[i] feeds layer i + 1."""
+    """A pass's input and every layer's preactivation S_i; the last one is
+    the raw outputs.  A hidden layer's activation relu(S_i) is not kept:
+    `activation` computes it when it is read, so a pass holds one n x h
+    array per layer."""
 
-    activations: list   # [A_0 = X, A_1, ..., A_l]; A_l are raw outputs
-    preactivations: list  # [S_1, ..., S_l]
+    inputs: np.ndarray      # A_0 = X
+    preactivations: list    # [S_1, ..., S_l]; S_l are the raw outputs
 
     @property
     def outputs(self) -> np.ndarray:
-        return self.activations[-1]
+        return self.preactivations[-1]
+
+    def activation(self, i: int) -> np.ndarray:
+        """A_i, the input to layer i + 1: X for i = 0, else a fresh
+        relu(S_i)."""
+        return self.inputs if i == 0 else relu(self.preactivations[i - 1])
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -109,15 +118,16 @@ def _inputs(spec: NetSpec, X: np.ndarray) -> np.ndarray:
 
 
 def forward(spec: NetSpec, theta: np.ndarray, X: np.ndarray) -> ForwardPass:
+    """The pass of X through the net with flat weights theta.  Each hidden
+    activation is a temporary that dies with its product, so besides X the
+    pass peaks at its preactivations plus one activation: three n x h
+    arrays with two hidden layers, where keeping the activations took four."""
     X = _inputs(spec, X)
     weights = spec.to_matrices(theta)
-    activations = [X]
-    preacts = []
-    for i, W in enumerate(weights):
-        S = activations[-1] @ W.T
-        preacts.append(S)
-        activations.append(relu(S) if i < len(weights) - 1 else S)
-    return ForwardPass(activations, preacts)
+    preacts = [X @ weights[0].T]
+    for W in weights[1:]:
+        preacts.append(relu(preacts[-1]) @ W.T)
+    return ForwardPass(X, preacts)
 
 
 def later_layers(A1: np.ndarray, weights) -> np.ndarray:
@@ -470,7 +480,7 @@ def grad(spec: NetSpec, theta: np.ndarray, X: np.ndarray, y: np.ndarray,
     weights = spec.to_matrices(theta)
     grads = [None] * len(weights)
     for i in range(len(weights) - 1, -1, -1):
-        grads[i] = delta.T @ fp.activations[i]
+        grads[i] = delta.T @ fp.activation(i)
         if i > 0:
             delta = (delta @ weights[i]) * (fp.preactivations[i - 1] > 0)
     return spec.to_vector(grads)

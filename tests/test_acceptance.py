@@ -243,7 +243,7 @@ def test_criterion_7_curvature_correctness(capsys):
     X = rng.standard_normal((8, 3))
     worst_block = 0.0
     for layer, H in enumerate(block_hessians(spec, theta, X)):
-        A = forward(spec, theta, X).activations[layer]
+        A = forward(spec, theta, X).activation(layer)
         w_star = spec.to_matrices(theta)[layer][0]
 
         def layer_error(w_row):

@@ -1,18 +1,21 @@
 """Bound assembly, Monte-Carlo risk, grid sweeps, Pareto fronts, CSV IO."""
 
+import hashlib
 import math
 import re
+import tracemalloc
 from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from tests.conftest import settings
+from tests.conftest import random_rotated_gaussian, settings
 from pbcert.certify import (
     FAMILIES,
     BoundCertificate,
     GridContext,
+    _mc_key,
     assemble_bound,
     build_posterior,
     complexity_metric,
@@ -25,7 +28,7 @@ from pbcert.certify import (
     write_pareto_csv,
 )
 from pbcert.gaussians import DiagGaussian, catoni_inv
-from pbcert.nnet import forward, loss
+from pbcert.nnet import NetSpec, forward, loss
 from pbcert.rng import child_seed
 
 
@@ -280,6 +283,48 @@ class TestGridSearch:
         result = grid_search("mystery", [1.0], [0.1], ctx)
         assert result.certificates == []
         assert len(result.failures) == 1
+
+
+class TestMcKey:
+    spec = NetSpec((784, 3, 2))
+
+    def posteriors(self):
+        """One posterior with C-ordered bases, and one with the same values
+        in Fortran order, as `all_block_hessians` gives its eigenvectors."""
+        c_order = random_rotated_gaussian(self.spec, np.zeros(self.spec.n_params),
+                                          seed=1)
+        f_order = DiagGaussian(c_order.mean, c_order.log_variance,
+                               tuple(map(np.asfortranarray, c_order.bases)),
+                               self.spec)
+        return c_order, f_order
+
+    def test_digest_is_of_each_array_in_its_own_order(self):
+        for posterior in self.posteriors():
+            digest = hashlib.sha256()
+            for array in (posterior.mean, posterior.log_variance,
+                          *posterior.bases):
+                order = "C" if array.flags.c_contiguous else "F"
+                digest.update(order.encode() + array.tobytes(order=order))
+            assert _mc_key(posterior, 7, 5) == (5, 7, digest.hexdigest())
+
+    def test_the_order_of_a_basis_is_part_of_the_key(self):
+        """The order changes the last bits of a draw's rotation."""
+        c_order, f_order = self.posteriors()
+        assert _mc_key(c_order, 7, 5) != _mc_key(f_order, 7, 5)
+        again = DiagGaussian(f_order.mean, f_order.log_variance,
+                             f_order.bases, self.spec)
+        assert _mc_key(again, 7, 5) == _mc_key(f_order, 7, 5)
+
+    def test_hashes_without_a_copy(self):
+        for posterior in self.posteriors():
+            _mc_key(posterior, 7, 5)
+            tracemalloc.start()
+            try:
+                _mc_key(posterior, 7, 5)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < posterior.bases[0].nbytes // 100   # 4.9 MB
 
 
 class TestReferenceStar:

@@ -8,6 +8,8 @@ import json
 import os
 import re
 import shutil
+import warnings
+import weakref
 from dataclasses import MISSING, fields
 from pathlib import Path
 from xml.dom import minidom
@@ -19,6 +21,7 @@ from pbcert import certify, cli
 from pbcert.certify import FAMILIES, GridContext
 from pbcert.cli import main
 from pbcert.config import SCHEMA, ConfigError, load_config
+from pbcert.manifest import load_test_data
 from pbcert.nnet import TrainerConfig
 from pbcert.plotting import risk_complexity_svg
 from tests.conftest import write_idx_pair
@@ -393,7 +396,8 @@ class TestCliPipeline:
         *(pytest.param(setting, message, id=setting) for setting, message in [
             ("posterior.beta_count=0", "beta_count and posterior.lambda_count"),
             ("posterior.lambda_count=0", "beta_count and posterior.lambda_count"),
-            ("posterior.lambda_min=0", "bad posterior grid: Geometric sequence"),
+            ("posterior.lambda_min=0",
+             "bad posterior grid: posterior.lambda_min must be positive; got 0.0"),
             ("posterior.beta_min=0", "bad bound setting: beta must be positive"),
             ("posterior.beta_min=-1", "bad bound setting: beta must be positive"),
             ("bound.m=0", "bad bound setting: m must be >= 1"),
@@ -450,9 +454,9 @@ class TestCliPipeline:
             ("probe.t_max=-5",
              "bad probe setting: the t grid has 1 distinct values"),
             ("posterior.lambda_min=0",
-             "bad probe setting: Geometric sequence cannot include zero"),
+             "bad probe setting: posterior.lambda_min must be positive; got 0.0"),
             ("posterior.lambda_min=-0.3 posterior.lambda_max=-0.03",
-             "bad probe setting: every lambda must be positive; got -0.3"),
+             "bad probe setting: posterior.lambda_min must be positive; got -0.3"),
             ("probe.lambdas=-0.1", "unknown key probe.lambdas"),
             ("probe.lambdas=0.04,0", "unknown key probe.lambdas"),
         ]
@@ -476,6 +480,23 @@ class TestCliPipeline:
         assert code == 2
         assert f"error: {message}" in capsys.readouterr().err
         assert not (out / "landscape.csv").exists()
+
+    @pytest.mark.parametrize("command, prefix", [
+        ("certify", "bad posterior grid"), ("probe", "bad probe setting")])
+    @pytest.mark.parametrize("key", ["lambda_min", "lambda_max"])
+    @pytest.mark.parametrize("action", ["error", "always"])
+    def test_lambda_end_below_zero_exits_2_without_a_warning(
+            self, tmp_path, capsys, command, prefix, key, action):
+        """A lambda grid whose ends have opposite signs is refused before
+        np.geomspace could warn, whether warnings raise or print."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action, RuntimeWarning)
+            code = main([command, "--run", str(tmp_path / "run"),
+                         "--set", f"posterior.{key}=-0.3"])
+        assert code == 2
+        assert caught == []
+        assert capsys.readouterr().err == (
+            f"error: {prefix}: posterior.{key} must be positive; got -0.3\n")
 
     def test_config_naming_a_removed_key_exits_2(self, small_config,
                                                  tmp_path, capsys, monkeypatch):
@@ -566,7 +587,8 @@ class TestCliPipeline:
 
     @pytest.mark.parametrize("name", RUN_BINS)
     def test_certify_refuses_tampered_data(self, small_config, tmp_path,
-                                           capsys, name):
+                                           capsys, monkeypatch, name):
+        """Every run file, the test split too, is checked before any cell."""
         out = tmp_path / "run"
         assert main(["train", "--config", str(small_config),
                      "--out", str(out)]) == 0
@@ -574,11 +596,42 @@ class TestCliPipeline:
         payload = bytearray(path.read_bytes())
         payload[len(payload) // 2] ^= 0x01     # one bit of one payload value
         path.write_bytes(bytes(payload))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a cell ran on a tampered run")
+
+        monkeypatch.setattr(certify, "grid_search", refuse)
         code = main(["certify", "--config", str(small_config),
                      "--run", str(out)])
         assert code == 1
         assert f"{name}: sha256 differs" in capsys.readouterr().err
         assert not (out / "certificates.csv").exists()
+
+    def test_certify_lets_go_of_the_test_split_before_the_sweep(
+            self, small_config, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        args = ["--config", str(small_config)]
+        assert main(["train", *args, "--out", str(out)]) == 0
+        loaded = []
+
+        def load(run_dir):
+            test_ds = load_test_data(run_dir)
+            loaded.extend((weakref.ref(test_ds), weakref.ref(test_ds.X)))
+            return test_ds
+
+        alive = []
+        sweep = certify.grid_search
+
+        def watched(*sweep_args, **kwargs):
+            alive.append([ref() is not None for ref in loaded])
+            return sweep(*sweep_args, **kwargs)
+
+        monkeypatch.setattr(cli, "load_test_data", load)
+        monkeypatch.setattr(certify, "grid_search", watched)
+        assert main(["certify", *args, "--run", str(out)]) == 0
+        assert len(loaded) == 2
+        # one sweep per family, none of them with the test split alive
+        assert alive == [[False, False]] * 2
 
     def test_each_run_file_is_read_once(self, small_config, tmp_path,
                                         monkeypatch):

@@ -90,7 +90,7 @@ class TestBlockHessian:
         X = np.random.default_rng(3).standard_normal((10, 4))
         rng = np.random.default_rng(4)
         for layer, H in enumerate(block_hessians(spec, theta, X)):
-            A = forward(spec, theta, X).activations[layer]
+            A = forward(spec, theta, X).activation(layer)
             eta = rng.standard_normal(H.shape[0])
             exact = np.sum((A @ eta) ** 2) / X.shape[0]
             quad = 0.5 * eta @ H @ eta
@@ -101,7 +101,7 @@ class TestBlockHessian:
         theta = random_theta(spec, seed=5)
         X = np.random.default_rng(6).standard_normal((7, 3))
         layer, neuron = 1, 0
-        A = forward(spec, theta, X).activations[layer]
+        A = forward(spec, theta, X).activation(layer)
         w_star = spec.to_matrices(theta)[layer][neuron]
 
         def layer_error(w_row):
@@ -190,11 +190,12 @@ class TestLandscapeProbe:
 
     def test_peak_memory_is_one_forward_pass(self):
         # the desk net's widths on fewer rows: S, P, A1 and the second
-        # layer's activations take the place of a forward pass's S1, A1, S2
-        # and A2, so one more n x h1 array (1.6 MB) would exceed the bound
+        # layer's activations, four n x h1 arrays, plus the outputs; one
+        # more n x h1 array (1.6 MB) would exceed the bound
+        n, (d, h1, h2, k) = 2000, (784, 100, 100, 2)
         rng = np.random.default_rng(9)
-        spec = NetSpec((784, 100, 100, 2))
-        data = Dataset(rng.random((2000, 784)), rng.integers(0, 2, 2000), 2)
+        spec = NetSpec((d, h1, h2, k))
+        data = Dataset(rng.random((n, d)), rng.integers(0, k, n), k)
         theta = random_theta(spec, seed=9, scale=0.05)
 
         def probe():
@@ -211,9 +212,9 @@ class TestLandscapeProbe:
                 tracemalloc.stop()
 
         directions = probe().directions   # also imports what numpy loads lazily
-        forward_peak = peak(lambda: forward(spec, theta, data.X))
         # beside the directions, one point's weights (0.7 MB) are allowed
-        allowed = forward_peak + directions.nbytes + theta.nbytes
+        allowed = (4 * n * h1 * 8 + n * k * 8
+                   + directions.nbytes + theta.nbytes)
         assert peak(probe) <= allowed
 
     def test_directions_unit_norm(self, blob_data, trained_net):

@@ -110,7 +110,7 @@ class TestForward:
         X = np.random.default_rng(2).standard_normal((6, 4))
         fp = forward(spec, theta, X)
         for layer, W in enumerate(spec.to_matrices(theta)):
-            A_prev = fp.activations[layer]
+            A_prev = fp.activation(layer)
             for neuron, w in enumerate(W):
                 assert np.allclose(fp.preactivations[layer][:, neuron],
                                    A_prev @ w, atol=1e-12)
@@ -119,6 +119,38 @@ class TestForward:
         spec = NetSpec((4, 3, 2))
         with pytest.raises(ShapeMismatchError):
             forward(spec, random_theta(spec, seed=0), np.zeros((2, 5)))
+
+    def test_activation_is_the_rectified_preactivation(self):
+        spec = NetSpec((4, 3, 3, 2))
+        theta = random_theta(spec, seed=3)
+        X = np.random.default_rng(4).standard_normal((6, 4))
+        fp = forward(spec, theta, X)
+        assert fp.activation(0) is fp.inputs
+        for i in (1, 2):
+            assert np.array_equal(fp.activation(i), relu(fp.preactivations[i - 1]))
+        assert fp.outputs is fp.preactivations[-1]
+
+    def test_peak_memory_is_three_layer_arrays(self):
+        # the desk net's widths on fewer rows: S1, relu(S1) and S2 at the
+        # second product, S2, relu(S2) and the outputs at the last; a fourth
+        # n x h array (1.6 MB) would exceed the bound
+        rng = np.random.default_rng(5)
+        spec = NetSpec((784, 100, 100, 2))
+        X = rng.random((2000, 784))
+        theta = random_theta(spec, seed=5, scale=0.05)
+        forward(spec, theta, X)           # imports what numpy loads lazily
+        layer, outputs = 2000 * 100 * 8, 2000 * 2 * 8
+        slack = 64 * 1024
+        tracemalloc.start()
+        try:
+            fp = forward(spec, theta, X)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert fp.outputs.shape == (2000, 2)
+        assert peak <= 3 * layer + outputs + slack
+        # S1 and S2 stay; no activation is kept
+        assert held <= 2 * layer + outputs + slack
 
 
 def serial_errors(spec, thetas, X, y):
