@@ -32,7 +32,7 @@ from pbcert.gaussians import (
     sample_gaussian,
     union_bound_nats,
 )
-from pbcert.nnet import NetSpec, forward, loss, zero_one_errors
+from pbcert.nnet import NetSpec, forward, loss, row_blocks, zero_one_errors
 from pbcert.posteriors import (
     closed_form_posterior,
     joint_optimal_diag,
@@ -360,12 +360,20 @@ def reference_star(record, train_data, test_data) -> BoundCertificate:
     """Complexity a perfect bound would need for the bound to equal the
     test error: the `reference` row (train 01-error, max(0, test - train)),
     nan in its other float columns.  An interpretation of the ideal-bound
-    marker, labeled as such in outputs."""
+    marker, labeled as such in outputs.  Each split's errors come from one
+    `forward` per `row_blocks` block into its n x k outputs, the bits of
+    one pass over the split without its n x h arrays."""
     if test_data is None:
         raise ValueError("test split required for the reference star")
-    train_err, test_err = (
-        loss("zero_one", forward(record.spec, record.theta_star, ds.X).outputs,
-             ds.y) for ds in (train_data, test_data))
+    spec = record.spec
+
+    def error(ds):
+        outputs = np.empty((len(ds.y), spec.widths[-1]))
+        for rows in row_blocks(len(ds.y)):
+            outputs[rows] = forward(spec, record.theta_star, ds.X[rows]).outputs
+        return loss("zero_one", outputs, ds.y)
+
+    train_err, test_err = error(train_data), error(test_data)
     return BoundCertificate(**{
         **dict.fromkeys((f.name for f in fields(BoundCertificate)), math.nan),
         "family": "reference", "risk_mc": train_err,

@@ -22,6 +22,7 @@ from pbcert.nnet import (
     later_layers,
     loss,
     one_hot,
+    row_blocks,
     softmax,
 )
 from pbcert.rng import rng_for
@@ -119,14 +120,17 @@ def landscape_probe(spec: NetSpec, theta: np.ndarray, data, n_directions: int,
     """Loss curves L(theta + t v) along random unit directions, with
     per-direction least-squares quadratic fits.
 
-    The first layer is linear in t: X (W1 + t V1)' = S + t X V1'.  So S is
-    read from one forward pass at theta, X V1' is one product P per
-    direction, and each point runs only relu(S + t P), the later layers and
-    the loss.  The losses equal a forward pass per point up to rounding, and
-    at t = 0 those of `forward(spec, theta, X)` bit for bit.  The probe
-    holds S, P, the point's first-layer activations and one later layer's:
-    with h2 = h1 (as on the desk net) four n x h1 arrays, one more than a
-    forward pass, which keeps no activation (`nnet.ForwardPass`).
+    The first layer is linear in t: X (W1 + t V1)' = S + t X V1'.  So the
+    probe runs one row block (`row_blocks`) at a time: the block's S from
+    one forward pass at theta, its X V1' as one product P per direction,
+    and per point only relu(S + t P) and the later layers, whose weights
+    W + t dW are built for the point and block.  Each point's block of
+    outputs goes into that point's n x k array, and the loss reads the
+    whole array.  The losses equal a forward pass per point up to rounding,
+    and at t = 0 those of `forward(spec, theta, X)` bit for bit.  The probe
+    holds S, P, the point's first-layer activations and one later layer's
+    for one block, four block x h1 arrays (h2 = h1 on the desk net), and
+    every point's outputs: no n x h array.
     """
     t_grid = np.asarray(t_grid, dtype=np.float64)
     check_probe_settings(n_directions, t_grid, lambdas)
@@ -135,20 +139,31 @@ def landscape_probe(spec: NetSpec, theta: np.ndarray, data, n_directions: int,
     directions = rng.standard_normal((n_directions, d))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
     X, y = np.asarray(data.X, dtype=np.float64), np.asarray(data.y)
-    S = forward(spec, theta, X).preactivations[0]
-    P = np.empty_like(S)
-    A1 = np.empty_like(S)
     later_star = spec.to_matrices(theta)[1:]
-    losses = np.empty((n_directions, t_grid.shape[0]))
-    for i, direction in enumerate(directions):
-        V = spec.to_matrices(direction)
-        np.matmul(X, V[0].T, out=P)
-        for j, t in enumerate(t_grid):
-            np.multiply(P, t, out=A1)
-            A1 += S
-            np.maximum(A1, 0.0, out=A1)
-            later = [W + t * dW for W, dW in zip(later_star, V[1:])]
-            losses[i, j] = loss(loss_kind, later_layers(A1, later), y)
+    outputs = np.empty((n_directions, t_grid.shape[0], X.shape[0],
+                        spec.widths[-1]))
+
+    def probe_block(rows):
+        """Every point's outputs on X[rows]; the block's arrays die with
+        the call, before the next block's pass."""
+        X_block = X[rows]
+        S = forward(spec, theta, X_block).preactivations[0]
+        P = np.empty_like(S)
+        A1 = np.empty_like(S)
+        for i, direction in enumerate(directions):
+            V = spec.to_matrices(direction)
+            np.matmul(X_block, V[0].T, out=P)
+            for j, t in enumerate(t_grid):
+                np.multiply(P, t, out=A1)
+                A1 += S
+                np.maximum(A1, 0.0, out=A1)
+                later = [W + t * dW for W, dW in zip(later_star, V[1:])]
+                outputs[i, j, rows] = later_layers(A1, later)
+
+    for rows in row_blocks(X.shape[0]):
+        probe_block(rows)
+    losses = np.array([[loss(loss_kind, point, y) for point in points]
+                       for points in outputs])
     coeffs = np.empty((n_directions, 3))
     r2 = np.empty(n_directions)
     for i in range(n_directions):

@@ -151,6 +151,19 @@ def later_layers(A1: np.ndarray, weights) -> np.ndarray:
 _DRAW_GROUP = 8
 _ROW_BLOCK = 1024
 
+
+def row_blocks(n: int) -> list:
+    """Slices of near-equal contiguous row blocks covering range(n), each
+    of at least min(n, _ROW_BLOCK) rows, so under 2 * _ROW_BLOCK rows make
+    one block.  A full-batch pass whose results are per row runs block by
+    block and holds block x h arrays, not n x h ones.  A row of a product
+    has the same bits in a block as in the whole: no block is so short
+    that OpenBLAS takes its small-matrix or matrix-vector kernel, whose
+    sums differ (see `zero_one_errors`)."""
+    count = max(1, n // _ROW_BLOCK)
+    return [slice(n * i // count, n * (i + 1) // count) for i in range(count)]
+
+
 # Unit roundoff of float64, in which `forward` runs.  _SLACK covers the
 # rounding in evaluating a bound itself.
 _U64 = 2.0 ** -53
@@ -580,10 +593,22 @@ def init_params(spec: NetSpec, seed: int, gain: float) -> np.ndarray:
     return spec.to_vector(mats)
 
 
+def _outputs(spec: NetSpec, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """`forward(spec, theta, X).outputs`, bit for bit, from one pass per
+    `row_blocks` block."""
+    X = _inputs(spec, X)
+    outputs = np.empty((X.shape[0], spec.widths[-1]))
+    for rows in row_blocks(X.shape[0]):
+        outputs[rows] = forward(spec, theta, X[rows]).outputs
+    return outputs
+
+
 def train(spec: NetSpec, data, config: TrainerConfig, seed: int,
           test_data=None) -> TrainRecord:
     """Deterministic minibatch training; records theta0 before any update.
-    Each epoch checks the weights are finite; theta* is evaluated once."""
+    Each epoch checks the weights are finite; theta* is evaluated once per
+    split, one row block at a time (`row_blocks`), so the evaluation holds
+    the n x k outputs and block x h arrays, no n x h one."""
     check_train_settings(config)
     X, y = np.asarray(data.X, dtype=np.float64), np.asarray(data.y)
     theta0 = init_params(spec, seed, config.init_gain)
@@ -604,12 +629,12 @@ def train(spec: NetSpec, data, config: TrainerConfig, seed: int,
                 theta = theta - adam.update(g, step, lr)
         if not np.all(np.isfinite(theta)):
             raise DivergenceError(f"weights diverged at epoch {epoch}")
-    outputs = forward(spec, theta, X).outputs
+    outputs = _outputs(spec, theta, X)
     if not np.all(np.isfinite(outputs)):
         raise DivergenceError(f"outputs diverged at epoch {config.epochs - 1}")
     train_err = loss("zero_one", outputs, y)
     test_err = None if test_data is None else loss(
-        "zero_one", forward(spec, theta, test_data.X).outputs, test_data.y)
+        "zero_one", _outputs(spec, theta, test_data.X), test_data.y)
     return TrainRecord(
         spec=spec, config=config, seed=seed, theta0=theta0, theta_star=theta,
         final_train_error=train_err, final_test_error=test_err,

@@ -29,7 +29,8 @@ import numpy as np
 
 from pbcert.blas import single_threaded
 from pbcert.gaussians import DiagGaussian, kl_diag
-from pbcert.nnet import Adam, NetSpec, check_schedule, forward, minibatches
+from pbcert.nnet import (Adam, NetSpec, check_schedule, forward, minibatches,
+                         row_blocks)
 from pbcert.nnet import grad as nnet_grad, loss as nnet_loss
 from pbcert.rng import rng_for
 
@@ -153,7 +154,9 @@ def vi_optimize_diag(spec: NetSpec, theta_star: np.ndarray,
 
     The posterior mean stays fixed at theta_star; only log-variances move.
     One shared noise draw per mini-batch (plain reparameterization).
-    Deterministic given the seed.
+    Deterministic given the seed.  The surrogate's loss term is evaluated
+    one `row_blocks` block at a time into the n x k outputs, so no n x h
+    array is held.
     """
     if lam <= 0 or beta <= 0:
         raise ValueError("beta and lambda must be positive")
@@ -177,7 +180,10 @@ def vi_optimize_diag(spec: NetSpec, theta_star: np.ndarray,
     theta_eval = (theta_star
                   + np.sqrt(posterior.variance) * eval_rng.standard_normal(d))
     kl = kl_diag(posterior, DiagGaussian.isotropic(theta0, lam))
-    value = (nnet_loss("categorical", forward(spec, theta_eval, X).outputs, y)
+    outputs = np.empty((n, spec.widths[-1]))
+    for rows in row_blocks(n):
+        outputs[rows] = forward(spec, theta_eval, X[rows]).outputs
+    value = (nnet_loss("categorical", outputs, y)
              + kl_weight * (kl + np.log(1.0 / delta)))
     return VIResult(posterior=posterior, surrogate_value=float(value))
 

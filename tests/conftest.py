@@ -1,6 +1,7 @@
 """Shared fixtures (small trained networks and datasets) and oracles."""
 
 import struct
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from pbcert.blas import openblas_thread_controls, single_threaded
 from pbcert.config import load_config
-from pbcert.data import synthetic_blobs
+from pbcert.data import Dataset, synthetic_blobs
 from pbcert.gaussians import DiagGaussian, kl_diag
 from pbcert.nnet import NetSpec, TrainerConfig, forward, relu, softmax, train
 from pbcert.rng import rng_for
@@ -81,6 +82,33 @@ def trained_net(blob_data):
 def random_theta(spec: NetSpec, seed: int, scale: float = 0.7) -> np.ndarray:
     rng = np.random.default_rng(seed)
     return scale * rng.standard_normal(spec.n_params)
+
+
+# A net and row count whose full-batch passes run in four row blocks of 1250
+# rows (`nnet.row_blocks`): one n x h array is 8 MB, one block x h array 2 MB.
+BLOCKED_SPEC = NetSpec((10, 200, 200, 2))
+BLOCKED_N = 5000
+BLOCK_LAYER_BYTES = 1250 * 200 * 8
+
+
+def blocked_data(seed: int):
+    """BLOCKED_N rows of BLOCKED_SPEC's inputs, with labels."""
+    rng = np.random.default_rng(seed)
+    return Dataset(rng.standard_normal((BLOCKED_N, BLOCKED_SPEC.widths[0])),
+                   rng.integers(0, BLOCKED_SPEC.widths[-1], BLOCKED_N),
+                   BLOCKED_SPEC.widths[-1])
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes tracemalloc sees while fn() runs; fn runs once before,
+    untraced, so what numpy loads lazily is not counted."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def log_density(spec, theta, x, label):

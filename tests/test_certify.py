@@ -10,7 +10,16 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from tests.conftest import random_rotated_gaussian, settings
+from tests.conftest import (
+    BLOCK_LAYER_BYTES,
+    BLOCKED_N,
+    BLOCKED_SPEC,
+    blocked_data,
+    random_rotated_gaussian,
+    random_theta,
+    settings,
+    traced_peak,
+)
 from pbcert.certify import (
     FAMILIES,
     BoundCertificate,
@@ -344,6 +353,17 @@ class TestReferenceStar:
                                                           "complexity")]
         assert floats and all(math.isnan(getattr(star, name))
                               for name in floats)
+
+    def test_holds_one_row_block_of_each_layer(self):
+        """Each split's pass peaks at one row block's, three block x h
+        arrays, beside its n x k outputs; one more n x h array (8 MB)
+        exceeds the bound."""
+        train_ds, test_ds = blocked_data(seed=14), blocked_data(seed=15)
+        record = SimpleNamespace(spec=BLOCKED_SPEC, seed=14,
+                                 theta_star=random_theta(BLOCKED_SPEC, seed=14))
+        peak = traced_peak(lambda: reference_star(record, train_ds, test_ds))
+        outputs = BLOCKED_N * BLOCKED_SPEC.widths[-1] * 8
+        assert peak <= 3 * BLOCK_LAYER_BYTES + 2 * outputs + 2 ** 19
 
     def test_requires_test_split(self, blob_data, trained_net):
         train_ds, _ = blob_data

@@ -1,8 +1,6 @@
 """Fisher and block-Hessian estimators, landscape probe, and the
 rectifier error-propagation inequalities."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -11,6 +9,7 @@ from tests.conftest import (
     ggn_diag_oracle,
     random_theta,
     settings,
+    traced_peak,
 )
 from pbcert import curvature
 from pbcert.curvature import (
@@ -20,7 +19,7 @@ from pbcert.curvature import (
     landscape_probe,
 )
 from pbcert.data import Dataset, synthetic_blobs
-from pbcert.nnet import NetSpec, forward, loss
+from pbcert.nnet import NetSpec, forward, loss, row_blocks
 from pbcert.posteriors import joint_optimal_diag
 
 
@@ -189,33 +188,27 @@ class TestLandscapeProbe:
         assert np.allclose(probe.losses, oracle, rtol=1e-12, atol=0.0)
 
     def test_peak_memory_is_one_forward_pass(self):
-        # the desk net's widths on fewer rows: S, P, A1 and the second
-        # layer's activations, four n x h1 arrays, plus the outputs; one
-        # more n x h1 array (1.6 MB) would exceed the bound
-        n, (d, h1, h2, k) = 2000, (784, 100, 100, 2)
+        # the desk net's widths on 5000 rows, four row blocks of 1250: S, P,
+        # A1 and the second layer's activations of one block, four
+        # block x h1 arrays, plus every point's n x k outputs; one more
+        # n x h1 array (4 MB) would exceed the bound
+        n, (d, h1, h2, k) = 5000, (784, 100, 100, 2)
         rng = np.random.default_rng(9)
         spec = NetSpec((d, h1, h2, k))
         data = Dataset(rng.random((n, d)), rng.integers(0, k, n), k)
         theta = random_theta(spec, seed=9, scale=0.05)
+        t_grid = np.linspace(-2.0, 2.0, 11)
 
         def probe():
-            return landscape_probe(spec, theta, data, 2,
-                                   np.linspace(-2.0, 2.0, 11), [0.04], seed=1,
-                                   loss_kind=LOSS)
+            return landscape_probe(spec, theta, data, 2, t_grid, [0.04],
+                                   seed=1, loss_kind=LOSS)
 
-        def peak(fn):
-            tracemalloc.start()
-            try:
-                fn()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        directions = probe().directions   # also imports what numpy loads lazily
+        directions = probe().directions
+        block = max(rows.stop - rows.start for rows in row_blocks(n))
         # beside the directions, one point's weights (0.7 MB) are allowed
-        allowed = (4 * n * h1 * 8 + n * k * 8
+        allowed = (4 * block * h1 * 8 + 2 * t_grid.size * n * k * 8
                    + directions.nbytes + theta.nbytes)
-        assert peak(probe) <= allowed
+        assert traced_peak(probe) <= allowed
 
     def test_directions_unit_norm(self, blob_data, trained_net):
         train_ds, _ = blob_data

@@ -206,6 +206,28 @@ class TestDatasetValidation:
         with pytest.raises(DataFormatError):
             Dataset(X=np.array([[np.nan, 0.0]]), y=np.array([0]), k=1)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_refused_in_any_cell(self, value):
+        for cell in np.ndindex(3, 4):
+            X = np.linspace(-1e300, 1e300, 12).reshape(3, 4)
+            X[cell] = value
+            with pytest.raises(DataFormatError, match="^non-finite inputs$"):
+                Dataset(X=X, y=np.zeros(3, dtype=np.int64), k=1)
+
+    def test_checks_make_no_n_by_d_temporary(self):
+        """A finiteness mask of this X would take 1.6 MB."""
+        rng = np.random.default_rng(3)
+        X = rng.random((2000, 784))
+        y = rng.integers(0, 2, 2000)
+        Dataset(X=X, y=y, k=2)
+        tracemalloc.start()
+        try:
+            Dataset(X=X, y=y, k=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 16
+
     def test_arrays_frozen(self):
         ds = Dataset(X=np.zeros((2, 2)), y=np.array([0, 1]), k=2)
         with pytest.raises(ValueError):

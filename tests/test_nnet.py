@@ -11,7 +11,16 @@ import pytest
 from hypothesis import given, settings as hypothesis_settings
 from hypothesis import strategies as st
 
-from tests.conftest import random_rotated_gaussian, random_theta, settings
+from tests.conftest import (
+    BLOCK_LAYER_BYTES,
+    BLOCKED_N,
+    BLOCKED_SPEC,
+    blocked_data,
+    random_rotated_gaussian,
+    random_theta,
+    settings,
+    traced_peak,
+)
 from pbcert import nnet
 from pbcert.blas import single_threaded
 from pbcert.data import Dataset
@@ -31,6 +40,7 @@ from pbcert.nnet import (
     minibatches,
     one_hot,
     relu,
+    row_blocks,
     softmax,
     train,
     zero_one_errors,
@@ -151,6 +161,37 @@ class TestForward:
         assert peak <= 3 * layer + outputs + slack
         # S1 and S2 stay; no activation is kept
         assert held <= 2 * layer + outputs + slack
+
+
+class TestRowBlocks:
+    @hypothesis_settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 40 * _ROW_BLOCK))
+    def test_blocks_cover_the_rows_contiguously(self, n):
+        blocks = row_blocks(n)
+        assert blocks[0].start == 0 and blocks[-1].stop == n
+        assert all(block.step is None for block in blocks)
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        sizes = [block.stop - block.start for block in blocks]
+        assert min(sizes) >= min(n, _ROW_BLOCK)
+        assert max(sizes) - min(sizes) <= 1
+        # fewer than two blocks' worth of rows is one pass over all of them
+        assert (len(blocks) == 1) == (n < 2 * _ROW_BLOCK)
+
+    @pytest.fixture(scope="class")
+    def desk_pass(self):
+        spec = NetSpec((784, 100, 100, 2))
+        rng = np.random.default_rng(12)
+        return spec, random_theta(spec, seed=12, scale=0.05), rng.random((10000, 784))
+
+    @pytest.mark.parametrize("n", [1, 1023, 1024, 2047, 2048, 2049, 5000, 10000])
+    def test_blocked_outputs_equal_one_pass(self, desk_pass, n):
+        """A row's outputs have the same bits from its block's pass as from
+        one pass over all n rows, on one BLAS thread."""
+        spec, theta, X = desk_pass
+        with single_threaded():
+            whole = forward(spec, theta, X[:n]).outputs
+            blocked = nnet._outputs(spec, theta, X[:n])
+        assert blocked.tobytes() == whole.tobytes()
 
 
 def serial_errors(spec, thetas, X, y):
@@ -660,6 +701,19 @@ class TestTrain:
         assert calls.count(test_ds.n) == 1
         assert max(calls[:-2]) == 64    # the rest are minibatch gradients
         assert record.final_test_error is not None
+
+    def test_evaluation_holds_no_full_batch_layer(self):
+        """theta*'s evaluation peaks at one row block's pass, three block x h
+        arrays, beside the outputs and the training state: theta0, theta, the
+        SGD velocity, Adam's two moments and a step's temporaries.  One more
+        n x h array (8 MB) exceeds the bound."""
+        data = blocked_data(seed=13)
+        config = TrainerConfig(**settings("train", epochs=1, batch_size=128))
+        peak = traced_peak(lambda: train(BLOCKED_SPEC, data, config, seed=13,
+                                         test_data=data))
+        params = BLOCKED_SPEC.n_params * 8
+        outputs = BLOCKED_N * BLOCKED_SPEC.widths[-1] * 8
+        assert peak <= 3 * BLOCK_LAYER_BYTES + 2 * outputs + 8 * params
 
     @pytest.mark.parametrize("setting, message", [
         pytest.param({key: value}, message, id=f"{key}={value}")

@@ -5,10 +5,16 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from tests.conftest import (
+    BLOCK_LAYER_BYTES,
+    BLOCKED_N,
+    BLOCKED_SPEC,
     block_covariances,
+    blocked_data,
     quadratic_objective_block,
     quadratic_objective_diag,
+    random_theta,
     settings,
+    traced_peak,
     vi_log_sigma_oracle,
 )
 from pbcert.curvature import LayerEig, all_block_hessians, block_hessians
@@ -258,6 +264,19 @@ class TestVI:
         sigma = result.posterior.variance
         assert np.all(sigma > 0)
         assert sigma.min() < 0.5
+
+    def test_surrogate_holds_one_row_block_of_each_layer(self):
+        """The surrogate's pass over the n rows peaks at one row block's,
+        three block x h arrays, beside the n x k outputs and VI's
+        per-weight vectors; one more n x h array (8 MB) exceeds the bound."""
+        data = blocked_data(seed=16)
+        theta = random_theta(BLOCKED_SPEC, seed=16, scale=0.1)
+        peak = traced_peak(lambda: vi_optimize_diag(
+            BLOCKED_SPEC, theta, np.zeros_like(theta), data, beta=1.0,
+            lam=0.01, epochs=1, seed=16, batch_size=100, lr=VI_LR,
+            delta=VI_DELTA))
+        outputs = BLOCKED_N * BLOCKED_SPEC.widths[-1] * 8
+        assert peak <= 3 * BLOCK_LAYER_BYTES + 2 * outputs + 8 * theta.nbytes
 
     def test_rejects_bad_arguments(self, blob_data, trained_net):
         train_ds, _ = blob_data
