@@ -211,12 +211,11 @@ def _closed_joint(ctx, beta, lam, cell_seed):
 
 
 def _vi_diag(ctx, beta, lam, cell_seed):
-    vi = vi_optimize_diag(ctx.spec, ctx.theta_star, ctx.theta0, ctx.data, beta,
-                          lam, ctx.vi_epochs, cell_seed,
-                          batch_size=ctx.vi_batch_size, lr=ctx.vi_lr,
-                          delta=ctx.delta)
+    posterior = vi_optimize_diag(ctx.spec, ctx.theta_star, ctx.data, beta, lam,
+                                 ctx.vi_epochs, cell_seed,
+                                 batch_size=ctx.vi_batch_size, lr=ctx.vi_lr)
     prior = DiagGaussian.isotropic(ctx.theta0, lam)
-    return vi.posterior, kl_diag(vi.posterior, prior)
+    return posterior, kl_diag(posterior, prior)
 
 
 def _skfac_block(ctx, beta, lam, cell_seed):

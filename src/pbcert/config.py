@@ -2,8 +2,8 @@
 
 A single INI-style file with flat key-value sections drives every
 command, so experiments are reproducible and diffable.  Unknown sections
-or keys are rejected.  CLI `--set section.key=value` pairs override file
-values.
+or keys are rejected; keys are matched as written, in a file as in
+`--set`.  CLI `--set section.key=value` pairs override file values.
 """
 
 from __future__ import annotations
@@ -146,6 +146,7 @@ def load_config(path=None, overrides=None) -> RunConfig:
     if path is not None:
         # no interpolation: a '%' in a value (a data path) is taken as written
         parser = configparser.ConfigParser(interpolation=None)
+        parser.optionxform = str        # keys are matched as written, like --set
         try:
             with open(path) as f:
                 parser.read_file(f)

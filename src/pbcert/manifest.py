@@ -135,8 +135,10 @@ def save_train_record(out_dir, record: TrainRecord, train_data: Dataset,
 
 
 def _open_run(run_dir) -> tuple:
-    """meta.json of a run, and a function that reads one of its .bin files
-    and checks it against the sha256 meta.json recorded."""
+    """meta.json of a run, its NetSpec, and a function that reads one of its
+    .bin files and checks it against the sha256 meta.json recorded.  A
+    `widths` that makes no NetSpec, or a `seed` that is not an integer,
+    raises ManifestError naming the key."""
     run_dir = Path(run_dir)
     with open(run_dir / "meta.json") as f:
         try:
@@ -144,10 +146,22 @@ def _open_run(run_dir) -> tuple:
         except (TypeError, ValueError) as exc:   # not JSON, or not an object
             raise ManifestError(f"{f.name}: not a JSON object: {exc}") from exc
     meta.path = f.name
+    widths, seed = meta["widths"], meta["seed"]
+    try:
+        if not (isinstance(widths, list)
+                and all(type(w) is int for w in widths)):
+            raise ValueError("not a list of integers")
+        spec = NetSpec(tuple(widths))
+    except ValueError as exc:
+        raise ManifestError(f"{meta.path}: bad 'widths' {widths!r}: "
+                            f"{exc}") from exc
+    if type(seed) is not int:
+        raise ManifestError(f"{meta.path}: bad 'seed' {seed!r}: not an "
+                            f"integer")
 
     def load(name, load_fn, arg):
         return load_fn(run_dir / f"{name}.bin", arg, meta[f"{name}_sha256"])
-    return meta, load
+    return meta, spec, load
 
 
 # [train] keys of runs written before training and VI shared one Adam
@@ -173,8 +187,7 @@ def load_train_record(run_dir) -> tuple:
     """(record, train data) of a run written by save_train_record; a .bin
     file whose sha256 differs from the one meta.json recorded raises
     ManifestError.  The test set is read only by `load_test_data`."""
-    meta, load = _open_run(run_dir)
-    spec = NetSpec(tuple(meta["widths"]))
+    meta, spec, load = _open_run(run_dir)
     record = TrainRecord(
         spec=spec,
         config=_trainer_config(meta.path, meta["trainer"]),
@@ -190,5 +203,5 @@ def load_train_record(run_dir) -> tuple:
 
 def load_test_data(run_dir) -> Dataset:
     """The test set of a run, checked like the files load_train_record reads."""
-    meta, load = _open_run(run_dir)
-    return load("test_data", load_dataset, meta["widths"][-1])
+    _, spec, load = _open_run(run_dir)
+    return load("test_data", load_dataset, spec.widths[-1])

@@ -28,10 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from pbcert.blas import single_threaded
-from pbcert.gaussians import DiagGaussian, kl_diag
-from pbcert.nnet import (Adam, NetSpec, check_schedule, forward, minibatches,
-                         row_blocks)
-from pbcert.nnet import grad as nnet_grad, loss as nnet_loss
+from pbcert.gaussians import DiagGaussian
+from pbcert.nnet import Adam, NetSpec, check_schedule, minibatches
+from pbcert.nnet import grad as nnet_grad
 from pbcert.rng import rng_for
 
 FISHER_FLOOR = 1e-12
@@ -89,12 +88,6 @@ def joint_optimal_diag(h, beta: float, lam: float, mu_rho,
                               n_floored=int(degenerate.sum()))
 
 
-@dataclass
-class VIResult:
-    posterior: DiagGaussian
-    surrogate_value: float
-
-
 def vi_optimize_log_sigma(grad_fn, theta_star: np.ndarray, lam: float,
                           kl_weight: float, epochs: int,
                           steps_per_epoch: int, seed: int,
@@ -144,27 +137,25 @@ def vi_optimize_log_sigma(grad_fn, theta_star: np.ndarray, lam: float,
     return tail_sum / tail_count
 
 
-def vi_optimize_diag(spec: NetSpec, theta_star: np.ndarray,
-                     theta0: np.ndarray, data, beta: float, lam: float,
-                     epochs: int, seed: int, *, batch_size: int, lr: float,
-                     delta: float) -> VIResult:
-    """Optimize diagonal posterior variances by reparameterized SGD on the
-    bound surrogate E[loss] + (KL + ln(1/delta)) / (beta n), with the
-    categorical loss and the prior N(theta0, lambda I).
+def vi_optimize_diag(spec: NetSpec, theta_star: np.ndarray, data,
+                     beta: float, lam: float, epochs: int, seed: int, *,
+                     batch_size: int, lr: float) -> DiagGaussian:
+    """Diagonal posterior variances optimized by reparameterized SGD on the
+    bound surrogate E[loss] + KL / (beta n), with the categorical loss and
+    an isotropic prior of variance lambda.
 
-    The posterior mean stays fixed at theta_star; only log-variances move.
-    One shared noise draw per mini-batch (plain reparameterization).
-    Deterministic given the seed.  The surrogate's loss term is evaluated
-    one `row_blocks` block at a time into the n x k outputs, so no n x h
-    array is held.
+    The posterior mean stays fixed at theta_star, so only log-variances
+    move and the prior's center does not enter.  One shared noise draw per
+    mini-batch (plain reparameterization); the network never sees more than
+    `batch_size` rows at once.  Deterministic given the seed.  Returns the
+    posterior alone: no surrogate value is evaluated, and the caller takes
+    its KL against the prior it certifies with.
     """
     if lam <= 0 or beta <= 0:
         raise ValueError("beta and lambda must be positive")
     check_schedule("posterior.vi_", epochs, batch_size, lr)
     X, y = np.asarray(data.X, dtype=np.float64), np.asarray(data.y)
     n = X.shape[0]
-    d = theta_star.shape[0]
-    kl_weight = 1.0 / (beta * n)
     shuffle_rng = rng_for(seed, "vi-shuffle")
     batches = [minibatches(shuffle_rng, n, batch_size) for _ in range(epochs)]
 
@@ -172,20 +163,10 @@ def vi_optimize_diag(spec: NetSpec, theta_star: np.ndarray,
         idx = batches[epoch][step]
         return nnet_grad(spec, theta, X[idx], y[idx], "categorical")
 
-    log_sigma = vi_optimize_log_sigma(grad_fn, theta_star, lam, kl_weight,
-                                      epochs, len(batches[0]), seed, lr)
-    posterior = DiagGaussian(theta_star, log_sigma)
-    # MC estimate of the achieved surrogate with a fixed evaluation draw
-    eval_rng = rng_for(seed, "vi-eval")
-    theta_eval = (theta_star
-                  + np.sqrt(posterior.variance) * eval_rng.standard_normal(d))
-    kl = kl_diag(posterior, DiagGaussian.isotropic(theta0, lam))
-    outputs = np.empty((n, spec.widths[-1]))
-    for rows in row_blocks(n):
-        outputs[rows] = forward(spec, theta_eval, X[rows]).outputs
-    value = (nnet_loss("categorical", outputs, y)
-             + kl_weight * (kl + np.log(1.0 / delta)))
-    return VIResult(posterior=posterior, surrogate_value=float(value))
+    log_sigma = vi_optimize_log_sigma(grad_fn, theta_star, lam,
+                                      1.0 / (beta * n), epochs,
+                                      len(batches[0]), seed, lr)
+    return DiagGaussian(theta_star, log_sigma)
 
 
 def skfac_posterior(spec: NetSpec, theta_star: np.ndarray, curvature: list,

@@ -719,9 +719,15 @@ class TestCliPipeline:
         (lambda meta: meta.pop("theta_star_sha256"),
          "no 'theta_star_sha256' key"),
         (None, "not a JSON object: "),
-    ], ids=["no-trainer", "no-theta-star-digest", "not-json"])
+        (lambda meta: meta.update(widths=[10, "x", 2]),
+         "bad 'widths' [10, 'x', 2]: not a list of integers"),
+        (lambda meta: meta.update(widths=[10, 0, 2]),
+         "bad 'widths' [10, 0, 2]: widths must be positive"),
+        (lambda meta: meta.update(seed="x"), "bad 'seed' 'x': not an integer"),
+    ], ids=["no-trainer", "no-theta-star-digest", "not-json",
+            "widths-not-integer", "widths-zero", "seed-not-integer"])
     def test_a_malformed_manifest_is_refused_naming_its_cause(
-            self, small_config, tmp_path, capsys, edit, message):
+            self, small_config, tmp_path, capsys, monkeypatch, edit, message):
         args = ["--config", str(small_config)]
         out = tmp_path / "run"
         assert main(["train", *args, "--out", str(out)]) == 0
@@ -732,11 +738,20 @@ class TestCliPipeline:
             meta = json.loads(meta_path.read_text())
             edit(meta)
             meta_path.write_text(json.dumps(meta))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a cell ran on a malformed meta.json")
+
+        monkeypatch.setattr(certify, "grid_search", refuse)
+        monkeypatch.setattr(cli, "landscape_probe", refuse)
         capsys.readouterr()
-        assert main(["certify", *args, "--run", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert f"runtime failure: ManifestError: {meta_path}: {message}" in err
+        for command in ("certify", "probe"):
+            assert main([command, *args, "--run", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert (f"runtime failure: ManifestError: {meta_path}: "
+                    f"{message}") in err
         assert not (out / "certificates.csv").exists()
+        assert not (out / "landscape.csv").exists()
 
     def test_probe_runs_without_the_test_set(self, small_config, tmp_path):
         out = tmp_path / "run"
@@ -975,6 +990,20 @@ class TestCliPipeline:
         config.write_text("[data]\nmystery = 1\n")
         assert main(["train", "--config", str(config),
                      "--out", str(tmp_path / "run")]) == 2
+
+    @pytest.mark.parametrize("file_text, overrides", [
+        ("[train]\nLR = 0.05\n", []),
+        ("", ["--set", "train.LR=0.05"]),
+    ], ids=["file", "set"])
+    def test_a_key_is_matched_as_written(self, tmp_path, capsys, file_text,
+                                         overrides):
+        """A file's keys are not lowercased: `LR` is unknown there too."""
+        config = tmp_path / "run.ini"
+        config.write_text(file_text)
+        assert main(["train", "--config", str(config), *overrides,
+                     "--out", str(tmp_path / "run")]) == 2
+        assert "error: unknown key train.LR" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_plot_exit_code_on_missing_csv(self, tmp_path):
         assert main(["plot", str(tmp_path / "absent.csv"),

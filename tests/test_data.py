@@ -1,6 +1,7 @@
 """Dataset loaders, class collapsing, synthetic blobs, and run manifests."""
 
 import hashlib
+import json
 import re
 import struct
 import tracemalloc
@@ -378,3 +379,28 @@ class TestManifest:
         path.write_bytes(bytes(payload))
         with pytest.raises(ManifestError, match="theta_star.bin"):
             load_train_record(tmp_path)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("widths", [12, "x", 3], "not a list of integers"),
+        ("widths", [12, 6.5, 3], "not a list of integers"),
+        ("widths", [12, 0, 3], "widths must be positive"),
+        ("widths", [12, 3], "need at least one hidden layer"),
+        ("widths", 12, "not a list of integers"),
+        ("seed", "x", "not an integer"),
+        ("seed", 8.0, "not an integer"),
+    ], ids=["widths-string", "widths-fraction", "widths-zero",
+            "widths-no-hidden", "widths-not-list", "seed-string",
+            "seed-float"])
+    def test_bad_widths_or_seed_rejected_naming_the_key(
+            self, tmp_path, blob_data, key, value, message):
+        train_ds, test_ds = blob_data
+        config = TrainerConfig(**settings("train", epochs=1))
+        record = train(NetSpec((12, 6, 3)), train_ds, config, seed=8)
+        meta_path = save_train_record(tmp_path, record, train_ds, test_ds)
+        meta = json.loads(meta_path.read_text())
+        meta[key] = value
+        meta_path.write_text(json.dumps(meta))
+        expected = re.escape(f"{meta_path}: bad {key!r} {value!r}: {message}")
+        for load in (load_train_record, load_test_data):
+            with pytest.raises(ManifestError, match=expected):
+                load(tmp_path)

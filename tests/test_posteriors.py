@@ -5,20 +5,15 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from tests.conftest import (
-    BLOCK_LAYER_BYTES,
-    BLOCKED_N,
-    BLOCKED_SPEC,
     block_covariances,
-    blocked_data,
     quadratic_objective_block,
     quadratic_objective_diag,
-    random_theta,
     settings,
-    traced_peak,
     vi_log_sigma_oracle,
 )
+from pbcert import nnet, posteriors
 from pbcert.curvature import LayerEig, all_block_hessians, block_hessians
-from pbcert.gaussians import kl_block
+from pbcert.gaussians import DiagGaussian, kl_block
 from pbcert.nnet import NetSpec, grad
 from pbcert.posteriors import (
     closed_form_posterior,
@@ -28,9 +23,8 @@ from pbcert.posteriors import (
     vi_optimize_log_sigma,
 )
 
-# the step size and delta that `pbcert certify` runs vi-diag with
+# the step size that `pbcert certify` runs vi-diag with
 VI_LR = settings("posterior")["vi_lr"]
-VI_DELTA = settings("bound")["delta"]
 
 
 def scalar_objective(sigma, h, beta, lam, dmu2):
@@ -245,44 +239,54 @@ class TestVI:
         train_ds, _ = blob_data
         spec, record = trained_net
         kwargs = dict(beta=2.0, lam=0.1, epochs=1, seed=5, batch_size=128,
-                      lr=VI_LR, delta=VI_DELTA)
-        a = vi_optimize_diag(spec, record.theta_star, record.theta0,
-                             train_ds, **kwargs)
-        b = vi_optimize_diag(spec, record.theta_star, record.theta0,
-                             train_ds, **kwargs)
-        assert np.array_equal(a.posterior.log_variance,
-                              b.posterior.log_variance)
-        assert a.surrogate_value == b.surrogate_value
+                      lr=VI_LR)
+        a = vi_optimize_diag(spec, record.theta_star, train_ds, **kwargs)
+        b = vi_optimize_diag(spec, record.theta_star, train_ds, **kwargs)
+        assert a.log_variance.tobytes() == b.log_variance.tobytes()
 
     def test_network_vi_shrinks_sensitive_weights(self, blob_data, trained_net):
         train_ds, _ = blob_data
         spec, record = trained_net
-        result = vi_optimize_diag(spec, record.theta_star, record.theta0,
-                                  train_ds, beta=0.001, lam=0.5, epochs=3,
-                                  seed=6, batch_size=64, lr=VI_LR,
-                                  delta=VI_DELTA)
-        sigma = result.posterior.variance
+        posterior = vi_optimize_diag(spec, record.theta_star, train_ds,
+                                     beta=0.001, lam=0.5, epochs=3, seed=6,
+                                     batch_size=64, lr=VI_LR)
+        sigma = posterior.variance
         assert np.all(sigma > 0)
         assert sigma.min() < 0.5
 
-    def test_surrogate_holds_one_row_block_of_each_layer(self):
-        """The surrogate's pass over the n rows peaks at one row block's,
-        three block x h arrays, beside the n x k outputs and VI's
-        per-weight vectors; one more n x h array (8 MB) exceeds the bound."""
-        data = blocked_data(seed=16)
-        theta = random_theta(BLOCKED_SPEC, seed=16, scale=0.1)
-        peak = traced_peak(lambda: vi_optimize_diag(
-            BLOCKED_SPEC, theta, np.zeros_like(theta), data, beta=1.0,
-            lam=0.01, epochs=1, seed=16, batch_size=100, lr=VI_LR,
-            delta=VI_DELTA))
-        outputs = BLOCKED_N * BLOCKED_SPEC.widths[-1] * 8
-        assert peak <= 3 * BLOCK_LAYER_BYTES + 2 * outputs + 8 * theta.nbytes
+    def test_network_vi_only_steps_on_mini_batches(self, blob_data,
+                                                   trained_net, monkeypatch):
+        """The posterior is all it returns: it opens only the shuffle and
+        noise streams, and the network sees one mini-batch at a time."""
+        train_ds, _ = blob_data
+        spec, record = trained_net
+        streams, rows = [], []
+        rng_for, forward = posteriors.rng_for, nnet.forward
+
+        def recording_rng_for(seed, stream):
+            streams.append(stream)
+            return rng_for(seed, stream)
+
+        def recording_forward(spec, theta, X):
+            rows.append(X.shape[0])
+            return forward(spec, theta, X)
+
+        monkeypatch.setattr(posteriors, "rng_for", recording_rng_for)
+        monkeypatch.setattr(nnet, "forward", recording_forward)
+        posterior = vi_optimize_diag(spec, record.theta_star, train_ds,
+                                     beta=2.0, lam=0.1, epochs=2, seed=5,
+                                     batch_size=128, lr=VI_LR)
+        assert isinstance(posterior, DiagGaussian)
+        assert sorted(streams) == ["vi-noise", "vi-shuffle"]
+        # 600 rows in batches of 128: five steps per epoch
+        assert len(rows) == 10
+        assert max(rows) <= 128
 
     def test_rejects_bad_arguments(self, blob_data, trained_net):
         train_ds, _ = blob_data
         spec, record = trained_net
         good = dict(beta=1.0, lam=0.1, epochs=1, seed=0, batch_size=100,
-                    lr=VI_LR, delta=VI_DELTA)
+                    lr=VI_LR)
         for bad, message in [(dict(beta=0.0), "beta and lambda"),
                              (dict(epochs=0), "vi_epochs must be at least 1"),
                              (dict(batch_size=0), "vi_batch_size must be at least 1"),
@@ -290,8 +294,8 @@ class TestVI:
                              (dict(lr=0.0), "vi_lr must be positive"),
                              (dict(lr=-0.1), "vi_lr must be positive")]:
             with pytest.raises(ValueError, match=message):
-                vi_optimize_diag(spec, record.theta_star, record.theta0,
-                                 train_ds, **{**good, **bad})
+                vi_optimize_diag(spec, record.theta_star, train_ds,
+                                 **{**good, **bad})
         for bad, message in [(dict(epochs=0), "vi_epochs must be at least 1"),
                              (dict(steps_per_epoch=0), "must be at least 1"),
                              (dict(lr=-0.1), "vi_lr must be positive")]:
