@@ -68,8 +68,8 @@ class BoundCertificate:
     def __post_init__(self):
         if not (0.0 <= self.risk_mc <= 1.0):
             raise ValueError(f"risk_mc must lie in [0, 1], got {self.risk_mc}")
-        if self.complexity < 0:
-            raise ValueError(f"complexity must be nonnegative, got {self.complexity}")
+        if not (0.0 <= self.complexity < math.inf):
+            raise ValueError(f"complexity must lie in [0, inf), got {self.complexity}")
 
 
 # CSV header of an attribute whose name is not its header

@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 1 runtime failure (a malformed data or run file
 too), 2 usage error (bad flags, unreadable config, missing input paths, a
-setting that cannot run).  The environment variable PBCERT_OUTPUT_ROOT,
-when set, is prepended to relative output paths.  Every command runs on
-one BLAS thread (see `pbcert.blas`).
+setting that cannot run).  Every path is taken as given on the command
+line or in the config.  Every command runs on one BLAS thread (see
+`pbcert.blas`).
 """
 
 from __future__ import annotations
@@ -40,12 +40,11 @@ class UsageError(Exception):
     pass
 
 
-def _resolve_out(path) -> Path:
-    path = Path(path)
-    root = os.environ.get("PBCERT_OUTPUT_ROOT")
-    if root and not path.is_absolute():
-        return Path(root) / path
-    return path
+def _check_data_file(key: str, path: str) -> None:
+    """Refuse a dataset path that is not a file: missing, empty or a directory."""
+    if not Path(path).is_file():
+        raise UsageError(f"dataset path missing or unreadable: "
+                         f"data.{key}={path!r}")
 
 
 def _build_datasets(config: RunConfig):
@@ -60,23 +59,20 @@ def _build_datasets(config: RunConfig):
             for size, split in (("n", "train"), ("test_n", "test")))
     elif source == "idx":
         for key in ("images", "labels", "test_images", "test_labels"):
-            path = get("data", key)
-            if not path or not Path(path).exists():
-                raise UsageError(f"dataset path missing or unreadable: "
-                                 f"data.{key}={path!r}")
+            _check_data_file(key, get("data", key))
         train_ds = load_idx(get("data", "images"), get("data", "labels"))
         test_ds = load_idx(get("data", "test_images"), get("data", "test_labels"))
         # a split that lacks the largest label still has every class
         k = 1 + max(int(ds.y.max()) for ds in (train_ds, test_ds))
         train_ds, test_ds = (replace(ds, k=k) for ds in (train_ds, test_ds))
     elif source == "cifar":
-        batches = get("data", "batches").split(":")
-        test_batches = get("data", "test_batches").split(":")
-        for path in batches + test_batches:
-            if not path or not Path(path).exists():
-                raise UsageError(f"dataset path missing or unreadable: {path!r}")
-        train_ds = load_cifar_bin(batches)
-        test_ds = load_cifar_bin(test_batches)
+        batches = {key: get("data", key).split(":")
+                   for key in ("batches", "test_batches")}
+        for key, paths in batches.items():
+            for path in paths:
+                _check_data_file(key, path)
+        train_ds = load_cifar_bin(batches["batches"])
+        test_ds = load_cifar_bin(batches["test_batches"])
     else:
         raise ConfigError(f"unknown data source {source!r}")
     if test_ds.d != train_ds.d:
@@ -107,7 +103,7 @@ def _check_data(config: RunConfig) -> None:
             raise UsageError(f"data.collapse needs data.k = 10; got {data['k']}")
 
 
-def cmd_train(config: RunConfig, out_dir) -> Path:
+def cmd_train(config: RunConfig, out_dir: Path) -> None:
     trainer = TrainerConfig(**config.values["train"])
     try:
         check_train_settings(trainer)
@@ -122,7 +118,6 @@ def cmd_train(config: RunConfig, out_dir) -> Path:
     spec = NetSpec((train_ds.d, *hidden, train_ds.k))
     record = train(spec, train_ds, trainer, config.get("run", "seed"),
                    test_data=test_ds)
-    out_dir = _resolve_out(out_dir)
     save_train_record(out_dir, record, train_ds, test_ds, extra={
         "k": train_ds.k,
         "collapse": config.get("data", "collapse"),
@@ -131,7 +126,6 @@ def cmd_train(config: RunConfig, out_dir) -> Path:
     print(f"trained: {out_dir} "
           f"train_error={record.final_train_error:.4f} "
           f"test_error={record.final_test_error:.4f}")
-    return out_dir
 
 
 def _check_sweep(config: RunConfig) -> tuple:
@@ -179,13 +173,12 @@ def _check_sweep(config: RunConfig) -> tuple:
     return (families, *grids)
 
 
-def cmd_certify(config: RunConfig, run_dir) -> None:
+def cmd_certify(config: RunConfig, run_dir: Path) -> None:
     families, beta_grid, lambda_grid = _check_sweep(config)
-    out_dir = _resolve_out(run_dir)
-    record, train_ds = load_train_record(out_dir)
+    record, train_ds = load_train_record(run_dir)
     # the test split is read for the reference row only, and let go of
     # before the sweep, so no cell runs with it in memory
-    reference = cert.reference_star(record, train_ds, load_test_data(out_dir))
+    reference = cert.reference_star(record, train_ds, load_test_data(run_dir))
     ctx = cert.GridContext(
         spec=record.spec, theta_star=record.theta_star, theta0=record.theta0,
         data=train_ds, **config.grid_settings)
@@ -206,16 +199,16 @@ def cmd_certify(config: RunConfig, run_dir) -> None:
     if not all_certs:
         raise RuntimeError("no cell was certified")
     fronts["reference"] = [reference]
-    cert.write_certificates_csv(out_dir / "certificates.csv", all_certs)
-    cert.write_pareto_csv(out_dir / "pareto.csv", fronts)
+    cert.write_certificates_csv(run_dir / "certificates.csv", all_certs)
+    cert.write_pareto_csv(run_dir / "pareto.csv", fronts)
     # an invalid-prior row is a sanity ceiling, not a certificate
     n_nonvac = sum(1 for c in all_certs
                    if c.valid_prior and c.bound_value < 1.0)
     print(f"certified: {len(all_certs)} cells, {n_nonvac} non-vacuous; "
-          f"wrote {out_dir / 'certificates.csv'}")
+          f"wrote {run_dir / 'certificates.csv'}")
 
 
-def cmd_plot(csv_paths, out_path, log_x: bool, title: str) -> None:
+def cmd_plot(csv_paths, out_path: Path, log_x: bool, title: str) -> None:
     """Plot, per family, the Pareto front of the rows of every input CSV;
     certificates.csv and pareto.csv share one schema.  The last
     `reference` row read (pareto.csv has one) is drawn as the star.  An
@@ -238,13 +231,12 @@ def cmd_plot(csv_paths, out_path, log_x: bool, title: str) -> None:
                        for r in cert.pareto_front(group)]
               for family, group in rows.items()}
     svg = risk_complexity_svg(fronts, star=star, log_x=log_x, title=title)
-    out_path = _resolve_out(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     out_path.write_text(svg)
     print(f"wrote {out_path}")
 
 
-def cmd_probe(config: RunConfig, run_dir) -> None:
+def cmd_probe(config: RunConfig, run_dir: Path) -> None:
     n_directions = config.get("probe", "n_directions")
     try:
         t_grid = np.linspace(config.get("probe", "t_min"),
@@ -254,17 +246,16 @@ def cmd_probe(config: RunConfig, run_dir) -> None:
         check_probe_settings(n_directions, t_grid, lambdas)
     except ValueError as exc:
         raise UsageError(f"bad probe setting: {exc}") from exc
-    out_dir = _resolve_out(run_dir)
-    record, train_ds = load_train_record(out_dir)
+    record, train_ds = load_train_record(run_dir)
     probe = landscape_probe(record.spec, record.theta_star, train_ds,
                             n_directions, t_grid, lambdas,
                             config.get("run", "seed"), record.config.loss)
-    cert.write_landscape_csv(out_dir / "landscape.csv", probe)
+    cert.write_landscape_csv(run_dir / "landscape.csv", probe)
     for i, r2 in enumerate(probe.fit_r2):
         print(f"direction {i}: R^2 = {r2:.6f}")
     for lam, radius in probe.bubble_radii.items():
         print(f"bubble radius at lambda={lam}: {radius:.4f}")
-    print(f"wrote {out_dir / 'landscape.csv'}")
+    print(f"wrote {run_dir / 'landscape.csv'}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -282,23 +273,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="train the deterministic classifier")
     add_config_args(p_train)
-    p_train.add_argument("--out", help="run output directory "
-                                       "(default: run.output from config)")
+    p_train.add_argument("--out", type=Path, required=True,
+                         help="run output directory")
 
     p_cert = sub.add_parser("certify", help="sweep grids and emit certificates")
     add_config_args(p_cert)
-    p_cert.add_argument("--run", required=True, help="run directory from train")
+    p_cert.add_argument("--run", type=Path, required=True,
+                        help="run directory from train")
 
     p_plot = sub.add_parser("plot", help="render a Risk-Complexity SVG")
     p_plot.add_argument("csvs", nargs="+", help="certificate or pareto CSVs")
-    p_plot.add_argument("--out", required=True, help="output SVG path")
+    p_plot.add_argument("--out", type=Path, required=True,
+                        help="output SVG path")
     p_plot.add_argument("--log-x", action="store_true",
                         help="logarithmic empirical-risk axis")
     p_plot.add_argument("--title", default="Risk-Complexity")
 
     p_probe = sub.add_parser("probe", help="loss landscape along random directions")
     add_config_args(p_probe)
-    p_probe.add_argument("--run", required=True, help="run directory from train")
+    p_probe.add_argument("--run", type=Path, required=True,
+                         help="run directory from train")
     return parser
 
 
@@ -312,8 +306,7 @@ def main(argv=None) -> int:
                 return 0
             config = load_config(args.config, args.overrides)
             if args.command == "train":
-                out = args.out or config.get("run", "output")
-                cmd_train(config, out)
+                cmd_train(config, args.out)
             elif args.command == "certify":
                 cmd_certify(config, args.run)
             elif args.command == "probe":

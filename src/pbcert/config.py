@@ -73,7 +73,6 @@ SCHEMA = {
     },
     "run": {
         "seed": ("int", "0"),
-        "output": ("str", "runs/default"),
     },
 }
 
@@ -144,8 +143,10 @@ def load_config(path=None, overrides=None) -> RunConfig:
         for section, keys in SCHEMA.items()
     }
     if path is not None:
-        # no interpolation: a '%' in a value (a data path) is taken as written
-        parser = configparser.ConfigParser(interpolation=None)
+        # no interpolation: a '%' in a value (a data path) is taken as
+        # written; no default section: [DEFAULT] is refused as unknown
+        parser = configparser.ConfigParser(interpolation=None,
+                                           default_section="")
         parser.optionxform = str        # keys are matched as written, like --set
         try:
             with open(path) as f:

@@ -433,7 +433,9 @@ class TestCsvIO:
     @pytest.mark.parametrize("column, text, message", [
         ("risk_mc", "1.2", r"risk_mc must lie in \[0, 1\], got 1.2"),
         ("risk_mc", "nan", r"risk_mc must lie in \[0, 1\], got nan"),
-        ("complexity", "-0.1", "complexity must be nonnegative, got -0.1"),
+        ("complexity", "-0.1", r"complexity must lie in \[0, inf\), got -0.1"),
+        ("complexity", "nan", r"complexity must lie in \[0, inf\), got nan"),
+        ("complexity", "inf", r"complexity must lie in \[0, inf\), got inf"),
         ("validity", "Valid", "validity must be valid or invalid-prior, "
                               "got 'Valid'"),
         ("validity", "", "validity must be valid or invalid-prior, got ''"),
@@ -455,5 +457,7 @@ class TestCsvIO:
         cert = self._cert()
         with pytest.raises(ValueError, match="risk_mc must lie in"):
             replace(cert, risk_mc=1.2)
-        with pytest.raises(ValueError, match="complexity must be nonnegative"):
-            replace(cert, complexity=-0.1)
+        for complexity in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match=r"complexity must lie in \[0, inf\)"):
+                replace(cert, complexity=complexity)
+        assert replace(cert, complexity=0.0).complexity == 0.0

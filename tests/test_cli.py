@@ -126,6 +126,23 @@ class TestConfig:
         with pytest.raises(ConfigError, match=message):
             load_config(path)
 
+    @pytest.mark.parametrize("text", [
+        "[DEFAULT]\nseed = 3\n", "[DEFAULT]\nseed = 3\n[data]\nn = 5\n"],
+        ids=["alone", "beside-data"])
+    def test_default_section_refused(self, tmp_path, capsys, text):
+        """[DEFAULT] is an unknown section like any other: its keys are
+        neither dropped nor copied into the other sections."""
+        path = tmp_path / "run.ini"
+        path.write_text(text)
+        with pytest.raises(ConfigError,
+                           match=re.escape("unknown config section [DEFAULT]")):
+            load_config(path)
+        assert main(["train", "--config", str(path),
+                     "--out", str(tmp_path / "run")]) == 2
+        assert ("error: unknown config section [DEFAULT]"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "run").exists()
+
     def test_percent_in_a_value_loads_as_written(self, tmp_path):
         path = tmp_path / "run.ini"
         path.write_text("[data]\nimages = /data/100%/images.idx\n"
@@ -500,22 +517,32 @@ class TestCliPipeline:
 
     def test_config_naming_a_removed_key_exits_2(self, small_config,
                                                  tmp_path, capsys, monkeypatch):
-        """An old config that still sets bound.b, bound.c or probe.lambdas
-        is refused as naming an unknown key, before the run is loaded."""
+        """An old config that still sets bound.b, bound.c, probe.lambdas or
+        run.output, in its file or by --set, is refused as naming an
+        unknown key, before any data or run is loaded."""
         def refuse(*args, **kwargs):
-            raise RuntimeError("run loaded for an old config")
+            raise RuntimeError("data loaded for an old config")
 
+        monkeypatch.setattr(cli, "_build_datasets", refuse)
         monkeypatch.setattr(cli, "load_train_record", refuse)
+        run = tmp_path / "run"
         for command, section, key in (("certify", "bound", "b"),
                                       ("certify", "bound", "c"),
-                                      ("probe", "probe", "lambdas")):
+                                      ("probe", "probe", "lambdas"),
+                                      ("train", "run", "output")):
+            header = f"[{section}]\n"
+            text = small_config.read_text()
+            if header not in text:
+                text += f"\n{header}"
             old = tmp_path / f"{key}.ini"
-            old.write_text(small_config.read_text().replace(
-                f"[{section}]\n", f"[{section}]\n{key} = 1.0\n"))
-            assert main([command, "--config", str(old),
-                         "--run", str(tmp_path / "run")]) == 2
-            assert (f"error: unknown key {section}.{key}"
-                    in capsys.readouterr().err)
+            old.write_text(text.replace(header, f"{header}{key} = 1.0\n"))
+            target = "--out" if command == "train" else "--run"
+            for args in (["--config", str(old)],
+                         ["--set", f"{section}.{key}=1.0"]):
+                assert main([command, *args, target, str(run)]) == 2
+                assert (f"error: unknown key {section}.{key}"
+                        in capsys.readouterr().err)
+        assert not run.exists()
 
     def test_one_point_grid_notes_its_unused_max(self, small_config, tmp_path,
                                                 capsys):
@@ -978,6 +1005,33 @@ class TestCliPipeline:
                     f"{bad}" in err)
             assert "reached training" not in err
 
+    @pytest.mark.parametrize("source, key", [
+        ("idx", "test_labels"), ("cifar", "test_batches")])
+    @pytest.mark.parametrize("kind", ["directory", "empty"])
+    def test_train_refuses_a_dataset_path_that_is_not_a_file(
+            self, small_config, tmp_path, capsys, monkeypatch, source, key,
+            kind):
+        """Each idx key and each colon-separated cifar batch must name a
+        file; a directory or an empty value exits 2 naming the key, before
+        any file is read."""
+        def refuse(*args, **kwargs):
+            raise RuntimeError("dataset read from a path that is not a file")
+
+        monkeypatch.setattr(cli, "load_idx", refuse)
+        monkeypatch.setattr(cli, "load_cifar_bin", refuse)
+        keys = {"idx": ("images", "labels", "test_images", "test_labels"),
+                "cifar": ("batches", "test_batches")}[source]
+        bad = {"directory": str(tmp_path), "empty": ""}[kind]
+        value = f"{small_config}:{bad}" if source == "cifar" and bad else bad
+        overrides = [f"data.source={source}"] + [
+            f"data.{k}={value if k == key else small_config}" for k in keys]
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(small_config), "--out", str(out),
+                     *[arg for o in overrides for arg in ("--set", o)]]) == 2
+        assert (f"error: dataset path missing or unreadable: data.{key}={bad!r}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_train_exit_code_on_missing_idx(self, tmp_path):
         config = tmp_path / "idx.ini"
         config.write_text("[data]\nsource = idx\nimages = /no/such/file\n")
@@ -1017,7 +1071,8 @@ class TestCliPipeline:
         assert not (tmp_path / "plot.svg").exists()
 
     @pytest.mark.parametrize("column, text", [
-        ("risk_mc", "1.2"), ("complexity", "-0.1"), ("validity", "Valid"),
+        ("risk_mc", "1.2"), ("complexity", "-0.1"), ("complexity", "nan"),
+        ("complexity", "inf"), ("validity", "Valid"),
     ])
     def test_plot_refuses_a_row_that_is_not_a_certificate(
             self, tmp_path, capsys, column, text):
@@ -1047,11 +1102,41 @@ class TestCliPipeline:
         assert (f"{path}: header is not {expected}"
                 in capsys.readouterr().err)
 
-    def test_output_root_env(self, small_config, tmp_path, monkeypatch):
-        monkeypatch.setenv("PBCERT_OUTPUT_ROOT", str(tmp_path))
+    def test_relative_out_is_taken_from_the_working_directory(
+            self, small_config, tmp_path, monkeypatch):
+        """A relative --out names a directory under the working directory;
+        a set PBCERT_OUTPUT_ROOT does not move it."""
+        root, cwd = tmp_path / "root", tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.setenv("PBCERT_OUTPUT_ROOT", str(root))
+        monkeypatch.chdir(cwd)
         assert main(["train", "--config", str(small_config),
                      "--out", "relative/run"]) == 0
-        assert (tmp_path / "relative/run/meta.json").exists()
+        assert (cwd / "relative/run/meta.json").exists()
+        assert not root.exists()
+
+    def test_train_without_out_exits_2(self, small_config, tmp_path, capsys,
+                                       monkeypatch):
+        """The run directory is named on the command line only; no
+        setting supplies a default."""
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["train", "--config", str(small_config)])
+        assert exit_info.value.code == 2
+        assert ("the following arguments are required: --out"
+                in capsys.readouterr().err)
+        assert sorted(tmp_path.iterdir()) == [small_config]
+
+
+def test_the_only_environment_access_is_the_blas_pin():
+    """`pbcert` reads no environment variable: its one access sets
+    OPENBLAS_NUM_THREADS for itself, so every input is a flag or a
+    config value."""
+    package = Path(cli.__file__).parent
+    access = re.compile(r"\benviron\b|\benvironb\b|getenv|putenv|unsetenv")
+    found = [(path.name, line.strip()) for path in sorted(package.glob("*.py"))
+             for line in path.read_text().splitlines() if access.search(line)]
+    assert found == [("cli.py", 'os.environ["OPENBLAS_NUM_THREADS"] = "1"')]
 
 
 class TestSvgRendering:
