@@ -64,12 +64,33 @@ def diag_fisher(spec: NetSpec, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 def block_hessians(spec: NetSpec, theta: np.ndarray, X: np.ndarray) -> list:
     """H_i = (2/n) sum_k a_{i-1}^k a_{i-1}^k' of every layer i, shared by all
-    layer-i neurons, from one forward pass.  Each layer's activations are
-    computed from the pass's preactivations as the layer is reached, so one
-    of them is alive at a time."""
-    fp = forward(spec, theta, X)
-    return [(2.0 / A.shape[0]) * (A.T @ A)
-            for A in map(fp.activation, range(spec.n_layers))]
+    layer-i neurons, each one product A'A over all n rows.
+
+    The layers are walked with one n x h activation buffer, filled one
+    `row_blocks` block at a time: layer 1's block from `forward` on the
+    block's rows, each later layer's as relu(A[rows] W'), written back into
+    the same buffer while the width stays (a new one is made where it
+    changes).  So the walk holds one n x h array and block x h ones, where
+    a full pass held S_1, S_2 and an activation; a block of a product has
+    the bits of the same rows in the full pass, so every H_i does too."""
+    X = np.asarray(X, dtype=np.float64)
+    n = X.shape[0]
+    blocks = row_blocks(n)
+    weights = spec.to_matrices(theta)
+    hessians = [(2.0 / n) * (X.T @ X)]
+    A = np.empty((n, spec.widths[1]))
+    for rows in blocks:
+        np.maximum(forward(spec, theta, X[rows]).preactivations[0], 0.0,
+                   out=A[rows])
+    hessians.append((2.0 / n) * (A.T @ A))
+    for W in weights[1:-1]:
+        A_in = A
+        if W.shape[0] != A.shape[1]:
+            A = np.empty((n, W.shape[0]))
+        for rows in blocks:
+            np.maximum(A_in[rows] @ W.T, 0.0, out=A[rows])
+        hessians.append((2.0 / n) * (A.T @ A))
+    return hessians
 
 
 def all_block_hessians(spec: NetSpec, theta: np.ndarray, X: np.ndarray) -> list:

@@ -144,12 +144,17 @@ def later_layers(A1: np.ndarray, weights) -> np.ndarray:
     return A @ weights[-1].T
 
 
-# Draws whose first-layer weights share one product, and rows of X per
-# product.  At the desk shape (h1 = 100) one block's float32 preactivations
-# are 1024 x 800 x 4 bytes = 3.3 MB and its float32 rows of X 3.2 MB, the
-# size of its float64 preactivations, against 63 MB for a 10k x 784 X.
+# Draws whose first-layer weights share one product, and the least rows of
+# X per product of a full-batch pass (`row_blocks`).
 _DRAW_GROUP = 8
 _ROW_BLOCK = 1024
+# Rows of X per product of the MC screen (`zero_one_errors`).  At the desk
+# shape (h1 = 100) one block's float32 preactivations are 512 x 800 x 4
+# bytes = 1.6 MB and its float32 rows of X 1.6 MB, against 63 MB for a
+# 10k x 784 X.  It may be shorter than _ROW_BLOCK: a row block must keep
+# `forward`'s bits, but the screen's are only bounded, never trusted.  At
+# 256 rows the MC products cost 15-20% more CPU.
+_SCREEN_BLOCK = 512
 
 
 def row_blocks(n: int) -> list:
@@ -212,11 +217,20 @@ class _Bound(NamedTuple):
     limits: np.ndarray          # G x L
 
 
-def _bound(layers, widths, dtype) -> _Bound:
+def _row_stats(W: np.ndarray) -> tuple:
+    """Of weights W (h x n, or stacked G x h x n): the 2-norm of each row
+    and the largest |weight| (of each matrix).  The largest is taken
+    without a |W| temporary: at the desk shape one is 5 MB, which showed in
+    desk-mc certify's peak RSS."""
+    return _norms(W), np.maximum(W.max(axis=(-2, -1)), -W.min(axis=(-2, -1)))
+
+
+def _bound(first: tuple, later, widths, dtype) -> _Bound:
     """The `_Bound` of a pass in `dtype` (float32 or float64) through L
-    layers; layers[l] stacks the thetas' layer-l weights.  A float32 pass
-    rounds X and the weights to float32, a float64 pass takes them as they
-    are.
+    layers: `first` is the `_row_stats` of the thetas' first layers (G x
+    h1 and G), `later` stacks their weights of each later layer.  A float32
+    pass rounds X and the weights to float32, a float64 pass takes them as
+    they are.
 
     With u the pass's unit roundoff, r = 1 if it rounds its inputs (else 0)
     and t four times its smallest normal number (so flush-to-zero is
@@ -225,24 +239,23 @@ def _bound(layers, widths, dtype) -> _Bound:
     |w| |a| + (1 + gamma_n(2^-53)) |w|'e + n t (1 + |a|): rounding w and the
     pass's own sums, then `forward`'s, then underflow in either.  ReLU
     passes the error on, so an output's error is a sum over layers of |a|
-    times a per-theta vector through the later layers' |W|: P and Q below."""
+    times a per-theta vector through the later layers' |W|: P and Q below.
+    Layer 1 is read only through its row norms and largest |weight|."""
     info = np.finfo(dtype)
     u, tiny, top = float(info.eps) / 2, 4 * float(info.tiny), float(info.max)
     rounds = int(u > _U64)
-    G, k, d = layers[0].shape[0], widths[-1], widths[0]
-    slopes, intercept = np.empty((len(layers), G, k)), np.zeros((G, k))
-    limits = np.empty((G, len(layers)))
+    stats = [first, *map(_row_stats, later)]
+    G, L, k, d = first[0].shape[0], len(stats), widths[-1], widths[0]
+    slopes, intercept = np.empty((L, G, k)), np.zeros((G, k))
+    limits = np.empty((G, L))
     B = np.broadcast_to(np.eye(k), (G, k, k))   # later |W|, times 1 + gamma
-    for layer in reversed(range(len(layers))):
-        W, n = layers[layer], widths[layer]
+    for layer in reversed(range(L)):
+        (norms, largest), n = stats[layer], widths[layer]
         rho, tau = _norm_slack(n, _U64, tiny)
-        w = rho * _norms(W) + tau           # G x h, each row's norm rounded up
+        w = rho * norms + tau               # G x h, each row's norm rounded up
         # r <= max / 16 / max |w| keeps every partial sum (<= 1.01 |w| |a|)
-        # finite; a weight beyond the dtype's range rounds to inf.  The
-        # largest |weight| is taken without a |W| temporary: at the desk
-        # shape one is 5 MB, which showed in desk-mc certify's peak RSS.
+        # finite; a weight beyond the dtype's range rounds to inf
         limits[:, layer] = top / 16 / w.max(axis=1)
-        largest = np.maximum(W.max(axis=(1, 2)), -W.min(axis=(1, 2)))
         limits[largest > top, layer] = 0.0
         P, Q = np.einsum("gkh,gh->gk", B, w), B.sum(axis=2)
         rho, tau = _norm_slack(n, u, tiny)  # |a| <= rho r + tau
@@ -250,7 +263,7 @@ def _bound(layers, widths, dtype) -> _Bound:
         slopes[layer] = rho * slope
         intercept += tau * slope + n * tiny * Q
         if layer:
-            B = (1 + _gamma(n, _U64)) * (B @ np.abs(W))
+            B = (1 + _gamma(n, _U64)) * (B @ np.abs(later[layer - 1]))
     if rounds:
         # rounding x: |x_r - x| <= gamma_1 |x_r| + t per entry, and
         # |W_1 (x_r - x)| <= |W_1| |x_r - x| row by row; P is layer 0's
@@ -271,14 +284,21 @@ class _Group(NamedTuple):
 
 
 def _group(spec: NetSpec, thetas) -> _Group:
+    """The group of `thetas`.  The first layers, the bulk of the weights,
+    are copied once, theta by theta into the float32 stack; the bounds read
+    them through their `_row_stats`, found once for both."""
     weights = [spec.to_matrices(theta) for theta in thetas]
-    layers = [np.stack(layer) for layer in zip(*weights)]
-    later = zip(*(layer.astype(np.float32) for layer in layers[1:]))
-    return _Group(weights,
-                  layers[0].reshape(-1, spec.widths[0]).astype(np.float32),
-                  [list(matrices) for matrices in later],
-                  _bound(layers, spec.widths, np.float32),
-                  _bound(layers, spec.widths, np.float64))
+    h1, d = spec.layer_shapes[0]
+    W1 = np.empty((len(weights), h1, d), np.float32)
+    for stacked, matrices in zip(W1, weights):
+        stacked[...] = matrices[0]
+    first = tuple(map(np.stack, zip(*(_row_stats(m[0]) for m in weights))))
+    later = [np.stack(layer) for layer in zip(*(m[1:] for m in weights))]
+    later32 = zip(*(layer.astype(np.float32) for layer in later))
+    return _Group(weights, W1.reshape(-1, d),
+                  [list(matrices) for matrices in later32],
+                  _bound(first, later, spec.widths, np.float32),
+                  _bound(first, later, spec.widths, np.float64))
 
 
 def _decide(X_rows, W1, later, bound: _Bound, labels, out=None) -> tuple:
@@ -315,11 +335,19 @@ def _decide(X_rows, W1, later, bound: _Bound, labels, out=None) -> tuple:
 
 
 def _forward_wrong(weights, X, y, rows) -> int:
-    """Errors among X[rows] of `forward`'s own products on the whole of X."""
-    A1 = X @ weights[0].T
-    np.maximum(A1, 0.0, out=A1)
-    outputs = later_layers(A1, weights[1:])[rows]
-    return int(np.count_nonzero(np.argmax(outputs, axis=1) != y[rows]))
+    """Errors among X[rows] of `forward`'s own products, run on each
+    `row_blocks` block that holds one of the rows, whose bits are those of
+    a pass over the whole of X."""
+    wrong = 0
+    for block in row_blocks(X.shape[0]):
+        local = rows[(rows >= block.start) & (rows < block.stop)] - block.start
+        if local.size:
+            A1 = X[block] @ weights[0].T
+            np.maximum(A1, 0.0, out=A1)
+            outputs = later_layers(A1, weights[1:])[local]
+            wrong += np.count_nonzero(np.argmax(outputs, axis=1)
+                                      != y[block][local])
+    return int(wrong)
 
 
 def zero_one_errors(spec: NetSpec, thetas, X: np.ndarray,
@@ -334,12 +362,12 @@ def zero_one_errors(spec: NetSpec, thetas, X: np.ndarray,
 
     Only each row's argmax is kept, so rows are decided in float32 first.
     A group's first layers are stacked into one float32 (G*h1 x d) matrix,
-    so each row block of X, rounded to float32 in a per-worker buffer, takes
-    one product per group; each theta's later layers run in float32 on its
-    column slice.  The blocks are split over a thread pool, one worker per
-    CPU this process may use, each on one BLAS thread
-    (`blas.single_threaded`; where no OpenBLAS control is found the pool
-    has one worker, so a BLAS that threads its own products is not
+    so each block of _SCREEN_BLOCK rows of X, rounded to float32 in a
+    per-worker buffer, takes one product per group; each theta's later
+    layers run in float32 on its column slice.  The blocks are split over a
+    thread pool, one worker per CPU this process may use, each on one BLAS
+    thread (`blas.single_threaded`; where no OpenBLAS control is found the
+    pool has one worker, so a BLAS that threads its own products is not
     oversubscribed).
 
     The screen.  Per row, E bounds the distance between the float32 outputs
@@ -361,9 +389,9 @@ def zero_one_errors(spec: NetSpec, thetas, X: np.ndarray,
     A product of so few rows need not take `forward`'s BLAS kernel
     (OpenBLAS has a small-matrix kernel for up to 12 rows of 100 outputs
     or 600 rows of 2, and a matrix-vector one for 1 row), so its bits are
-    bounded, not trusted; a row the float64 bound
-    leaves open, a tie to a few ulps, takes `forward`'s own products over
-    the whole of X.  So neither the grouping nor the number of workers
+    bounded, not trusted; a row the float64 bound leaves open, a tie to a
+    few ulps, takes `forward`'s own products on its `row_blocks` block
+    (`_forward_wrong`).  So neither the grouping nor the number of workers
     changes a byte.
     """
     X = _inputs(spec, X)
@@ -372,8 +400,8 @@ def zero_one_errors(spec: NetSpec, thetas, X: np.ndarray,
         raise ValueError(f"labels out of range [0, {spec.widths[-1]})")
     n, d = X.shape
     h1 = spec.widths[1]
-    blocks = [(start, min(start + _ROW_BLOCK, n))
-              for start in range(0, n, _ROW_BLOCK)]
+    blocks = [(start, min(start + _SCREEN_BLOCK, n))
+              for start in range(0, n, _SCREEN_BLOCK)]
     thetas = iter(thetas)
     wrong = []
     # an inf or a nan in a pass only sends its row on to the next pass
@@ -385,7 +413,7 @@ def zero_one_errors(spec: NetSpec, thetas, X: np.ndarray,
         # in that thread's own arena, and desk-mc certify's peak RSS was 172
         # MiB with the buffers made by the workers, 160 MiB with them made
         # here.
-        block = min(n, _ROW_BLOCK)
+        block = min(n, _SCREEN_BLOCK)
         size = block * max(d + _DRAW_GROUP * h1, 2 * d)
         buffers = [np.empty(size + size % 2, np.float32) for _ in range(workers)]
 
@@ -447,6 +475,8 @@ def zero_one_errors(spec: NetSpec, thetas, X: np.ndarray,
                     if tied:
                         count += _forward_wrong(weights, X, y, np.concatenate(tied))
                     wrong.append(count)
+                # the next group's draws are made once this one's are gone
+                del chunk, group
     return np.array(wrong, dtype=np.float64) / n
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import os
 import re
 import tracemalloc
 from dataclasses import fields, replace
@@ -37,7 +38,7 @@ from pbcert.certify import (
     write_pareto_csv,
 )
 from pbcert.gaussians import DiagGaussian, catoni_inv
-from pbcert.nnet import NetSpec, forward, loss
+from pbcert.nnet import _DRAW_GROUP, _SCREEN_BLOCK, NetSpec, forward, loss
 from pbcert.rng import child_seed
 
 
@@ -292,6 +293,38 @@ class TestGridSearch:
         result = grid_search("mystery", [1.0], [0.1], ctx)
         assert result.certificates == []
         assert len(result.failures) == 1
+
+
+class TestSweepMemory:
+    def test_desk_sweep_holds_no_second_layer_array(self, monkeypatch):
+        """One `iso-init` and one `skfac-block` sweep at the desk widths on
+        3000 rows, m = 8, two screen workers.  The peak is bounded by one
+        n x h array, two screen buffers, one group's draws, the first
+        layer's 784^2 Gram with its eigendecomposition (the eigenvectors
+        and a sorted copy; the `skfac-block` MC holds the cached
+        eigenvectors and the posterior's basis) and 1 MiB for the workers'
+        per-row vectors and a draw being made.  The sweep reads 1.2-1.6
+        MiB below that, so a 1024-row screen buffer (+6.2 MiB), a float64
+        stack of the group's first layers (+4.8 MiB) or another n x h
+        array beside the MC's peak (+2.3 MiB) exceeds it."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        spec = NetSpec((784, 100, 100, 2))
+        (d, h, _, _), n, G = spec.widths, 3000, _DRAW_GROUP
+        rng = np.random.default_rng(17)
+        data = SimpleNamespace(X=rng.random((n, d)), y=rng.integers(0, 2, n))
+        theta0 = random_theta(spec, seed=17, scale=0.05)
+        theta_star = theta0 + random_theta(spec, seed=18, scale=0.01)
+
+        def sweep():
+            ctx = GridContext(spec=spec, theta_star=theta_star, theta0=theta0,
+                              data=data, **settings("grid", m=G, seed=5))
+            for family in ("iso-init", "skfac-block"):
+                result = grid_search(family, [1.0], [0.001, 0.003], ctx)
+                assert not result.failures and len(result.certificates) == 2
+
+        allowed = (n * h * 8 + 2 * _SCREEN_BLOCK * (d + G * h) * 4
+                   + G * spec.n_params * 8 + 3 * d * d * 8 + 2 ** 20)
+        assert traced_peak(sweep) <= allowed
 
 
 class TestMcKey:

@@ -5,6 +5,10 @@ import numpy as np
 import pytest
 
 from tests.conftest import (
+    BLOCK_LAYER_BYTES,
+    BLOCKED_N,
+    BLOCKED_SPEC,
+    blocked_data,
     error_propagation_check,
     ggn_diag_oracle,
     random_theta,
@@ -12,6 +16,7 @@ from tests.conftest import (
     traced_peak,
 )
 from pbcert import curvature
+from pbcert.blas import single_threaded
 from pbcert.curvature import (
     all_block_hessians,
     block_hessians,
@@ -140,6 +145,38 @@ class TestBlockHessian:
         assert len(hessians) == spec.n_layers
         with pytest.raises(IndexError):
             hessians[2]
+
+    @pytest.mark.parametrize("n", [5, 1023, 2047, 2048, 3001])
+    @pytest.mark.parametrize("widths", [
+        (4, 3, 3, 2), (6, 5, 8, 2), (6, 8, 5, 3, 2), (6, 5, 2)],
+        ids=["same-width", "wider", "narrower", "one-hidden"])
+    def test_equals_the_full_pass_bitwise(self, n, widths):
+        """The walk over row blocks, with its one activation buffer kept
+        through a layer of the same width and made anew at a wider or a
+        narrower one, gives the bits of (2/n) A'A over one full pass's
+        activations, on one BLAS thread."""
+        spec = NetSpec(widths)
+        rng = np.random.default_rng(n)
+        X = rng.standard_normal((n, widths[0]))
+        theta = random_theta(spec, seed=n)
+        with single_threaded():
+            fp = forward(spec, theta, X)
+            oracle = [(2.0 / n) * (A.T @ A)
+                      for A in map(fp.activation, range(spec.n_layers))]
+            hessians = block_hessians(spec, theta, X)
+        assert [H.tobytes() for H in hessians] == [H.tobytes() for H in oracle]
+
+    def test_holds_one_activation_array(self):
+        """Beside X, the walk holds one n x h activation buffer (8 MB), the
+        three block x h arrays of a block's `forward` and the Grams with
+        their scaled copies; the full pass's S_1, S_2 and activation need
+        16 MB more."""
+        data = blocked_data(seed=16)
+        theta = random_theta(BLOCKED_SPEC, seed=16, scale=0.1)
+        h = BLOCKED_SPEC.widths[1]
+        peak = traced_peak(lambda: block_hessians(BLOCKED_SPEC, theta, data.X))
+        assert peak <= (BLOCKED_N * h * 8 + 3 * BLOCK_LAYER_BYTES
+                        + 2 * 2 * h * h * 8)
 
     def test_one_forward_for_every_layer(self, monkeypatch):
         spec = NetSpec((4, 3, 3, 2))

@@ -29,6 +29,7 @@ from pbcert.rng import rng_for
 from pbcert.nnet import (
     _DRAW_GROUP,
     _ROW_BLOCK,
+    _SCREEN_BLOCK,
     DivergenceError,
     NetSpec,
     ShapeMismatchError,
@@ -338,21 +339,30 @@ class TestZeroOneErrors:
             serial = per_draw_errors(spec, posterior, m, X, y)
         assert np.array_equal(errors, serial)
 
-    def test_stacks_at_most_one_group(self):
-        spec = NetSpec((6, 50, 2))
-        X = np.random.default_rng(1).standard_normal((_ROW_BLOCK, 6))
-        # one float32 block of X and of the group's preactivations
-        block_bytes = X.shape[0] * (6 + self.G * 50) * 4
-        draws = (random_theta(spec, seed=j) for j in range(3 * self.G))
-        tracemalloc.start()
-        try:
-            errors = zero_one_errors(spec, draws, X, np.zeros(len(X), int))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert errors.shape == (3 * self.G,)
-        # stacking all 3G draws would need three blocks of preactivations
-        assert peak < 2 * block_bytes
+    def test_stacks_at_most_one_group(self, monkeypatch):
+        """One worker, 3G draws over two screen blocks: the screen holds one
+        float32 buffer of _SCREEN_BLOCK rows (X and the group's
+        preactivations), one group's draws and their float32 first layers,
+        beside a draw being made.  A buffer of 1024 rows (+1.6 MB), a
+        float64 stack of the first layers (+1.3 MB) or the next group's
+        draws made before this one's are freed (+1.6 MB) exceeds that."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        d, h1 = 400, 50
+        spec = NetSpec((d, h1, 2))
+        X = np.random.default_rng(1).standard_normal((2 * _SCREEN_BLOCK, d))
+        y = np.zeros(len(X), int)
+
+        def screen():
+            draws = (random_theta(spec, seed=j) for j in range(3 * self.G))
+            return zero_one_errors(spec, draws, X, y)
+
+        assert screen().shape == (3 * self.G,)
+        buffer = _SCREEN_BLOCK * (d + self.G * h1) * 4
+        group = self.G * spec.n_params * 8 + self.G * h1 * d * 4
+        # a draw being made (its normals and their scaled copy), and the
+        # screen's per-row vectors
+        slack = 2 * spec.n_params * 8 + 2 ** 18
+        assert traced_peak(screen) < buffer + group + slack
 
     def test_input_validation(self):
         spec = NetSpec((4, 3, 2))
@@ -377,16 +387,16 @@ class TestZeroOneErrors:
         errors equal a serial forward pass per theta bit for bit."""
         spec = NetSpec(widths)
         rng = np.random.default_rng(7)
-        n = _ROW_BLOCK + 37
+        n = _SCREEN_BLOCK + 37
         X = rng.standard_normal((n, widths[0]))
         y = rng.integers(0, widths[-1], n)
         thetas = [near_tie_theta(spec, 1e-9, seed) for seed in range(3)]
         errors = zero_one_errors(spec, thetas, X, y)
         assert sorted((p.rows, p.thetas, p.unsure) for p in screened
                       if p.kind == "float32") == [
-            (37, 3, 3 * 37), (_ROW_BLOCK, 3, 3 * _ROW_BLOCK)]
+            (37, 3, 3 * 37), (_SCREEN_BLOCK, 3, 3 * _SCREEN_BLOCK)]
         assert sorted(p.rows for p in screened if p.kind == "recheck") == \
-            [37] * 3 + [_ROW_BLOCK] * 3
+            [37] * 3 + [_SCREEN_BLOCK] * 3
         assert np.array_equal(errors, serial_errors(spec, thetas, X, y))
 
     @pytest.mark.parametrize("gap", [0.0, 1e-16], ids=["equal", "ulps-apart"])
@@ -445,15 +455,44 @@ class TestZeroOneErrors:
         warns."""
         spec = NetSpec((64, 48, 32, 3))
         rng = np.random.default_rng(10)
-        n = _ROW_BLOCK + 37
+        n = _SCREEN_BLOCK + 37
         X = rng.standard_normal((n, 64))
-        X[5, 3] = X[_ROW_BLOCK + 3, 7] = 1e39
+        X[5, 3] = X[_SCREEN_BLOCK + 3, 7] = 1e39
         y = rng.integers(0, 3, n)
         thetas = [random_theta(spec, seed) for seed in range(2)]
         errors = zero_one_errors(spec, thetas, X, y)
         assert len([p for p in screened
                     if p.kind == "recheck" and p.x_max >= 1e39]) == 4
         assert np.array_equal(errors, serial_errors(spec, thetas, X, y))
+
+    def test_ties_in_one_block_take_that_blocks_forward(self, monkeypatch):
+        """Exact ties in the middle one of three row blocks (`row_blocks`):
+        the fallback on `forward`'s products runs on that block alone, so
+        it holds one block x h array where a pass over X held an n x h one
+        (4.9 MB), and the errors equal a serial forward pass."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        forward_wrong = nnet._forward_wrong
+        passes = record_passes(monkeypatch)
+        h = 200
+        spec = NetSpec((4, h, 2))
+        W1, W2 = np.zeros((h, 4)), np.zeros((2, h))
+        W1[:4] = np.eye(4)
+        W2[0, :2] = W2[1, 2:4] = 1.0
+        theta = spec.to_vector([W1, W2])
+        n = 3 * _ROW_BLOCK + 5
+        X = np.tile([1.0, 1.0, 0.0, 0.0], (n, 1))
+        X[1::2] = X[1::2, ::-1]
+        middle = row_blocks(n)[1]
+        ties = np.arange(middle.start, middle.stop, 100)
+        X[ties] = 1.0
+        y = np.arange(n) % 2
+        errors = zero_one_errors(spec, [theta], X, y)
+        assert [p.rows for p in passes if p.kind == "forward"] == [ties.size]
+        assert np.array_equal(errors, serial_errors(spec, [theta], X, y))
+        weights = spec.to_matrices(theta)
+        peak = traced_peak(lambda: forward_wrong(weights, X, y, ties))
+        block = middle.stop - middle.start
+        assert peak <= block * (h + 2) * 8 + 2 ** 16
 
     def test_one_unsure_row_is_rechecked_alone(self, screened):
         """One row of the block is an exact tie, every other row has a gap
@@ -481,15 +520,15 @@ class TestZeroOneErrors:
         spec = NetSpec((4, 4, 2))
         theta = spec.to_vector([np.eye(4), [[1.0, 1.0, 0.0, 0.0],
                                             [0.0, 0.0, 1.0, 1.0]]])
-        n = 2 * _ROW_BLOCK + 5
+        n = 2 * _SCREEN_BLOCK + 5
         X = np.tile([1.0, 1.0, 0.0, 0.0], (n, 1))
         X[1::2] = X[1::2, ::-1]
-        ties = [3, _ROW_BLOCK + 3, 2 * _ROW_BLOCK + 3]
+        ties = [3, _SCREEN_BLOCK + 3, 2 * _SCREEN_BLOCK + 3]
         X[ties] = 1.0
         y = np.arange(n) % 2
         errors = zero_one_errors(spec, [theta, theta], X, y)
         assert [(p.kind, p.rows, p.unsure) for p in passes] == [
-            ("float32", _ROW_BLOCK, 2), ("float32", _ROW_BLOCK, 2),
+            ("float32", _SCREEN_BLOCK, 2), ("float32", _SCREEN_BLOCK, 2),
             ("float32", 5, 2), ("recheck", 3, 3), ("recheck", 3, 3),
             ("forward", 3, 0), ("forward", 3, 0)]
         assert np.array_equal(errors, serial_errors(spec, [theta] * 2, X, y))
@@ -502,13 +541,13 @@ class TestZeroOneErrors:
         passes = record_passes(monkeypatch)
         spec = NetSpec((64, 48, 2))
         rng = np.random.default_rng(11)
-        n = 2 * _ROW_BLOCK + 37
+        n = 2 * _SCREEN_BLOCK + 37
         X = rng.standard_normal((n, 64))
         y = rng.integers(0, 2, n)
         thetas = [near_tie_theta(spec, 1e-9, seed) for seed in range(2)]
         errors = zero_one_errors(spec, thetas, X, y)
         assert [p.rows for p in passes if p.kind == "recheck"] == [
-            _ROW_BLOCK] * 2 + [_ROW_BLOCK] * 2 + [37] * 2
+            _SCREEN_BLOCK] * 2 + [_SCREEN_BLOCK] * 2 + [37] * 2
         assert np.array_equal(errors, serial_errors(spec, thetas, X, y))
 
     def test_trained_desk_iso_draws_recheck_few_rows(self, monkeypatch):
@@ -551,8 +590,9 @@ class TestZeroOneErrors:
         rounding x) and |W_2 row| (layer 2)."""
         spec = NetSpec((784, 100, 2))
         weights = spec.to_matrices(random_theta(spec, seed=13, scale=0.05))
-        bound32 = nnet._bound([W[None] for W in weights], spec.widths, np.float32)
         W1, W2 = weights
+        bound32 = nnet._bound(nnet._row_stats(W1[None]), [W2[None]],
+                              spec.widths, np.float32)
         gamma = lambda n: nnet._gamma(n + 1, 2.0 ** -24) + nnet._gamma(n, 2.0 ** -53)
         layer1 = ((gamma(784) + nnet._gamma(1, 2.0 ** -24))
                   * (np.abs(W2) @ np.linalg.norm(W1, axis=1)).max())
@@ -566,7 +606,7 @@ class TestZeroOneErrors:
            gap=st.sampled_from([0.0, 1e-16, 1e-12, 1e-7, 1.0]),
            n=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1))
     def test_screened_errors_equal_forward(self, widths, scales, gap, n, seed):
-        """Random small nets, row blocks of 8 rows over two workers, weight
+        """Random small nets, screen blocks of 8 rows over two workers, weight
         scales per layer from float32 underflow to float32 overflow, and
         last layers whose output rows tie or nearly tie: the screened errors
         equal one forward pass per theta bit for bit."""
@@ -576,7 +616,7 @@ class TestZeroOneErrors:
         y = rng.integers(0, widths[-1], n)
         thetas = [near_tie_theta(spec, gap, seed + j, scales) for j in range(3)]
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(nnet, "_ROW_BLOCK", 8)
+            patch.setattr(nnet, "_SCREEN_BLOCK", 8)
             patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
             errors = zero_one_errors(spec, thetas, X, y)
         assert np.array_equal(errors, serial_errors(spec, thetas, X, y))
